@@ -10,14 +10,11 @@ file/CLI plumbing (:mod:`pixelport.imagefile`, :mod:`pixelport.config`,
 
 from .channel import (
     FidelityMap,
-    TeleportOutcome,
     average_fidelity,
     conditional_amplitude,
     conditional_fidelity,
     feedback_displace,
-    sample_bell_outcome,
     teleport_image,
-    teleport_pixel,
 )
 from .grid import GridGeometry, ImageField, decompose, partner_index, pixel_center, synthesize
 from .spdc import (
@@ -48,14 +45,11 @@ __all__ = [
     "eta_quadrature",
     "ring_from_spdc",
     "profile_for_grid",
-    "TeleportOutcome",
     "FidelityMap",
     "conditional_amplitude",
     "feedback_displace",
     "conditional_fidelity",
-    "sample_bell_outcome",
     "average_fidelity",
-    "teleport_pixel",
     "teleport_image",
     "__version__",
 ]

@@ -14,13 +14,13 @@ and the feedback displacement by beta leaves
 
 The teleportation fidelity for one outcome is
 F(beta) = exp(-(1 - tanh r)^2 |alpha - beta|^2), averaging to (1 + tanh r)/2.
-Whole images are teleported pixel by pixel with independent, deterministic
-per-pixel random streams, so results do not depend on thread count.
+Whole images draw every pixel's outcomes from one seeded generator in
+row-major pixel order and evaluate them as array expressions, block by
+block; the blocks only bound memory and never change a result.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -30,27 +30,24 @@ from .grid import GridGeometry, ImageField
 from .spdc import SqueezingProfile
 
 __all__ = [
-    "TeleportOutcome",
+    "MAX_R",
     "FidelityMap",
     "conditional_amplitude",
     "feedback_displace",
     "conditional_fidelity",
-    "sample_bell_outcome",
     "sample_bell_outcomes",
     "average_fidelity",
-    "teleport_pixel",
     "teleport_image",
 ]
 
+# Largest supported squeezing.  cosh(r) overflows float64 at r = 710.48;
+# stopping at 700 leaves a factor e^10 of headroom, so the sampled outcomes
+# alpha + cosh(r)/sqrt(2) * z stay finite for any normal draw z.
+MAX_R = 700.0
 
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """One pixel teleportation: measurement outcome and resulting amplitudes."""
-
-    beta: complex
-    zeta: complex
-    output: complex
-    fidelity: float
+# Normals drawn per block of whole pixels in teleport_image.  It bounds the
+# block's temporaries (a few arrays of this many doubles) and nothing else.
+_BLOCK_NORMALS = 1 << 20
 
 
 @dataclass
@@ -73,14 +70,12 @@ def conditional_amplitude(alpha, beta, r):
     return np.tanh(r) * (alpha - beta)
 
 
-def feedback_displace(zeta, beta, r):
+def feedback_displace(zeta, beta):
     """Amplitude after displacing back by the measurement outcome.
 
     Identically equal to tanh(r)*alpha + (1-tanh(r))*beta when zeta came from
-    :func:`conditional_amplitude` with the same beta and r.  The displacement
-    itself does not depend on r; the parameter is kept for signature symmetry.
+    :func:`conditional_amplitude` with the same beta and r.
     """
-    del r
     return zeta + beta
 
 
@@ -91,54 +86,25 @@ def conditional_fidelity(alpha, beta, r):
     return np.exp(-(g * g) * d * d)
 
 
-def sample_bell_outcome(alpha, r, rng: np.random.Generator) -> complex:
-    """Draw one measurement outcome beta.
+def sample_bell_outcomes(alpha, r, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n measurement outcomes beta for every entry of alpha and r.
 
     beta follows the rotation-invariant complex Gaussian centered on alpha
     with density exp(-|beta-alpha|^2 / cosh(r)^2) / (pi cosh(r)^2), i.e. each
-    real component is Normal(component of alpha, cosh(r)^2 / 2).
+    real component is Normal(component of alpha, cosh(r)^2 / 2).  alpha and r
+    broadcast to a shape S and the result has shape S + (n,).  One
+    ``standard_normal`` call of shape S + (2, n) supplies the draws: per
+    entry, the n real parts and then the n imaginary parts.
     """
-    s = math.cosh(r) / math.sqrt(2.0)
-    a = complex(alpha)
-    return complex(rng.normal(a.real, s), rng.normal(a.imag, s))
-
-
-def sample_bell_outcomes(alpha, r, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized :func:`sample_bell_outcome`: n draws, real parts first."""
-    s = math.cosh(r) / math.sqrt(2.0)
-    a = complex(alpha)
-    return rng.normal(a.real, s, n) + 1j * rng.normal(a.imag, s, n)
+    alpha, r = np.broadcast_arrays(np.asarray(alpha, dtype=complex), np.asarray(r, dtype=float))
+    s = (np.cosh(r) / math.sqrt(2.0))[..., None]
+    z = rng.standard_normal(alpha.shape + (2, n))
+    return alpha.real[..., None] + s * z[..., 0, :] + 1j * (alpha.imag[..., None] + s * z[..., 1, :])
 
 
 def average_fidelity(r):
     """Outcome-averaged fidelity (1 + tanh r)/2 for one pixel."""
     return (1.0 + np.tanh(r)) / 2.0
-
-
-def teleport_pixel(alpha, r, rng: np.random.Generator) -> TeleportOutcome:
-    """Run the full single-pixel protocol for one sampled outcome."""
-    alpha = complex(alpha)
-    beta = sample_bell_outcome(alpha, r, rng)
-    zeta = conditional_amplitude(alpha, beta, r)
-    output = feedback_displace(zeta, beta, r)
-    return TeleportOutcome(beta=beta, zeta=zeta, output=output, fidelity=float(conditional_fidelity(alpha, beta, r)))
-
-
-def _pixel_rng(seed: int, index: int) -> np.random.Generator:
-    # Counter-style stream: every pixel seeds its own generator from
-    # (seed, linear index), so the draw order never depends on scheduling.
-    return np.random.default_rng([seed, index])
-
-
-def _run_pixel(alpha: complex, r: float, seed: int, index: int, n_shots: int) -> tuple[complex, float]:
-    rng = _pixel_rng(seed, index)
-    if n_shots == 1:
-        out = teleport_pixel(alpha, r, rng)
-        return out.output, out.fidelity
-    beta = sample_bell_outcomes(alpha, r, rng, n_shots)
-    outputs = feedback_displace(conditional_amplitude(alpha, beta, r), beta, r)
-    fids = conditional_fidelity(alpha, beta, r)
-    return complex(outputs.mean()), float(fids.mean())
 
 
 def teleport_image(
@@ -147,7 +113,6 @@ def teleport_image(
     seed: int = 0,
     n_shots: int = 0,
     raw_plane: bool = False,
-    max_workers: int | None = None,
 ) -> tuple[ImageField, FidelityMap]:
     """Teleport a whole image, one independent channel per pixel.
 
@@ -158,7 +123,10 @@ def teleport_image(
     profile : SqueezingProfile
         Per-pixel squeezing magnitude; geometry must match the field.
     seed : int
-        Base seed; pixel (i, j) uses the stream (seed, j*width + i).
+        Non-negative seed of the single generator ``default_rng(seed)``.
+        Pixel (i, j), with row-major index k = j*width + i, uses normals
+        [2*n_shots*k, 2*n_shots*(k+1)) of its ``standard_normal`` stream:
+        the n_shots real parts of beta, then the n_shots imaginary parts.
     n_shots : int
         0 runs the analytic channel (no sampling): the output keeps the
         deterministic throughput tanh(r)*alpha and the fidelity map holds the
@@ -169,9 +137,6 @@ def teleport_image(
         The physical receiving plane is point-reflected (pixel j arrives at
         its partner).  By default the image is reflected back upright; set
         True to get the raw plane.
-    max_workers : int or None
-        Pixel channels are independent; values above 1 split the grid across
-        a thread pool.  Results are identical for any worker count.
 
     Returns
     -------
@@ -190,29 +155,21 @@ def teleport_image(
         out = np.tanh(rs) * amps
         fid = average_fidelity(rs)
     else:
-        out = np.empty(g.shape, dtype=complex)
-        fid = np.empty(g.shape, dtype=float)
-        out_flat = out.ravel()
-        fid_flat = fid.ravel()
         flat_a = amps.ravel()
         flat_r = rs.ravel()
-
-        def fill(lo: int, hi: int) -> None:
-            for idx in range(lo, hi):
-                o, f = _run_pixel(complex(flat_a[idx]), float(flat_r[idx]), seed, idx, n_shots)
-                out_flat[idx] = o
-                fid_flat[idx] = f
-
-        n = g.n_pixels
-        if max_workers is None or max_workers <= 1 or n == 1:
-            fill(0, n)
-        else:
-            workers = min(max_workers, n)
-            bounds = np.linspace(0, n, workers + 1, dtype=int)
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(fill, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-                for fut in futures:
-                    fut.result()
+        out = np.empty(g.n_pixels, dtype=complex)
+        fid = np.empty(g.n_pixels, dtype=float)
+        rng = np.random.default_rng(seed)
+        step = max(1, _BLOCK_NORMALS // (2 * n_shots))
+        for lo in range(0, g.n_pixels, step):
+            a = flat_a[lo : lo + step]
+            r = flat_r[lo : lo + step]
+            beta = sample_bell_outcomes(a, r, rng, n_shots)
+            a, r = a[:, None], r[:, None]
+            out[lo : lo + step] = feedback_displace(conditional_amplitude(a, beta, r), beta).mean(axis=-1)
+            fid[lo : lo + step] = conditional_fidelity(a, beta, r).mean(axis=-1)
+        out = out.reshape(g.shape)
+        fid = fid.reshape(g.shape)
 
     if raw_plane:
         out = out[::-1, ::-1].copy()
@@ -222,4 +179,4 @@ def teleport_image(
     # per-pixel closed-form value instead of drifting a few ulp in the
     # floating-point reduction.
     fmap = FidelityMap(g, fid, math.fsum(fid.ravel()) / fid.size)
-    return ImageField(g, out, global_scale=field.global_scale), fmap
+    return ImageField(g, out), fmap

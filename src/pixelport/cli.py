@@ -8,16 +8,15 @@ Subcommands:
 * ``oracle-verify``: run the Fock-space oracle suite and print a table.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
-or unwritable files, 3 oracle check failure.  The env var PIXELPORT_THREADS
-caps worker threads for the per-pixel channels (default: single-threaded;
-results are identical either way).
+or unwritable files, 3 oracle check failure.  A stochastic ``teleport`` run
+(n_shots >= 1) is reproducible: its output bytes depend only on the seed,
+the shot count and the input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,27 +25,10 @@ import numpy as np
 from . import channel, fock, spdc
 from .config import ConfigError, RunConfig, load_config
 from .grid import GridGeometry, decompose, synthesize
-from .imagefile import ImageFormatError, read_image, write_image
+from .imagefile import ImageFormatError, _fmt, read_image, write_image
 
 FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _thread_cap() -> int | None:
-    raw = os.environ.get("PIXELPORT_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PIXELPORT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("PIXELPORT_THREADS must be at least 1")
-    return n
 
 
 def _write_csv(path, comments: list[str], header: str, rows) -> None:
@@ -92,6 +74,8 @@ def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list
 def cmd_teleport(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         cfg.seed = args.seed
     if args.shots is not None:
         if args.shots < 0:
@@ -115,7 +99,6 @@ def cmd_teleport(args) -> int:
         seed=cfg.seed,
         n_shots=cfg.n_shots,
         raw_plane=args.raw_plane,
-        max_workers=_thread_cap(),
     )
 
     params = _run_params(cfg, geometry, args.raw_plane)

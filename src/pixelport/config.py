@@ -7,7 +7,9 @@ keys are rejected rather than silently dropped.
 The channel is configured either with a uniform squeezing (``mode = ideal``,
 ``ideal_r``) or from a down-conversion profile (``mode = spdc``) given as
 ring parameters (``ring_r0``, ``ring_width``, ``ring_xi``) or as the full
-physical parameter set (``spdc_*``), but never both.
+physical parameter set (``spdc_*``), but never both.  Numbers must be
+finite, the seed non-negative, and ``ideal_r``, ``ring_xi`` and ``spdc_xi``
+at most :data:`pixelport.channel.MAX_R`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .channel import MAX_R
 from .spdc import RingParams, SpdcParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -81,9 +84,17 @@ def _to_int(key: str, raw: str) -> int:
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
+
+
+def _check_r(key: str, value: float) -> None:
+    if value > MAX_R:
+        raise ConfigError(f"{key} must be at most {MAX_R!r}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -121,6 +132,8 @@ def parse_config(text: str) -> RunConfig:
         cfg.summary_path = raw["summary"]
     if "seed" in raw:
         cfg.seed = _to_int("seed", raw["seed"])
+        if cfg.seed < 0:
+            raise ConfigError("seed must be non-negative")
     if "n_shots" in raw:
         cfg.n_shots = _to_int("n_shots", raw["n_shots"])
         if cfg.n_shots < 0:
@@ -144,6 +157,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.ideal_r = _to_float("ideal_r", raw["ideal_r"])
         if cfg.ideal_r < 0:
             raise ConfigError("ideal_r must be non-negative")
+        _check_r("ideal_r", cfg.ideal_r)
     else:
         if "ideal_r" in raw:
             raise ConfigError("mode=spdc takes no ideal_r")
@@ -179,8 +193,12 @@ def parse_config(text: str) -> RunConfig:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(str(exc)) from exc
-        if cfg.spdc is not None and cfg.spdc.theta_d >= math.pi / 2:
-            raise ConfigError("spdc_angle must lie below pi/2")
+        if cfg.ring is not None:
+            _check_r("ring_xi", cfg.ring.Xi)
+        else:
+            _check_r("spdc_xi", cfg.spdc.Xi)
+            if cfg.spdc.theta_d >= math.pi / 2:
+                raise ConfigError("spdc_angle must lie below pi/2")
     return cfg
 
 

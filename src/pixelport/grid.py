@@ -75,13 +75,11 @@ def centered_origin(width: int, height: int, pitch: float) -> tuple[float, float
 class ImageField:
     """Per-pixel coherent amplitudes on a grid.
 
-    ``amplitudes[j, i]`` is the full amplitude teleported for pixel (i, j),
-    i.e. it already includes the global input amplitude ``global_scale``.
+    ``amplitudes[j, i]`` is the full amplitude teleported for pixel (i, j).
     """
 
     geometry: GridGeometry
     amplitudes: np.ndarray
-    global_scale: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -94,23 +92,22 @@ class ImageField:
         self.amplitudes = amps
 
 
-def decompose(samples: np.ndarray, geometry: GridGeometry, global_scale: complex = 1.0) -> ImageField:
+def decompose(samples: np.ndarray, geometry: GridGeometry) -> ImageField:
     """Turn field samples at pixel centers into per-pixel amplitudes.
 
     The mode value is taken constant over each pixel, so the amplitude of
     pixel j is the sample times the square root of the pixel area:
-    ``samples * pitch``, times the overall input amplitude ``global_scale``.
+    ``samples * pitch``.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != geometry.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {geometry.shape}")
-    return ImageField(geometry, samples * (geometry.pitch * global_scale), global_scale=global_scale)
+    return ImageField(geometry, samples * geometry.pitch)
 
 
 def synthesize(fieldarr: ImageField) -> np.ndarray:
     """Exact inverse of :func:`decompose`: recover the center samples."""
-    g = fieldarr.geometry
-    return fieldarr.amplitudes / (g.pitch * fieldarr.global_scale)
+    return fieldarr.amplitudes / fieldarr.geometry.pitch
 
 
 def _check_bounds(i: int, j: int, geometry: GridGeometry) -> None:

@@ -172,15 +172,14 @@ def test_acceptance_7_image_pipeline():
 def test_acceptance_8_determinism(tmp_path, monkeypatch):
     rng = np.random.default_rng(808)
     samples = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    default_block = channel._BLOCK_NORMALS
 
-    def run(label, threads):
+    def run(label, block_pixels):
         sub = tmp_path / label
         sub.mkdir()
         monkeypatch.chdir(sub)
-        if threads is None:
-            monkeypatch.delenv("PIXELPORT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("PIXELPORT_THREADS", str(threads))
+        normals = default_block if block_pixels is None else 2 * 200 * block_pixels
+        monkeypatch.setattr(channel, "_BLOCK_NORMALS", normals)
         write_image(sub / "in.csv", samples)
         (sub / "run.cfg").write_text(
             "mode = spdc\ninput = in.csv\nring_r0 = 1.0\nring_width = 0.5\n"
@@ -195,13 +194,14 @@ def test_acceptance_8_determinism(tmp_path, monkeypatch):
 
     base = run("a", None)
     rerun_same = run("b", None) == base
-    rerun_threads = all(run(f"t{n}", n) == base for n in (1, 3, 8))
-    ok = rerun_same and rerun_threads
+    # blocks of 1 and 3 pixels, and of 24 (not a divisor of the 64 pixels)
+    rerun_blocks = all(run(f"block{n}", n) == base for n in (1, 3, 24))
+    ok = rerun_same and rerun_blocks
     report(
         8,
         "deterministic outputs",
         ok,
-        f"seed rerun identical {rerun_same}, thread caps identical {rerun_threads}",
+        f"seed rerun identical {rerun_same}, block sizes identical {rerun_blocks}",
     )
     assert rerun_same
-    assert rerun_threads
+    assert rerun_blocks

@@ -3,27 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from pixelport import channel
 from pixelport.channel import (
     average_fidelity,
     conditional_amplitude,
     conditional_fidelity,
     feedback_displace,
-    sample_bell_outcome,
     sample_bell_outcomes,
     teleport_image,
-    teleport_pixel,
 )
 from pixelport.grid import GridGeometry, ImageField, decompose
 from pixelport.spdc import SqueezingProfile
 
 
 class ForcedRng:
-    """Stand-in generator whose normal() always returns the mean."""
+    """Stand-in generator whose standard normals are all zero."""
 
-    def normal(self, loc, scale, size=None):
-        if size is None:
-            return loc
-        return np.full(size, loc)
+    def standard_normal(self, size):
+        return np.zeros(size)
 
 
 def test_conditional_amplitude_at_outcome_equal_input():
@@ -43,18 +40,18 @@ def test_feedback_high_squeezing_recovers_input():
     alpha = 1.0 + 1.0j
     for beta in (0.0, 0.5, -2.0 + 1.0j):
         zeta = conditional_amplitude(alpha, beta, 20.0)
-        assert feedback_displace(zeta, beta, 20.0) == pytest.approx(alpha, abs=1e-8)
+        assert feedback_displace(zeta, beta) == pytest.approx(alpha, abs=1e-8)
 
 
 def test_feedback_no_squeezing_passes_noise():
     beta = 0.37 - 0.8j
     zeta = conditional_amplitude(0.5, beta, 0.0)
-    assert feedback_displace(zeta, beta, 0.0) == beta
+    assert feedback_displace(zeta, beta) == beta
 
 
 def test_feedback_direct_value():
     alpha, beta, r = 1.0 + 1.0j, 0.5 + 0.0j, 1.0
-    got = feedback_displace(conditional_amplitude(alpha, beta, r), beta, r)
+    got = feedback_displace(conditional_amplitude(alpha, beta, r), beta)
     t = math.tanh(1.0)
     assert got == pytest.approx(t * alpha + (1 - t) * beta, rel=1e-15)
 
@@ -65,7 +62,7 @@ def test_channel_identity_random_draws():
         alpha = complex(*rng.normal(size=2))
         beta = complex(*rng.normal(size=2))
         r = rng.uniform(0.0, 3.0)
-        got = feedback_displace(conditional_amplitude(alpha, beta, r), beta, r)
+        got = feedback_displace(conditional_amplitude(alpha, beta, r), beta)
         want = np.tanh(r) * alpha + (1 - np.tanh(r)) * beta
         assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
 
@@ -101,11 +98,30 @@ def test_sample_variance(r, var):
     assert beta.real.var() == pytest.approx(var, rel=0.01)
 
 
-def test_scalar_sampler_matches_vector_distribution():
+def test_sampler_scalar_draws_follow_normal_stream():
+    # scalar inputs draw exactly what two rng.normal calls would:
+    # n real parts, then n imaginary parts
+    alpha, r, n = 0.3 - 0.6j, 0.5, 1000
+    got = sample_bell_outcomes(alpha, r, np.random.default_rng(4), n)
     rng = np.random.default_rng(4)
-    draws = [sample_bell_outcome(1.0, 0.5, rng) for _ in range(2000)]
-    m = np.mean(draws)
-    assert abs(m - 1.0) < 4 * math.cosh(0.5) / math.sqrt(2 * 2000)
+    s = np.cosh(r) / math.sqrt(2.0)
+    want = rng.normal(alpha.real, s, n) + 1j * rng.normal(alpha.imag, s, n)
+    assert got.shape == (n,)
+    assert np.array_equal(got, want)
+
+
+def test_sampler_arrays_draw_per_entry():
+    alpha = np.array([[0.0, 1.0 - 2.0j], [0.5j, -3.0]])
+    r = np.array([0.0, 1.5])
+    n = 100_000
+    beta = sample_bell_outcomes(alpha, r, np.random.default_rng(6), n)
+    assert beta.shape == (2, 2, n)
+    sigma = np.broadcast_to(np.cosh(r) / math.sqrt(2.0), alpha.shape)
+    bound = 4.0 * sigma / math.sqrt(n)
+    assert np.all(np.abs(beta.real.mean(axis=-1) - alpha.real) < bound)
+    assert np.all(np.abs(beta.imag.mean(axis=-1) - alpha.imag) < bound)
+    assert np.allclose(beta.real.var(axis=-1), sigma**2, rtol=0.02)
+    assert np.allclose(beta.imag.var(axis=-1), sigma**2, rtol=0.02)
 
 
 def test_average_fidelity_values():
@@ -134,29 +150,14 @@ def test_average_fidelity_independent_of_input(alpha):
     assert abs(fids.mean() - average_fidelity(r)) < 4 * se
 
 
-def test_teleport_pixel_forced_outcome():
-    out = teleport_pixel(0.6 - 0.1j, 1.2, ForcedRng())
-    assert out.beta == 0.6 - 0.1j
-    assert out.zeta == 0.0
-    assert out.output == 0.6 - 0.1j
-    assert out.fidelity == 1.0
-
-
-def test_teleport_pixel_invariants():
-    rng = np.random.default_rng(21)
-    alpha, r = 0.4 + 0.9j, 0.7
-    out = teleport_pixel(alpha, r, rng)
-    assert out.zeta == np.tanh(r) * (alpha - out.beta)
-    assert out.output == out.zeta + out.beta
-    assert 0.0 <= out.fidelity <= 1.0
-
-
-def test_unsqueezed_vacuum_output_variance():
-    rng = np.random.default_rng(17)
-    outs = np.array([teleport_pixel(0.0, 0.0, rng).output for _ in range(20_000)])
-    # output = beta at r = 0; total complex variance is cosh(0)^2 = 1
-    total_var = outs.real.var() + outs.imag.var()
-    assert total_var == pytest.approx(1.0, rel=0.05)
+def test_forced_outcome_teleports_exactly():
+    alpha, r = 0.6 - 0.1j, 1.2
+    beta = sample_bell_outcomes(alpha, r, ForcedRng(), 1)
+    assert beta[0] == alpha
+    zeta = conditional_amplitude(alpha, beta, r)
+    assert zeta[0] == 0.0
+    assert feedback_displace(zeta, beta)[0] == alpha
+    assert conditional_fidelity(alpha, beta, r)[0] == 1.0
 
 
 def _uniform_setup(n_side=8, r=1.0, pitch=0.5, seed=3):
@@ -190,25 +191,58 @@ def test_teleport_image_monte_carlo_mean():
     assert fmap.image_fidelity == pytest.approx(fmap.per_pixel.mean(), rel=1e-15)
 
 
-def test_teleport_image_single_shot_matches_pixel_streams():
-    field, profile = _uniform_setup(n_side=4, r=0.6)
-    out, fmap = teleport_image(field, profile, seed=9, n_shots=1)
-    g = field.geometry
+@pytest.mark.parametrize("n_shots", [1, 7])
+def test_teleport_image_single_shot_matches_pixel_streams(n_shots):
+    # stream v2: pixel k = j*width + i reads normals [2*n*k, 2*n*(k+1))
+    # of default_rng(seed), its n real parts first
+    g = GridGeometry(5, 3, pitch=0.5)
+    amps = np.random.default_rng(3).normal(size=(3, 5)) + 1j * np.random.default_rng(4).normal(size=(3, 5))
+    rs = np.linspace(0.0, 1.4, 15).reshape(3, 5)
+    out, fmap = teleport_image(ImageField(g, amps), SqueezingProfile(g, rs), seed=9, n_shots=n_shots)
+    z = np.random.default_rng(9).standard_normal(g.n_pixels * 2 * n_shots)
     for j in range(g.height):
         for i in range(g.width):
-            rng = np.random.default_rng([9, j * g.width + i])
-            ref = teleport_pixel(complex(field.amplitudes[j, i]), 0.6, rng)
-            assert out.amplitudes[j, i] == ref.output
-            assert fmap.per_pixel[j, i] == ref.fidelity
+            k = j * g.width + i
+            alpha, r = amps[j, i], rs[j, i]
+            s = np.cosh(r) / math.sqrt(2.0)
+            draws = z[2 * n_shots * k : 2 * n_shots * (k + 1)]
+            beta = alpha.real + s * draws[:n_shots] + 1j * (alpha.imag + s * draws[n_shots:])
+            output = np.tanh(r) * (alpha - beta) + beta
+            d = np.abs(alpha - beta)
+            fidelity = np.exp(-((1.0 - np.tanh(r)) ** 2) * d * d)
+            assert out.amplitudes[j, i] == output.mean()
+            assert fmap.per_pixel[j, i] == fidelity.mean()
 
 
-def test_teleport_image_deterministic_and_thread_invariant():
+def test_teleport_image_deterministic_and_block_invariant(monkeypatch):
     field, profile = _uniform_setup(n_side=8, r=0.9)
     ref_out, ref_map = teleport_image(field, profile, seed=23, n_shots=7)
-    for workers in (None, 1, 2, 4, 7):
-        out, fmap = teleport_image(field, profile, seed=23, n_shots=7, max_workers=workers)
+    # one pixel, three pixels, 10 pixels (no divisor of 64), and the default
+    for pixels in (1, 3, 10, None):
+        normals = channel._BLOCK_NORMALS if pixels is None else 2 * 7 * pixels
+        monkeypatch.setattr(channel, "_BLOCK_NORMALS", normals)
+        out, fmap = teleport_image(field, profile, seed=23, n_shots=7)
         assert np.array_equal(out.amplitudes, ref_out.amplitudes)
         assert np.array_equal(fmap.per_pixel, ref_map.per_pixel)
+
+
+def test_teleport_image_single_shot_invariants():
+    field, profile = _uniform_setup(n_side=8, r=0.7, seed=21)
+    out, fmap = teleport_image(field, profile, seed=21, n_shots=1)
+    # one shot: output - alpha = (1 - tanh r)(beta - alpha), so the
+    # fidelity of that same outcome is exp(-|output - alpha|^2)
+    residual = np.abs(out.amplitudes - field.amplitudes) ** 2
+    assert np.allclose(fmap.per_pixel, np.exp(-residual), rtol=1e-12, atol=0)
+    assert np.all((fmap.per_pixel >= 0.0) & (fmap.per_pixel <= 1.0))
+
+
+def test_unsqueezed_vacuum_output_variance():
+    g = GridGeometry(200, 100)
+    field = ImageField(g, np.zeros(g.shape, dtype=complex))
+    out, _ = teleport_image(field, SqueezingProfile.uniform(g, 0.0), seed=17, n_shots=1)
+    # output = beta at r = 0; total complex variance is cosh(0)^2 = 1
+    total_var = out.amplitudes.real.var() + out.amplitudes.imag.var()
+    assert total_var == pytest.approx(1.0, rel=0.05)
 
 
 def test_teleport_image_raw_plane_is_point_reflection():

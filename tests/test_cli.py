@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pixelport import channel
 from pixelport.cli import main
 from pixelport.imagefile import read_image, write_image
 
@@ -106,23 +107,13 @@ def test_teleport_stochastic_reruns_are_byte_identical(tmp_path, capsys, monkeyp
     capsys.readouterr()
 
 
-def test_teleport_thread_cap_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PIXELPORT_THREADS", "1")
-    serial = run_ring(tmp_path, monkeypatch, "serial")
-    monkeypatch.setenv("PIXELPORT_THREADS", "4")
-    threaded = run_ring(tmp_path, monkeypatch, "threaded")
-    assert serial == threaded
+def test_teleport_block_size_does_not_change_bytes(tmp_path, capsys, monkeypatch):
+    default = run_ring(tmp_path, monkeypatch, "default")
+    # blocks of one, three and five pixels over the 24-pixel image (n_shots = 50)
+    for pixels in (1, 3, 5):
+        monkeypatch.setattr(channel, "_BLOCK_NORMALS", 2 * 50 * pixels)
+        assert run_ring(tmp_path, monkeypatch, f"block{pixels}") == default
     capsys.readouterr()
-
-
-def test_teleport_bad_thread_cap(tmp_path, capsys, monkeypatch):
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, 1.0)
-    monkeypatch.setenv("PIXELPORT_THREADS", "zero")
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    monkeypatch.setenv("PIXELPORT_THREADS", "0")
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    assert "PIXELPORT_THREADS" in capsys.readouterr().err
 
 
 def test_teleport_seed_and_shots_overrides(tmp_path, capsys):
@@ -135,6 +126,78 @@ def test_teleport_seed_and_shots_overrides(tmp_path, capsys):
     assert summary["seed"] == "7"
     assert summary["n_shots"] == "25"
     assert main(["teleport", "--config", str(cfg), "--shots", "-1"]) == 1
+    capsys.readouterr()
+
+
+def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", sample_image())
+    cfg = write_ideal_config(tmp_path, 1.0, n_shots=1)
+    assert main(["teleport", "--config", str(cfg), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+BASE_SETTINGS = {
+    "ideal": {"mode": "ideal", "ideal_r": 1.0},
+    "ring": {"mode": "spdc", "ring_r0": 1.0, "ring_width": 0.5, "ring_xi": 1.5},
+    "spdc": {
+        "mode": "spdc",
+        "spdc_pump_waist": 200.0,
+        "spdc_mode_waist": 15.0,
+        "spdc_length": 5.0,
+        "spdc_pump_k": 10.0,
+        "spdc_signal_k": 5.05,
+        "spdc_angle": 0.1,
+        "spdc_focal": 100.0,
+        "spdc_xi": 1.0,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode,key,value",
+    [
+        ("ideal", "seed", "-1"),
+        ("ideal", "ideal_r", "inf"),
+        ("ideal", "ideal_r", "nan"),
+        ("ideal", "ideal_r", "800"),
+        ("ideal", "pitch", "inf"),
+        ("ideal", "origin_x", "nan"),
+        ("ring", "ring_r0", "nan"),
+        ("ring", "ring_xi", "800"),
+        ("spdc", "spdc_xi", "800"),
+    ],
+)
+def test_teleport_bad_numbers_exit_cleanly(tmp_path, capsys, mode, key, value):
+    write_image(tmp_path / "in.csv", sample_image())
+    settings = {
+        **BASE_SETTINGS[mode],
+        "input": tmp_path / "in.csv",
+        "output": tmp_path / "out.csv",
+        "fidelity_map": tmp_path / "fmap.csv",
+        "summary": tmp_path / "summary.txt",
+        "n_shots": 1,
+        "origin_y": 0.0,
+        "origin_x": 0.0,
+        key: value,
+    }
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_teleport_largest_r_runs_stochastic(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", sample_image((16, 16)))
+    cfg = write_ideal_config(tmp_path, channel.MAX_R, n_shots=1)
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    got, _, _ = read_image(tmp_path / "out.csv")
+    assert np.all(np.isfinite(got.view(float)))
     capsys.readouterr()
 
 

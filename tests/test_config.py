@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from pixelport.channel import MAX_R
 from pixelport.config import ConfigError, load_config, parse_config
 
 IDEAL = """
@@ -95,9 +96,18 @@ def test_spdc_mode():
         ("mode = classical\ninput = x\n", "mode must be"),
         ("mode = ideal\nideal_r = 1\n", "missing required key 'input'"),
         (IDEAL + "seed = 1.5\n", "seed must be an integer"),
+        (IDEAL + "seed = -1\n", "seed must be non-negative"),
         (IDEAL + "n_shots = -1\n", "n_shots must be non-negative"),
         (IDEAL + "pitch = 0\n", "pitch must be positive"),
         (IDEAL + "pitch = abc\n", "pitch must be a number"),
+        (IDEAL + "pitch = inf\n", "pitch must be finite"),
+        (IDEAL + "origin_x = nan\norigin_y = 0\n", "origin_x must be finite"),
+        (IDEAL.replace("ideal_r = 2.0", "ideal_r = inf"), "ideal_r must be finite"),
+        (IDEAL.replace("ideal_r = 2.0", "ideal_r = nan"), "ideal_r must be finite"),
+        (IDEAL.replace("ideal_r = 2.0", "ideal_r = 700.5"), "ideal_r must be at most 700.0"),
+        (RING.replace("ring_r0 = 1.0", "ring_r0 = nan"), "ring_r0 must be finite"),
+        (RING.replace("ring_xi = 1.5", "ring_xi = 800"), "ring_xi must be at most"),
+        (SPDC.replace("spdc_xi = 1.0", "spdc_xi = 800"), "spdc_xi must be at most"),
         (IDEAL + "origin_x = 1.0\n", "origin_x and origin_y"),
         ("mode = ideal\ninput = x\n", "requires ideal_r"),
         (IDEAL + "ring_r0 = 1\nring_width = 1\nring_xi = 1\n", "no ring"),
@@ -132,6 +142,12 @@ def test_ring_and_spdc_conflict_message_mentions_both():
     )
     with pytest.raises(ConfigError, match="not both"):
         parse_config(bad)
+
+
+def test_largest_r_is_accepted():
+    cfg = parse_config(IDEAL.replace("ideal_r = 2.0", f"ideal_r = {MAX_R!r}"))
+    assert cfg.ideal_r == MAX_R
+    assert parse_config(RING.replace("ring_xi = 1.5", f"ring_xi = {MAX_R!r}")).ring.Xi == MAX_R
 
 
 def test_load_config(tmp_path):
