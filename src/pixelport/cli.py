@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,9 @@ def cmd_teleport(args) -> int:
         cfg.n_shots = args.shots
 
     samples, _, _ = read_image(cfg.input_path)
+    # Python float arithmetic: an overflow gives inf without a numpy warning
+    if not math.isfinite(float(np.max(np.abs(samples.view(float)))) * cfg.pitch):
+        raise ConfigError(f"pitch = {_fmt(cfg.pitch)} makes the amplitudes samples * pitch overflow")
     height, width = samples.shape
     geometry = GridGeometry(width=width, height=height, pitch=cfg.pitch, origin=cfg.origin)
     field = decompose(samples, geometry)
@@ -123,9 +127,12 @@ def cmd_teleport(args) -> int:
     return 0
 
 
-def _ring_from_args(args, xi: float = 1.0) -> spdc.RingParams:
+def _ring(r0: float, width: float, xi: float) -> spdc.RingParams:
+    for flag, value in (("--r0", r0), ("--ring-width", width), ("--xi", xi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     try:
-        return spdc.RingParams(r0=args.r0, R=args.ring_width, Xi=xi)
+        return spdc.RingParams(r0=r0, R=width, Xi=xi)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -140,6 +147,8 @@ def _profile_comments(ring: spdc.RingParams, samples: int) -> list[str]:
 
 
 def cmd_profile(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
     if args.preset:
         outdir = Path(args.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +161,7 @@ def cmd_profile(args) -> int:
         return 0
     if args.r0 is None or args.ring_width is None:
         raise ConfigError("profile needs --r0 and --ring-width (or --preset fig3)")
-    ring = _ring_from_args(args, xi=args.xi)
+    ring = _ring(args.r0, args.ring_width, args.xi)
     x, eta, eta_norm = spdc.radial_profile(ring, args.samples)
     _write_csv(args.out, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", zip(x, eta, eta_norm))
     print(args.out)
@@ -160,6 +169,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fidelity_curve(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
     if args.preset:
         outdir = Path(args.out_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +194,7 @@ def _emit_fidelity_curve(path, r0: float, width: float, xis, samples: int) -> No
     cols = []
     x = None
     for xi in xis:
-        ring = spdc.RingParams(r0=r0, R=width, Xi=xi)
+        ring = _ring(r0, width, xi)
         x, eta, _ = spdc.radial_profile(ring, samples)
         cols.append((1.0 + np.tanh(np.abs(eta))) / 2.0)
     comments = [

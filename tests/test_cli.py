@@ -192,6 +192,17 @@ def test_teleport_bad_numbers_exit_cleanly(tmp_path, capsys, mode, key, value):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_teleport_pitch_overflow_exits_cleanly(tmp_path, capsys):
+    # finite samples whose amplitudes samples * pitch overflow float64
+    write_image(tmp_path / "in.csv", np.array([[1e308, 1e308], [-1e308, 1e308j]]))
+    cfg = write_ideal_config(tmp_path, 1.0, pitch=4.0)
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pitch")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
+
+
 def test_teleport_largest_r_runs_stochastic(tmp_path, capsys):
     write_image(tmp_path / "in.csv", sample_image((16, 16)))
     cfg = write_ideal_config(tmp_path, channel.MAX_R, n_shots=1)
@@ -277,6 +288,31 @@ def test_profile_requires_geometry(capsys):
     assert "ring-width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["profile", "--r0", "1.0", "--ring-width", "0.5", "--samples", "1"], "--samples"),
+        (["profile", "--preset", "fig3", "--samples", "1"], "--samples"),
+        (["profile", "--r0", "nan", "--ring-width", "0.5"], "--r0"),
+        (["profile", "--r0", "1.0", "--ring-width", "inf"], "--ring-width"),
+        (["profile", "--r0", "1.0", "--ring-width", "0.5", "--xi", "nan"], "--xi"),
+        (["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--samples", "1"], "--samples"),
+        (["fidelity-curve", "--preset", "fig4", "--samples", "0"], "--samples"),
+        (["fidelity-curve", "--r0", "nan", "--ring-width", "0.5"], "--r0"),
+        (["fidelity-curve", "--r0", "1.0", "--ring-width=-inf"], "--ring-width"),
+        (["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--xi", "1,nan"], "--xi"),
+        (["fidelity-curve", "--r0", "-1.0", "--ring-width", "0.5"], "r0"),
+    ],
+)
+def test_curve_commands_reject_bad_flags(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", "plots"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_profile_preset_fig3(tmp_path, capsys):
     assert main(["profile", "--preset", "fig3", "--samples", "32", "--out-dir", str(tmp_path)]) == 0
     names = sorted(p.name for p in tmp_path.glob("*.csv"))
@@ -344,6 +380,16 @@ def test_oracle_verify_undersized_space_fails(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert captured.err.startswith("failing:")
+
+
+@pytest.mark.parametrize(
+    "flag,value,name",
+    [("--dim", "1", "dim"), ("--dim", "0", "dim"), ("--dim", "-3", "dim"), ("--photo-dim", "0", "photo_dim")],
+)
+def test_oracle_verify_rejects_tiny_dims(capsys, flag, value, name):
+    assert main(["oracle-verify", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {name} must be at least 2, got {value}\n"
 
 
 def test_oracle_verify_bad_tolerances(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pixelport.fock import (
     BetaGrid,
@@ -27,6 +28,20 @@ from pixelport.fock import (
 def gaussian_density(r, dist):
     c2 = math.cosh(r) ** 2
     return math.exp(-(dist**2) / c2) / (math.pi * c2)
+
+
+def expm_displacement(beta, dim):
+    """Reference: the displacement generator exponentiated by scipy."""
+    a = destroy(dim)
+    return expm(beta * a.conj().T - np.conjugate(beta) * a)
+
+
+def embed(op, mode, dim):
+    """Reference: a single-mode operator as a dense three-mode kron product."""
+    out = np.array([[1.0 + 0.0j]])
+    for m in range(3):
+        out = np.kron(out, op if m == mode else np.eye(dim))
+    return out
 
 
 def test_ladder_commutator_below_edge():
@@ -76,6 +91,21 @@ def test_displacement_unitary_and_generates_coherent():
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
     assert np.allclose(d @ vac, coherent_state(alpha, dim), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [10, 30, 48])
+def test_displacement_matches_expm(dim):
+    for beta in (0.0, 0.35j, -1.2j, 0.7 - 0.2j, -2.1 + 1.4j, 4.0 + 4.05j, -5.7):
+        assert np.max(np.abs(displacement(beta, dim) - expm_displacement(beta, dim))) < 1e-12
+
+
+def test_displacement_broadcasts_over_beta():
+    betas = np.array([[0.0, 0.4 - 1.1j, 2.0j], [-0.3, 1.5 + 0.5j, 5.0 - 2.6j]])
+    d = displacement(betas, 16)
+    assert d.shape == (2, 3, 16, 16)
+    for idx in np.ndindex(betas.shape):
+        assert np.allclose(d[idx], displacement(betas[idx], 16), rtol=0, atol=1e-14)
+    assert displacement(np.zeros(0), 7).shape == (0, 7, 7)
 
 
 def test_two_mode_squeezed_vacuum_limit():
@@ -232,6 +262,29 @@ def test_photocurrent_random_state_both_phases():
         assert abs(lhs - rhs) < 1e-10
 
 
+def test_photocurrent_matches_dense_kron_reference():
+    dim = 6
+    rng = np.random.default_rng(11)
+    state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    state /= np.linalg.norm(state)
+    a = destroy(dim)
+    a_A, a_C, a_lo = (embed(a, m, dim) for m in range(3))
+    q_A, q_C = (embed(position_op(dim), m, dim) for m in range(2))
+    p_A, p_C = (embed(momentum_op(dim), m, dim) for m in range(2))
+    cases = ((0.0, (a_C - a_A) / math.sqrt(2.0), q_C - q_A), (math.pi / 2, (a_A + a_C) / math.sqrt(2.0), p_A + p_C))
+    lo_amp = 0.25
+    for phase, b, quad in cases:
+        lo = coherent_state(lo_amp * np.exp(1j * phase), dim)
+        psi = np.einsum("ac,l->acl", state, lo).ravel()
+        a_1 = (a_lo - b) / math.sqrt(2.0)
+        a_2 = (a_lo + b) / math.sqrt(2.0)
+        want_lhs = np.vdot(psi, (a_2.conj().T @ a_2 - a_1.conj().T @ a_1) @ psi).real
+        want_rhs = lo_amp * np.vdot(psi, quad @ psi).real
+        lhs, rhs = photocurrent_check(lo_amp, phase, state, dim)
+        assert abs(lhs - want_lhs) < 1e-12
+        assert abs(rhs - want_rhs) < 1e-12
+
+
 def test_photocurrent_rejects_other_phases():
     vac = np.zeros((4, 4), dtype=complex)
     vac[0, 0] = 1.0
@@ -265,6 +318,38 @@ def test_oracle_average_fidelity_r2_needs_room():
     assert got == pytest.approx(want, abs=0.01)
 
 
+def reference_grid_integrals(alpha, r, dim, grid):
+    """Per-outcome loop over the guarded grid: (completeness, average fidelity)."""
+    joint = joint_state(alpha, r, dim)
+    target = coherent_state(alpha, dim)
+    half = grid.half_width_scale * math.cosh(r)
+    step = 2.0 * half / grid.n
+    xs = -half + (np.arange(grid.n) + 0.5) * step
+    lam_max = dim - grid.guard * math.sqrt(dim)
+    density = fidelity = 0.0
+    kept = 0
+    for dx in xs:
+        for dy in xs:
+            if dx * dx + dy * dy > lam_max:
+                continue
+            kept += 1
+            beta = alpha + complex(dx, dy)
+            proj = project_bell(joint, beta, dim)
+            sent = expm_displacement(beta, dim) @ proj.state
+            density += proj.density * step * step
+            fidelity += proj.density * abs(np.vdot(target, sent)) ** 2 * step * step
+    assert 0 < kept < grid.n**2  # the guard skips some outcomes
+    return density, fidelity
+
+
+@pytest.mark.parametrize("alpha,r", [(0.4 + 0.2j, 0.0), (0.3 - 0.1j, 0.5), (-0.2 + 0.6j, 0.7)])
+def test_grid_integrals_match_per_outcome_loop(alpha, r):
+    grid = BetaGrid(n=11)
+    density, fidelity = reference_grid_integrals(alpha, r, 20, grid)
+    assert abs(bell_completeness(alpha, r, 20, grid) - density) < 1e-12
+    assert abs(oracle_average_fidelity(alpha, r, 20, grid) - fidelity) < 1e-12
+
+
 def test_beta_grid_validation():
     with pytest.raises(ValueError):
         BetaGrid(n=2)
@@ -286,6 +371,12 @@ def test_run_all_checks_undersized_space_fails():
     results = run_all_checks(dim=4)
     failing = {r.name for r in results if not r.passed}
     assert any(name.startswith("eigen_residual") for name in failing)
+
+
+@pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])
+def test_run_all_checks_rejects_tiny_dims(dims):
+    with pytest.raises(ValueError, match="must be at least 2"):
+        run_all_checks(*dims)
 
 
 def test_run_all_checks_tolerance_override():
