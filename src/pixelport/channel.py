@@ -161,13 +161,18 @@ def teleport_image(
         fid = np.empty(g.n_pixels, dtype=float)
         rng = np.random.default_rng(seed)
         step = max(1, _BLOCK_NORMALS // (2 * n_shots))
-        for lo in range(0, g.n_pixels, step):
-            a = flat_a[lo : lo + step]
-            r = flat_r[lo : lo + step]
-            beta = sample_bell_outcomes(a, r, rng, n_shots)
-            a, r = a[:, None], r[:, None]
-            out[lo : lo + step] = feedback_displace(conditional_amplitude(a, beta, r), beta).mean(axis=-1)
-            fid[lo : lo + step] = conditional_fidelity(a, beta, r).mean(axis=-1)
+        # Amplitudes near the float64 limit can overflow in the draws or the
+        # shot mean; that is reported once below instead of as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, g.n_pixels, step):
+                a = flat_a[lo : lo + step]
+                r = flat_r[lo : lo + step]
+                beta = sample_bell_outcomes(a, r, rng, n_shots)
+                a, r = a[:, None], r[:, None]
+                out[lo : lo + step] = feedback_displace(conditional_amplitude(a, beta, r), beta).mean(axis=-1)
+                fid[lo : lo + step] = conditional_fidelity(a, beta, r).mean(axis=-1)
+        if not np.all(np.isfinite(out.view(float))):
+            raise ValueError("the teleported amplitudes overflow float64; use a smaller pitch or input")
         out = out.reshape(g.shape)
         fid = fid.reshape(g.shape)
 

@@ -32,11 +32,10 @@ FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
 
 
-def _write_csv(path, comments: list[str], header: str, rows) -> None:
+def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(map(repr, row.tolist())) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -97,13 +96,16 @@ def cmd_teleport(args) -> int:
         ring = cfg.ring if cfg.ring is not None else spdc.ring_from_spdc(cfg.spdc)
         profile = spdc.profile_for_grid(geometry, ring)
 
-    out_field, fmap = channel.teleport_image(
-        field,
-        profile,
-        seed=cfg.seed,
-        n_shots=cfg.n_shots,
-        raw_plane=args.raw_plane,
-    )
+    try:
+        out_field, fmap = channel.teleport_image(
+            field,
+            profile,
+            seed=cfg.seed,
+            n_shots=cfg.n_shots,
+            raw_plane=args.raw_plane,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
@@ -154,16 +156,16 @@ def cmd_profile(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for r0, width in FIG3_PAIRS:
             ring = spdc.RingParams(r0=r0, R=width, Xi=1.0)
-            x, eta, eta_norm = spdc.radial_profile(ring, args.samples)
+            rows = np.column_stack(spdc.radial_profile(ring, args.samples))
             path = outdir / f"ring_profile_r0-{r0}_R-{width}.csv"
-            _write_csv(path, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", zip(x, eta, eta_norm))
+            _write_csv(path, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", rows)
             print(path)
         return 0
     if args.r0 is None or args.ring_width is None:
         raise ConfigError("profile needs --r0 and --ring-width (or --preset fig3)")
     ring = _ring(args.r0, args.ring_width, args.xi)
-    x, eta, eta_norm = spdc.radial_profile(ring, args.samples)
-    _write_csv(args.out, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", zip(x, eta, eta_norm))
+    rows = np.column_stack(spdc.radial_profile(ring, args.samples))
+    _write_csv(args.out, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", rows)
     print(args.out)
     return 0
 
@@ -204,7 +206,7 @@ def _emit_fidelity_curve(path, r0: float, width: float, xis, samples: int) -> No
         f"samples={samples}",
     ]
     header = "x," + ",".join(f"fidelity_xi_{_fmt(v)}" for v in xis)
-    _write_csv(path, comments, header, zip(x, *cols))
+    _write_csv(path, comments, header, np.column_stack((x, *cols)))
 
 
 def cmd_oracle_verify(args) -> int:

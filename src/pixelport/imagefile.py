@@ -46,18 +46,19 @@ def write_image(path, samples: np.ndarray, encoding: str = "re_im", comments: tu
     height, width = samples.shape
     lines = [MAGIC, f"{width} {height}", encoding]
     lines += [f"# {c}" for c in comments]
-    for row in samples:
-        cells = []
-        for v in row:
-            if encoding == "re_im":
-                cells += [_fmt(v.real), _fmt(v.imag)]
-            else:
+    if encoding == "re_im":
+        # one row of (re, im) pairs at a time, so no whole-image list is built
+        lines += [",".join(map(repr, row.tolist())) for row in np.ascontiguousarray(samples).view(float)]
+    else:
+        for row in samples:
+            cells = []
+            for v in row:
                 amp = abs(v)
                 ph = cmath.phase(v) if amp > 0 else 0.0
                 if ph == math.pi:  # keep phase inside [-pi, pi)
                     ph = -math.pi
                 cells += [_fmt(amp), _fmt(ph)]
-        lines.append(",".join(cells))
+            lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,8 +9,9 @@ r0 = f*tan(theta_d) and width R = 2f/sqrt(L*k_p):
     eta(x0) = Xi * sinc((|x0|^2 - r0^2) / R^2),    sinc(x) = sin(x)/x.
 
 The channel consumes the magnitude |eta|; the signed value is kept for
-plotting the side lobes.  A composite midpoint/Simpson quadrature of the
-crystal integral cross-checks the closed form.
+plotting the side lobes.  A composite midpoint or Simpson quadrature of the
+crystal integral, written out in numpy, cross-checks the closed form; no CLI
+command runs it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grid import GridGeometry, pixel_centers
 
@@ -182,6 +182,13 @@ def ring_from_spdc(params: SpdcParams) -> RingParams:
     return RingParams(r0=r0, R=R, Xi=params.Xi)
 
 
+def _crystal_mean_midpoint(w: float, L: float, n_steps: int) -> complex:
+    """(1/L) * int exp(i*w*z) dz over [-L/2, L/2] by the composite midpoint rule."""
+    h = L / n_steps
+    z = -L / 2 + (np.arange(n_steps) + 0.5) * h
+    return complex(np.mean(np.exp(1j * w * z)))
+
+
 def eta_quadrature_complex(k0, params: SpdcParams, n_steps: int, rule: str = "simpson") -> complex:
     """Crystal integral (Xi/L) * int exp(-2iz|k0|^2/k_p + iz*chi) dz, numerically.
 
@@ -194,14 +201,12 @@ def eta_quadrature_complex(k0, params: SpdcParams, n_steps: int, rule: str = "si
     w = chi(params) - 2.0 * np.sum(k0 * k0) / params.k_p
     L = params.L
     if rule == "midpoint":
-        h = L / n_steps
-        z = -L / 2 + (np.arange(n_steps) + 0.5) * h
-        return complex(params.Xi / L * np.sum(np.exp(1j * w * z)) * h)
+        return complex(params.Xi * _crystal_mean_midpoint(w, L, n_steps))
     if rule == "simpson":
         n = n_steps + (n_steps % 2)  # composite Simpson wants an even interval count
-        z = np.linspace(-L / 2, L / 2, n + 1)
-        y = params.Xi / L * np.exp(1j * w * z)
-        return complex(simpson(y, x=z))
+        y = np.exp(1j * w * np.linspace(-L / 2, L / 2, n + 1))
+        # (1/L) * h/3 * (y_0 + 4*sum(odd) + 2*sum(even interior) + y_n), h = L/n
+        return complex(params.Xi * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]) / (3 * n))
     raise ValueError(f"unknown quadrature rule {rule!r}")
 
 
@@ -229,9 +234,7 @@ def pair_overlap_quadrature(ka, kb, params: SpdcParams, n_steps: int) -> float:
     kb = np.asarray(kb, dtype=float)
     pref = math.exp(-params.w_0**2 * float(np.sum((ka + kb) ** 2)) / 8.0)
     w = chi(params) - float(np.sum((ka - kb) ** 2)) / (2.0 * params.k_p)
-    h = params.L / n_steps
-    z = -params.L / 2 + (np.arange(n_steps) + 0.5) * h
-    return pref * float((params.Xi / params.L * np.sum(np.exp(1j * w * z)) * h).real)
+    return pref * params.Xi * _crystal_mean_midpoint(w, params.L, n_steps).real
 
 
 def profile_for_grid(geometry: GridGeometry, ring: RingParams) -> SqueezingProfile:

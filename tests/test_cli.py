@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,17 @@ def test_teleport_pitch_overflow_exits_cleanly(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
 
+def test_teleport_shot_mean_overflow_exits_cleanly(tmp_path, capsys):
+    # samples * pitch is finite, but summing three shots of ~1.7e308 is not
+    write_image(tmp_path / "in.csv", np.full((2, 2), 1e308, dtype=complex))
+    cfg = write_ideal_config(tmp_path, 1.0, pitch=1.7, n_shots=3)
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the teleported amplitudes overflow")
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
+
+
 def test_teleport_largest_r_runs_stochastic(tmp_path, capsys):
     write_image(tmp_path / "in.csv", sample_image((16, 16)))
     cfg = write_ideal_config(tmp_path, channel.MAX_R, n_shots=1)
@@ -397,3 +412,15 @@ def test_oracle_verify_bad_tolerances(capsys):
     assert main(["oracle-verify", "--tol", "average_fidelity=abc"]) == 1
     assert main(["oracle-verify", "--tol", "no_such_check=1"]) == 1
     assert "unknown check names" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the command-line path must not import it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, pixelport.cli; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -152,6 +152,21 @@ def test_quadrature_rejects_tiny_step_count():
         eta_quadrature((0.0, 0.0), make_params(), 8)
 
 
+@pytest.mark.parametrize("n_steps", [16, 17, 64, 10_000])
+@pytest.mark.parametrize("k0", [(0.0, 0.0), (1.4, 0.7), (2.0, -2.0)])
+def test_simpson_matches_scipy_reference(n_steps, k0):
+    # scipy is a test-only reference: the package computes the rule in numpy
+    from scipy.integrate import simpson
+
+    p = make_params(Xi=1.7)
+    n = n_steps + n_steps % 2
+    z = np.linspace(-p.L / 2, p.L / 2, n + 1)
+    w = chi(p) - 2.0 * (k0[0] ** 2 + k0[1] ** 2) / p.k_p
+    want = complex(simpson(p.Xi / p.L * np.exp(1j * w * z), x=z))
+    got = eta_quadrature_complex(k0, p, n_steps, rule="simpson")
+    assert abs(got - want) <= max(1e-12 * abs(want), 1e-13 * p.Xi)
+
+
 @pytest.mark.parametrize("rule,order", [("midpoint", 2.0), ("simpson", 4.0)])
 def test_quadrature_convergence_order(rule, order):
     p = make_params()
