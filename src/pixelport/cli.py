@@ -35,7 +35,12 @@ FIG4_XIS = (1.0, 10.0)
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(header)
-    lines += [",".join(map(repr, row.tolist())) for row in rows]
+    # A fidelity map repeats most of its values, so each distinct bit pattern
+    # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
+    rows = np.asarray(rows, dtype=float)
+    patterns, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in patterns.view(float).tolist()], dtype=object)
+    lines += [",".join(row) for row in text[inverse.reshape(rows.shape)].tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

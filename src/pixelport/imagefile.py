@@ -62,11 +62,22 @@ def write_image(path, samples: np.ndarray, encoding: str = "re_im", comments: tu
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    """Parse comma-separated rows of numbers with numpy's C text reader."""
+    return np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+
+
 def read_image(path) -> tuple[np.ndarray, str, list[str]]:
-    """Read an image file; returns (samples, encoding, comments)."""
+    """Read an image file; returns (samples, encoding, comments).
+
+    The file must be UTF-8.  A cell must be a number that numpy's text reader
+    parses: ASCII decimal, ``inf`` or ``nan``, with optional surrounding
+    whitespace.  Underscore separators and non-ASCII digits are non-numeric
+    cells.  Non-finite values are rejected after parsing.
+    """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ImageFormatError(f"cannot read {path}: {exc}") from exc
 
     lines = text.splitlines()
@@ -86,7 +97,8 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
 
     comments: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[str] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[3:], start=4):
         stripped = line.strip()
         if not stripped:
@@ -94,19 +106,25 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         if stripped.startswith("#"):
             comments.append(stripped.lstrip("#").strip())
             continue
-        try:
-            values = [float(c) for c in stripped.split(",")]
-        except ValueError as exc:
-            raise ImageFormatError(f"{path}:{lineno}: non-numeric cell") from exc
-        if len(values) != 2 * width:
-            raise ImageFormatError(
-                f"{path}:{lineno}: expected {2 * width} values per row, got {len(values)}"
-            )
-        rows.append(values)
+        count = stripped.count(",") + 1
+        if count != 2 * width:
+            raise ImageFormatError(f"{path}:{lineno}: expected {2 * width} values per row, got {count}")
+        rows.append(stripped)
+        linenos.append(lineno)
     if len(rows) != height:
         raise ImageFormatError(f"{path}: expected {height} data rows, found {len(rows)}")
 
-    data = np.array(rows, dtype=float).reshape(height, width, 2)
+    try:
+        data = _parse_rows(rows)
+    except ValueError:
+        # parse row by row only to name the first bad line
+        for lineno, row in zip(linenos, rows):
+            try:
+                _parse_rows([row])
+            except ValueError as exc:
+                raise ImageFormatError(f"{path}:{lineno}: non-numeric cell") from exc
+        raise
+    data = data.reshape(height, width, 2)
     if not np.all(np.isfinite(data)):
         raise ImageFormatError(f"{path}: non-finite values")
     if encoding == "re_im":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pixelport import channel
-from pixelport.cli import main
+from pixelport.cli import _write_csv, main
 from pixelport.imagefile import read_image, write_image
 
 RING_CFG = """
@@ -272,6 +272,69 @@ def test_teleport_malformed_input_image(tmp_path, capsys):
     cfg = write_ideal_config(tmp_path, 1.0)
     assert main(["teleport", "--config", str(cfg)]) == 2
     assert "bad magic" in capsys.readouterr().err
+
+
+def test_teleport_undecodable_image(tmp_path, capsys):
+    (tmp_path / "in.csv").write_bytes(b"\xff\xfe\x00garbage")
+    cfg = write_ideal_config(tmp_path, 1.0)
+    assert main(["teleport", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+
+def test_teleport_undecodable_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mode = ideal\n# \xff\n")
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
+def test_teleport_rejects_cells_numpy_does_not_parse(tmp_path, capsys, cell):
+    # float() takes underscores and non-ASCII digits; the image reader does not
+    inp = tmp_path / "in.csv"
+    inp.write_text(f"pixelport-image-v1\n2 2\nre_im\n# note\n1.0,0.0,0.0,0.0\n0.0,{cell},0.0,0.0\n", encoding="utf-8")
+    cfg = write_ideal_config(tmp_path, 1.0)
+    assert main(["teleport", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {inp}:6: non-numeric cell\n"
+
+
+def _reference_csv(comments, header, rows):
+    lines = [f"# {c}" for c in comments] + [header]
+    lines += [",".join(map(repr, row.tolist())) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_csv_matches_per_value_reference(tmp_path):
+    tiny = 5e-324
+    rows = np.array(
+        [
+            [0.5, 0.5, -0.0, 0.0, 0.25, 0.5],
+            [math.nan, math.inf, -math.inf, tiny, -tiny, 2.2250738585072014e-308],
+            [0.0, -0.0, 0.25, 1e300, math.nan, tiny],
+        ]
+    )
+    path = tmp_path / "map.csv"
+    _write_csv(path, ["a=1"], "c0,c1,c2,c3,c4,c5", rows)
+    assert path.read_bytes() == _reference_csv(["a=1"], "c0,c1,c2,c3,c4,c5", rows)
+    assert path.read_text().splitlines()[2].startswith("0.5,0.5,-0.0,0.0,")
+
+
+def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", sample_image((64, 64)))
+    cfg = write_ideal_config(tmp_path, 1.0)
+    text = cfg.read_text().replace("mode = ideal", "mode = spdc").replace("ideal_r = 1.0", "")
+    cfg.write_text(text + "ring_r0 = 16.0\nring_width = 4.0\nring_xi = 1.5\n")
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "fmap.csv").read_text().splitlines()
+    comments = [line[2:] for line in lines if line.startswith("# ")]
+    values = np.array([[float(c) for c in line.split(",")] for line in lines[len(comments) + 1 :]])
+    assert values.shape == (64, 64)
+    # the ring repeats values, so the map exercises the formatting of repeats
+    assert len(np.unique(values)) < values.size // 4
+    assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
 
 
 def test_teleport_unwritable_output(tmp_path, capsys):

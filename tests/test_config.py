@@ -160,3 +160,10 @@ def test_load_config(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "nope.cfg")
+
+
+def test_load_config_undecodable_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"mode = ideal\n# \xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)

@@ -127,3 +127,36 @@ def test_single_pixel(tmp_path):
     got, _, _ = read_image(path)
     assert got.shape == (1, 1)
     assert got[0, 0] == 2.5 - 1.25j
+
+
+def test_read_undecodable_file(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(ImageFormatError, match="cannot read"):
+        read_image(path)
+
+
+def test_read_matches_float_reference(tmp_path):
+    # numpy's text reader must give the bits float() gives, cell by cell
+    rng = np.random.default_rng(21)
+    values = rng.integers(0, 2**63, size=200, dtype=np.int64).view(float)
+    values = values[np.isfinite(values)][:120]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    cells = [repr(v) for v in values.tolist() + special]
+    cells += ["1E5", "+.5", "-.5e-3", "1e-400", "007", "  2.5", "-1.25  ", " \t3e2 "]
+    cells += ["0.1"] * (-len(cells) % 8)
+    rows = [",".join(cells[i : i + 8]) for i in range(0, len(cells), 8)]
+    path = tmp_path / "img.csv"
+    path.write_text("\n".join([MAGIC, f"4 {len(rows)}", "re_im", *rows]) + "\n")
+    got, _, _ = read_image(path)
+    ref = np.array([float(c) for c in cells]).reshape(len(rows), 4, 2)
+    want = ref[..., 0] + 1j * ref[..., 1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_read_names_the_first_bad_line(tmp_path):
+    path = tmp_path / "img.csv"
+    body = [MAGIC, "2 3", "re_im", "# note", "1.0,0.0,0.0,0.0", "", "0.5,0.5,0.5,0.5", "0.0,0.0,x,0.0"]
+    path.write_text("\n".join(body) + "\n")
+    with pytest.raises(ImageFormatError, match=r"img\.csv:8: non-numeric cell"):
+        read_image(path)
