@@ -47,10 +47,18 @@ __all__ = [
     "bell_completeness",
     "CheckResult",
     "run_all_checks",
+    "MAX_DIM",
+    "MAX_PHOTO_DIM",
 ]
 
 COHERENT_TAIL_WARN = 1e-8
 SQUEEZED_TAIL_WARN = 1e-6
+
+# run_all_checks truncation caps.  A three-mode state takes 16*dim^3 bytes:
+# 65 MB at MAX_DIM.  photocurrent_check holds about ten photo_dim^3 arrays:
+# about 80 MB at MAX_PHOTO_DIM.
+MAX_DIM = 160
+MAX_PHOTO_DIM = 80
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -75,22 +83,29 @@ def momentum_op(dim: int) -> np.ndarray:
     return 1j * (a.conj().T - a) / math.sqrt(2.0)
 
 
-def displacement(beta: complex | np.ndarray, dim: int) -> np.ndarray:
-    """exp(beta a^dag - beta* a) in the truncated space, broadcast over beta.
+def _displacement_factors(beta: complex | np.ndarray, dim: int):
+    """(V, spectral, rot) with D(beta) = R V diag(spectral) V^dag R^dag, R = diag(rot).
 
     The generator is -i sqrt(2) |beta| R p R^dag with R = diag(e^{i n arg(beta)}),
     so one eigendecomposition p = V diag(lam) V^dag of the truncated momentum
-    operator gives D(beta) = R V diag(exp(-i sqrt(2) |beta| lam)) V^dag R^dag
-    for every beta; an array of beta gives shape beta.shape + (dim, dim).
-
-    Exactly unitary on the truncated basis, and a faithful displacement only
-    while |beta|^2 stays well below dim; beyond that the norm that should
-    escape to higher levels is folded back in.
+    operator serves every beta: spectral = exp(-i sqrt(2) |beta| lam), and
+    spectral and rot carry beta.shape + (dim,).
     """
     beta = np.asarray(beta, dtype=complex)
     lam, v = np.linalg.eigh(momentum_op(dim))
     spectral = np.exp(-1j * math.sqrt(2.0) * np.abs(beta)[..., None] * lam)
     rot = np.exp(1j * np.angle(beta)[..., None] * np.arange(dim))
+    return v, spectral, rot
+
+
+def displacement(beta: complex | np.ndarray, dim: int) -> np.ndarray:
+    """exp(beta a^dag - beta* a), shape beta.shape + (dim, dim), from _displacement_factors.
+
+    Exactly unitary on the truncated basis, and a faithful displacement only
+    while |beta|^2 stays well below dim; beyond that the norm that should
+    escape to higher levels is folded back in.
+    """
+    v, spectral, rot = _displacement_factors(beta, dim)
     d = (v * spectral[..., None, :]) @ v.conj().T
     d *= rot[..., :, None]
     d *= rot.conj()[..., None, :]
@@ -321,11 +336,12 @@ class BetaGrid:
 
 
 def _grid_contractions(alpha: complex, r: float, dim: int, grid: BetaGrid | None):
-    """Bell contractions at every representable grid outcome, in one batch.
+    """Bell contractions at every representable grid outcome, on K x dim state vectors.
 
-    Returns (d, raw, darea): for each grid outcome beta_k the guard keeps,
-    d[k] is D(beta_k) and raw[k] the receiver's unnormalized conditional
-    state, whose squared norm is the measured density p(beta_k).
+    Returns (u, raw, darea): for each grid outcome beta_k the guard keeps,
+    u[k] = D(beta_k)^dag |alpha> and raw[k] = u[k] @ tms / sqrt(pi) is the
+    receiver's unnormalized conditional state (the joint state is the
+    resource tms times |alpha>), whose squared norm is the density p(beta_k).
     """
     if grid is None:
         grid = BetaGrid()
@@ -334,32 +350,31 @@ def _grid_contractions(alpha: complex, r: float, dim: int, grid: BetaGrid | None
     xs = -half + (np.arange(grid.n) + 0.5) * step
     dx, dy = np.meshgrid(xs, xs, indexing="ij")
     keep = dx * dx + dy * dy <= dim - grid.guard * math.sqrt(dim)
-    d = displacement(alpha + (dx[keep] + 1j * dy[keep]), dim)
-    # raw[k, b] = sum_{c,s} conj(d[k, c, s]) joint[s, b, c]: one matrix product
-    # over the flattened (c, s) index, which needs no copy of the stacked d
-    joint_cs = joint_state(alpha, r, dim).transpose(2, 0, 1).reshape(dim * dim, dim)
-    raw = (d.reshape(len(d), dim * dim) @ joint_cs.conj()).conj() / math.sqrt(math.pi)
-    return d, raw, step * step
+    v, spectral, rot = _displacement_factors(alpha + (dx[keep] + 1j * dy[keep]), dim)
+    # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
+    y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
+    y *= spectral.conj()
+    u = rot * (y @ v.T)
+    raw = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
+    return u, raw, step * step
 
 
 def oracle_average_fidelity(alpha: complex, r: float, dim: int, grid: BetaGrid | None = None) -> float:
     """Average fidelity integrated over measured outcomes, oracle-side.
 
-    For each representable grid outcome beta: project, weight the overlap of
-    the displaced conditional state with the input by the measured density,
-    and accumulate.  The weighted overlap is |<alpha| D(beta) raw>|^2 with
-    raw the unnormalized conditional state.  Converges to (1 + tanh r)/2 as
+    Sums, over the representable grid outcomes beta, the weighted overlap
+    |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of _grid_contractions, with raw
+    the unnormalized conditional state.  Converges to (1 + tanh r)/2 as
     dim grows; the guarded grid skips outcomes beyond the truncation's
     reach, so small dim undershoots (at r = 2 the examples use dim around 90).
     """
-    d, raw, darea = _grid_contractions(alpha, r, dim, grid)
-    sent = (d @ raw[..., None])[..., 0]
-    overlap = sent @ coherent_state(alpha, dim).conj()
+    u, raw, darea = _grid_contractions(alpha, r, dim, grid)
+    overlap = np.sum(u.conj() * raw, axis=1)
     return float(np.sum(np.abs(overlap) ** 2)) * darea
 
 
 def bell_completeness(alpha: complex, r: float, dim: int, grid: BetaGrid | None = None) -> float:
-    """Integral of the measured density over outcomes; 1 when complete."""
+    """Integral of the measured density over outcomes, sum_k |raw[k]|^2 darea; 1 when complete."""
     _, raw, darea = _grid_contractions(alpha, r, dim, grid)
     return float(np.sum(np.abs(raw) ** 2)) * darea
 
@@ -382,11 +397,13 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10, tolerances: dict[str, flo
     passes when every value is at or below tolerance.  Deliberately small
     dims (for example 4) make the eigenvalue rows fail, which is the
     documented way to demonstrate truncation sensitivity.  Both dims must be
-    at least 2.
+    at least 2 and at most MAX_DIM and MAX_PHOTO_DIM, which bound memory.
     """
-    for name, value in (("dim", dim), ("photo_dim", photo_dim)):
+    for name, value, cap in (("dim", dim, MAX_DIM), ("photo_dim", photo_dim, MAX_PHOTO_DIM)):
         if value < 2:
             raise ValueError(f"{name} must be at least 2, got {value}")
+        if value > cap:
+            raise ValueError(f"{name} must be at most {cap}, got {value}")
     tol = {
         "ladder_commutator": 1e-12,
         "coherent_overlap": 1e-10,

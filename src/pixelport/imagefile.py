@@ -128,7 +128,8 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
     if not np.all(np.isfinite(data)):
         raise ImageFormatError(f"{path}: non-finite values")
     if encoding == "re_im":
-        samples = data[..., 0] + 1j * data[..., 1]
+        # reinterpret the (re, im) pairs in place: arithmetic would lose a -0.0 sign
+        samples = np.ascontiguousarray(data).view(complex).reshape(height, width)
     else:
         amp, ph = data[..., 0], data[..., 1]
         if np.any(amp < 0):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pixelport import channel
+from pixelport import channel, fock
 from pixelport.cli import _write_csv, main
 from pixelport.imagefile import read_image, write_image
 
@@ -468,6 +468,16 @@ def test_oracle_verify_rejects_tiny_dims(capsys, flag, value, name):
     assert main(["oracle-verify", flag, value]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {name} must be at least 2, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "flag,name,cap", [("--dim", "dim", fock.MAX_DIM), ("--photo-dim", "photo_dim", fock.MAX_PHOTO_DIM)]
+)
+def test_oracle_verify_rejects_dims_above_cap(capsys, flag, name, cap):
+    assert main(["oracle-verify", flag, str(cap + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be at most {cap}, got {cap + 1}\n"
 
 
 def test_oracle_verify_bad_tolerances(capsys):

@@ -5,6 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from pixelport.fock import (
+    MAX_DIM,
+    MAX_PHOTO_DIM,
     BetaGrid,
     bell_completeness,
     bell_probability_density,
@@ -342,12 +344,16 @@ def reference_grid_integrals(alpha, r, dim, grid):
     return density, fidelity
 
 
-@pytest.mark.parametrize("alpha,r", [(0.4 + 0.2j, 0.0), (0.3 - 0.1j, 0.5), (-0.2 + 0.6j, 0.7)])
-def test_grid_integrals_match_per_outcome_loop(alpha, r):
+@pytest.mark.filterwarnings("ignore:two-mode squeezed")
+@pytest.mark.parametrize(
+    "alpha,r,dim",
+    [(0.4 + 0.2j, 0.0, 20), (0.3 - 0.1j, 0.5, 20), (-0.2 + 0.6j, 0.7, 20), (0.5 - 0.3j, 1.5, 32)],
+)
+def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
     grid = BetaGrid(n=11)
-    density, fidelity = reference_grid_integrals(alpha, r, 20, grid)
-    assert abs(bell_completeness(alpha, r, 20, grid) - density) < 1e-12
-    assert abs(oracle_average_fidelity(alpha, r, 20, grid) - fidelity) < 1e-12
+    density, fidelity = reference_grid_integrals(alpha, r, dim, grid)
+    assert abs(bell_completeness(alpha, r, dim, grid) - density) < 1e-12
+    assert abs(oracle_average_fidelity(alpha, r, dim, grid) - fidelity) < 1e-12
 
 
 def test_beta_grid_validation():
@@ -366,6 +372,11 @@ def test_run_all_checks_default_pass():
             assert r.value < 1e-6
 
 
+def test_run_all_checks_large_dim_pass():
+    results = run_all_checks(dim=90)
+    assert [r.name for r in results if not r.passed] == []
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_run_all_checks_undersized_space_fails():
     results = run_all_checks(dim=4)
@@ -376,6 +387,14 @@ def test_run_all_checks_undersized_space_fails():
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])
 def test_run_all_checks_rejects_tiny_dims(dims):
     with pytest.raises(ValueError, match="must be at least 2"):
+        run_all_checks(*dims)
+
+
+@pytest.mark.parametrize(
+    "dims,name,cap", [((MAX_DIM + 1, 10), "dim", MAX_DIM), ((30, MAX_PHOTO_DIM + 1), "photo_dim", MAX_PHOTO_DIM)]
+)
+def test_run_all_checks_rejects_dims_above_cap(dims, name, cap):
+    with pytest.raises(ValueError, match=f"{name} must be at most {cap}, got {cap + 1}"):
         run_all_checks(*dims)
 
 

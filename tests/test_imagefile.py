@@ -32,6 +32,20 @@ def test_re_im_write_is_byte_fixpoint(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_signed_zero_write_read_write_fixpoint(tmp_path):
+    # every sign pattern of zero in the real and the imaginary part
+    parts = np.array([[-0.0, 1.0, 1.0, -0.0, -0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, -0.0, 2.5, -0.0, -0.0, -1.5]])
+    img = parts.view(complex)
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    write_image(first, img)
+    assert first.read_text().splitlines()[3] == "-0.0,1.0,1.0,-0.0,-0.0,-0.0,0.0,0.0"
+    got, _, _ = read_image(first)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(parts))
+    write_image(second, got)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_amp_phase_round_trip_values(tmp_path):
     rng = np.random.default_rng(13)
     img = random_image(rng, (3, 6))
@@ -149,9 +163,8 @@ def test_read_matches_float_reference(tmp_path):
     path = tmp_path / "img.csv"
     path.write_text("\n".join([MAGIC, f"4 {len(rows)}", "re_im", *rows]) + "\n")
     got, _, _ = read_image(path)
-    ref = np.array([float(c) for c in cells]).reshape(len(rows), 4, 2)
-    want = ref[..., 0] + 1j * ref[..., 1]
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    ref = np.array([float(c) for c in cells]).reshape(len(rows), 8)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_read_names_the_first_bad_line(tmp_path):
