@@ -16,14 +16,12 @@ from .channel import (
     feedback_displace,
     teleport_image,
 )
-from .grid import GridGeometry, ImageField, decompose, partner_index, pixel_center, synthesize
+from .grid import GridGeometry, ImageField, decompose, synthesize
 from .spdc import (
     RingParams,
     SpdcParams,
     SqueezingProfile,
-    eta_k,
-    eta_quadrature,
-    eta_x,
+    eta_at_radius,
     profile_for_grid,
     ring_from_spdc,
 )
@@ -35,14 +33,10 @@ __all__ = [
     "ImageField",
     "decompose",
     "synthesize",
-    "partner_index",
-    "pixel_center",
     "SpdcParams",
     "RingParams",
     "SqueezingProfile",
-    "eta_k",
-    "eta_x",
-    "eta_quadrature",
+    "eta_at_radius",
     "ring_from_spdc",
     "profile_for_grid",
     "FidelityMap",

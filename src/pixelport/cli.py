@@ -8,9 +8,10 @@ Subcommands:
 * ``oracle-verify``: run the Fock-space oracle suite and print a table.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
-or unwritable files, 3 oracle check failure.  A stochastic ``teleport`` run
-(n_shots >= 1) is reproducible: its output bytes depend only on the seed,
-the shot count and the input.
+or unwritable files, 3 oracle check failure.  With the numpy version and its
+SIMD dispatch fixed, a ``teleport`` run is reproducible: its output bytes
+depend only on the seed, the shot count and the input.  Another numpy or CPU
+may change the last bits, but not the statistics the tests check.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def cmd_teleport(args) -> int:
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
-    write_image(cfg.output_path, synthesize(out_field), encoding="re_im", comments=tuple(comments))
+    write_image(cfg.output_path, synthesize(out_field), comments=tuple(comments))
     _write_csv(
         cfg.fidelity_map_path,
         comments + [f"image_fidelity={_fmt(fmap.image_fidelity)}"],
@@ -203,7 +204,7 @@ def _emit_fidelity_curve(path, r0: float, width: float, xis, samples: int) -> No
     for xi in xis:
         ring = _ring(r0, width, xi)
         x, eta, _ = spdc.radial_profile(ring, samples)
-        cols.append((1.0 + np.tanh(np.abs(eta))) / 2.0)
+        cols.append(channel.average_fidelity(np.abs(eta)))
     comments = [
         f"r0={_fmt(r0)}",
         f"ring_width={_fmt(width)}",
@@ -253,8 +254,15 @@ def cmd_oracle_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors exit 1 with one line, like a bad config."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pixelport", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="pixelport", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("teleport", help="teleport an image per a config file")
@@ -296,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,8 +197,6 @@ def parse_config(text: str) -> RunConfig:
             _check_r("ring_xi", cfg.ring.Xi)
         else:
             _check_r("spdc_xi", cfg.spdc.Xi)
-            if cfg.spdc.theta_d >= math.pi / 2:
-                raise ConfigError("spdc_angle must lie below pi/2")
     return cfg
 
 

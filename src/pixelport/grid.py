@@ -3,9 +3,11 @@
 An optical image is held as a rectangular grid of pixels, each carrying one
 complex coherent amplitude.  A field sampled at the pixel centers is converted
 to per-pixel amplitudes by scaling with the square root of the pixel area
-(``pitch``), and back.  Pixels are anti-correlated in pairs under point
-reflection through the grid center, which is where a downstream receiver's
-copy of pixel (i, j) actually lands.
+(``pitch``), and back.  Down-converted pairs satisfy k1 = -k2, so pixels are
+anti-correlated in pairs under point reflection through the grid center:
+pixel (i, j) pairs with (width-1-i, height-1-j), which is where a downstream
+receiver's copy of it lands.  On an array that is ``[::-1, ::-1]``, and on
+a centered grid it maps each pixel center to the negated center.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ __all__ = [
     "ImageField",
     "decompose",
     "synthesize",
-    "partner_index",
-    "pixel_center",
+    "pixel_centers",
     "centered_origin",
 ]
 
@@ -108,30 +109,6 @@ def decompose(samples: np.ndarray, geometry: GridGeometry) -> ImageField:
 def synthesize(fieldarr: ImageField) -> np.ndarray:
     """Exact inverse of :func:`decompose`: recover the center samples."""
     return fieldarr.amplitudes / fieldarr.geometry.pitch
-
-
-def _check_bounds(i: int, j: int, geometry: GridGeometry) -> None:
-    if not (0 <= i < geometry.width and 0 <= j < geometry.height):
-        raise IndexError(f"pixel ({i}, {j}) outside {geometry.width}x{geometry.height} grid")
-
-
-def partner_index(i: int, j: int, geometry: GridGeometry) -> tuple[int, int]:
-    """Index of the pixel anti-correlated with (i, j).
-
-    Down-converted photon pairs satisfy k1 = -k2 in both transverse
-    components, so correlated pixels sit at point reflections through the
-    grid center: (i, j) maps to (width-1-i, height-1-j).  The map is an
-    involution and (for odd side lengths) fixes the central pixel.
-    """
-    _check_bounds(i, j, geometry)
-    return (geometry.width - 1 - i, geometry.height - 1 - j)
-
-
-def pixel_center(i: int, j: int, geometry: GridGeometry) -> tuple[float, float]:
-    """Transverse position of the center of pixel (i, j)."""
-    _check_bounds(i, j, geometry)
-    ox, oy = geometry.origin
-    return (ox + (i + 0.5) * geometry.pitch, oy + (j + 0.5) * geometry.pitch)
 
 
 def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:

@@ -7,17 +7,15 @@ The format is a CSV payload under a three-line header:
     <encoding>
 
 with encoding either ``re_im`` (each pixel as real,imag) or ``amp_phase``
-(each pixel as amplitude,phase with amplitude >= 0 and phase in [-pi, pi)).
-Every data row holds one image row as 2*width comma-separated numbers.
-Lines starting with ``#`` after the header carry run parameters and are
-ignored on read.  Values are written with shortest round-trip formatting,
-so write -> read -> write is byte-stable.
+(each pixel as amplitude,phase with amplitude >= 0).  Both are read; only
+``re_im`` is written.  Every data row holds one image row as 2*width
+comma-separated numbers.  Lines starting with ``#`` after the header carry
+run parameters and are ignored on read.  Values are written with shortest
+round-trip formatting, so write -> read -> write is byte-stable.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from pathlib import Path
 
 import numpy as np
@@ -36,29 +34,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_image(path, samples: np.ndarray, encoding: str = "re_im", comments: tuple[str, ...] = ()) -> None:
-    """Write a 2D complex array; comments go right below the header."""
-    if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
+def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> None:
+    """Write a 2D complex array as ``re_im``; comments go right below the header."""
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2:
         raise ValueError("image must be a 2D array")
     height, width = samples.shape
-    lines = [MAGIC, f"{width} {height}", encoding]
+    lines = [MAGIC, f"{width} {height}", "re_im"]
     lines += [f"# {c}" for c in comments]
-    if encoding == "re_im":
-        # one row of (re, im) pairs at a time, so no whole-image list is built
-        lines += [",".join(map(repr, row.tolist())) for row in np.ascontiguousarray(samples).view(float)]
-    else:
-        for row in samples:
-            cells = []
-            for v in row:
-                amp = abs(v)
-                ph = cmath.phase(v) if amp > 0 else 0.0
-                if ph == math.pi:  # keep phase inside [-pi, pi)
-                    ph = -math.pi
-                cells += [_fmt(amp), _fmt(ph)]
-            lines.append(",".join(cells))
+    # one row of (re, im) pairs at a time, so no whole-image list is built
+    lines += [",".join(map(repr, row.tolist())) for row in np.ascontiguousarray(samples).view(float)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

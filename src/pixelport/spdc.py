@@ -9,9 +9,11 @@ r0 = f*tan(theta_d) and width R = 2f/sqrt(L*k_p):
     eta(x0) = Xi * sinc((|x0|^2 - r0^2) / R^2),    sinc(x) = sin(x)/x.
 
 The channel consumes the magnitude |eta|; the signed value is kept for
-plotting the side lobes.  A composite midpoint or Simpson quadrature of the
-crystal integral, written out in numpy, cross-checks the closed form; no CLI
-command runs it.
+plotting the side lobes.  Only this far-field closed form ships: the tests
+keep the k-space derivation and a quadrature of the crystal integral as the
+references it is checked against.  The signal wavenumber ``k_d`` enters
+only that derivation, so it changes no output, and the mode waist ``w_0``
+only feeds the narrow-waist warning.
 """
 
 from __future__ import annotations
@@ -28,15 +30,8 @@ __all__ = [
     "SpdcParams",
     "RingParams",
     "SqueezingProfile",
-    "chi",
-    "delta_kz",
-    "eta_k",
-    "eta_x",
+    "eta_at_radius",
     "ring_from_spdc",
-    "eta_quadrature",
-    "eta_quadrature_complex",
-    "pair_overlap",
-    "pair_overlap_quadrature",
     "profile_for_grid",
     "radial_profile",
 ]
@@ -85,6 +80,8 @@ class SpdcParams:
                 raise ValueError(f"{name} must be positive")
         if self.theta_d < 0:
             raise ValueError("theta_d must be non-negative")
+        if not self.theta_d < math.pi / 2:
+            raise ValueError("theta_d must lie below pi/2")
         if self.Xi < 0:
             raise ValueError("Xi must be non-negative")
         if self.w_0 / self.w_p > WAIST_RATIO_WARN:
@@ -132,109 +129,18 @@ class SqueezingProfile:
         return cls(geometry, np.full(geometry.shape, float(r)))
 
 
-def _sinc(x):
-    # sin(x)/x with sinc(0) = 1; np.sinc is the normalized sin(pi x)/(pi x).
-    return np.sinc(np.asarray(x) / np.pi)
-
-
-def chi(params: SpdcParams) -> float:
-    """Longitudinal wavevector offset from the non-collinear emission angle."""
-    if params.theta_d >= math.pi / 2:
-        raise ValueError("theta_d must lie in [0, pi/2)")
-    s = math.sin(params.theta_d)
-    return params.k_d * s * s / math.cos(params.theta_d)
-
-
-def delta_kz(k1, k2, params: SpdcParams) -> float:
-    """Longitudinal phase mismatch for a signal/idler wavevector pair."""
-    k1 = np.asarray(k1, dtype=float)
-    k2 = np.asarray(k2, dtype=float)
-    return float(np.sum((k1 - k2) ** 2) / (2.0 * params.k_p) - chi(params))
-
-
-def eta_k(k0, params: SpdcParams):
-    """Closed-form effective squeezing versus transverse wavevector."""
-    k0 = np.asarray(k0, dtype=float)
-    k0_sq = np.sum(k0 * k0, axis=-1)
-    arg = k0_sq * params.L / params.k_p - 0.5 * params.L * chi(params)
-    return params.Xi * _sinc(arg)
-
-
-def eta_x(x0, ring: RingParams):
-    """Closed-form far-field squeezing ring; signed (sinc side lobes)."""
-    x0 = np.asarray(x0, dtype=float)
-    x0_sq = np.sum(x0 * x0, axis=-1)
-    return ring.Xi * _sinc((x0_sq - ring.r0**2) / ring.R**2)
-
-
 def eta_at_radius(rho, ring: RingParams):
-    """Ring profile as a function of radial distance alone."""
+    """Ring profile as a function of radial distance alone; signed (sinc side lobes)."""
     rho = np.asarray(rho, dtype=float)
-    return ring.Xi * _sinc((rho * rho - ring.r0**2) / ring.R**2)
+    # sin(x)/x with sinc(0) = 1; np.sinc is the normalized sin(pi x)/(pi x).
+    return ring.Xi * np.sinc((rho * rho - ring.r0**2) / ring.R**2 / np.pi)
 
 
 def ring_from_spdc(params: SpdcParams) -> RingParams:
     """Far-field ring parameters of a physical source."""
-    if params.theta_d >= math.pi / 2:
-        raise ValueError("theta_d must lie in [0, pi/2)")
     r0 = params.f * math.tan(params.theta_d)
     R = 2.0 * params.f / math.sqrt(params.L * params.k_p)
     return RingParams(r0=r0, R=R, Xi=params.Xi)
-
-
-def _crystal_mean_midpoint(w: float, L: float, n_steps: int) -> complex:
-    """(1/L) * int exp(i*w*z) dz over [-L/2, L/2] by the composite midpoint rule."""
-    h = L / n_steps
-    z = -L / 2 + (np.arange(n_steps) + 0.5) * h
-    return complex(np.mean(np.exp(1j * w * z)))
-
-
-def eta_quadrature_complex(k0, params: SpdcParams, n_steps: int, rule: str = "simpson") -> complex:
-    """Crystal integral (Xi/L) * int exp(-2iz|k0|^2/k_p + iz*chi) dz, numerically.
-
-    The integration runs over z in [-L/2, L/2]; the imaginary part cancels by
-    symmetry and is returned only as a diagnostic.
-    """
-    if n_steps < 16:
-        raise ValueError("n_steps must be at least 16")
-    k0 = np.asarray(k0, dtype=float)
-    w = chi(params) - 2.0 * np.sum(k0 * k0) / params.k_p
-    L = params.L
-    if rule == "midpoint":
-        return complex(params.Xi * _crystal_mean_midpoint(w, L, n_steps))
-    if rule == "simpson":
-        n = n_steps + (n_steps % 2)  # composite Simpson wants an even interval count
-        y = np.exp(1j * w * np.linspace(-L / 2, L / 2, n + 1))
-        # (1/L) * h/3 * (y_0 + 4*sum(odd) + 2*sum(even interior) + y_n), h = L/n
-        return complex(params.Xi * (y[0] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum() + y[-1]) / (3 * n))
-    raise ValueError(f"unknown quadrature rule {rule!r}")
-
-
-def eta_quadrature(k0, params: SpdcParams, n_steps: int, rule: str = "simpson") -> float:
-    """Real part of the crystal integral; converges to :func:`eta_k`."""
-    return eta_quadrature_complex(k0, params, n_steps, rule).real
-
-
-def pair_overlap(ka, kb, params: SpdcParams) -> float:
-    """General two-wavevector overlap in the narrow-detector-mode limit.
-
-    Gaussian prefactor exp(-w_0^2 |ka+kb|^2 / 8) times the crystal sinc in
-    |ka-kb|^2/4.  Reduces to :func:`eta_k` at kb = -ka.
-    """
-    ka = np.asarray(ka, dtype=float)
-    kb = np.asarray(kb, dtype=float)
-    pref = math.exp(-params.w_0**2 * float(np.sum((ka + kb) ** 2)) / 8.0)
-    arg = float(np.sum((ka - kb) ** 2)) * params.L / (4.0 * params.k_p) - 0.5 * params.L * chi(params)
-    return params.Xi * pref * float(_sinc(arg))
-
-
-def pair_overlap_quadrature(ka, kb, params: SpdcParams, n_steps: int) -> float:
-    """Numerical cross-check of :func:`pair_overlap` (midpoint z-quadrature)."""
-    ka = np.asarray(ka, dtype=float)
-    kb = np.asarray(kb, dtype=float)
-    pref = math.exp(-params.w_0**2 * float(np.sum((ka + kb) ** 2)) / 8.0)
-    w = chi(params) - float(np.sum((ka - kb) ** 2)) / (2.0 * params.k_p)
-    return pref * params.Xi * _crystal_mean_midpoint(w, params.L, n_steps).real
 
 
 def profile_for_grid(geometry: GridGeometry, ring: RingParams) -> SqueezingProfile:

@@ -487,6 +487,19 @@ def test_oracle_verify_bad_tolerances(capsys):
     assert "unknown check names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle-verify", "--dim", "abc"], ["teleport", "--config", "c", "--seed", "x"], ["profile", "--bogus"], []],
+    ids=["bad-int", "bad-seed", "unknown-flag", "no-subcommand"],
+)
+def test_bad_arguments_exit_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "usage:" not in captured.err
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is a test-only dependency; the command-line path must not import it
     src = Path(__file__).resolve().parents[1] / "src"

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from kspace import pixel_center
 from pixelport.grid import (
     GridGeometry,
     ImageField,
     centered_origin,
     decompose,
-    partner_index,
-    pixel_center,
     pixel_centers,
     synthesize,
 )
@@ -75,31 +74,6 @@ def test_synthesize_division():
     assert synthesize(field)[0, 0] == 1.0 + 0.0j
 
 
-def test_partner_corner_to_corner():
-    g = GridGeometry(4, 4)
-    assert partner_index(0, 0, g) == (3, 3)
-
-
-def test_partner_center_fixed_point():
-    g = GridGeometry(5, 5)
-    assert partner_index(2, 2, g) == (2, 2)
-
-
-def test_partner_involution():
-    g = GridGeometry(6, 3)
-    for i in range(g.width):
-        for j in range(g.height):
-            pi, pj = partner_index(i, j, g)
-            assert 0 <= pi < g.width and 0 <= pj < g.height
-            assert partner_index(pi, pj, g) == (i, j)
-
-
-def test_partner_out_of_bounds():
-    g = GridGeometry(4, 4)
-    with pytest.raises(IndexError):
-        partner_index(4, 0, g)
-
-
 def test_pixel_center_basic():
     g = GridGeometry(4, 4, pitch=1.0, origin=(0.0, 0.0))
     assert pixel_center(0, 0, g) == (0.5, 0.5)
@@ -112,13 +86,12 @@ def test_pixel_centers_symmetric_about_axis():
 
 
 def test_partner_centers_are_reflections():
+    # the raw plane puts pixel (i, j) at its partner (width-1-i, height-1-j)
+    # with [::-1, ::-1], whose center is the negated center
     g = GridGeometry(6, 4, pitch=0.3)  # default centered origin
-    for i in range(g.width):
-        for j in range(g.height):
-            x, y = pixel_center(i, j, g)
-            px, py = pixel_center(*partner_index(i, j, g), g)
-            assert px == pytest.approx(-x, abs=1e-15)
-            assert py == pytest.approx(-y, abs=1e-15)
+    x, y = pixel_centers(g)
+    np.testing.assert_allclose(x[::-1, ::-1], -x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(y[::-1, ::-1], -y, rtol=0, atol=1e-15)
 
 
 def test_pixel_centers_grid_matches_scalar():
