@@ -254,6 +254,23 @@ def test_teleport_image_raw_plane_is_point_reflection():
     assert raw_map.image_fidelity == up_map.image_fidelity
 
 
+@pytest.mark.parametrize("width,height", [(4, 4), (5, 5), (6, 3)], ids=["even", "odd", "6x3"])
+def test_teleport_image_raw_plane_sends_pixel_to_partner(width, height):
+    # pixel (i, j) arrives at (width-1-i, height-1-j): corners swap, the
+    # central pixel of an odd grid stays, and non-square grids keep their shape
+    rng = np.random.default_rng(5)
+    g = GridGeometry(width, height, pitch=0.5)
+    field = ImageField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    profile = SqueezingProfile(g, rng.uniform(0.1, 2.0, size=g.shape))
+    up, up_map = teleport_image(field, profile, seed=4, n_shots=2)
+    raw, raw_map = teleport_image(field, profile, seed=4, n_shots=2, raw_plane=True)
+    assert raw.amplitudes.shape == g.shape
+    for j in range(height):
+        for i in range(width):
+            assert raw.amplitudes[height - 1 - j, width - 1 - i] == up.amplitudes[j, i]
+            assert raw_map.per_pixel[height - 1 - j, width - 1 - i] == up_map.per_pixel[j, i]
+
+
 def test_teleport_image_geometry_mismatch():
     field, _ = _uniform_setup(n_side=4)
     other = SqueezingProfile.uniform(GridGeometry(5, 5, pitch=0.5), 1.0)

@@ -85,10 +85,14 @@ def test_pixel_centers_symmetric_about_axis():
     assert xs == [-1.5, -0.5, 0.5, 1.5]
 
 
-def test_partner_centers_are_reflections():
+@pytest.mark.parametrize(
+    "width,height", [(6, 4), (4, 4), (5, 5), (6, 3), (1, 7)], ids=["6x4", "even", "odd", "6x3", "column"]
+)
+def test_partner_centers_are_reflections(width, height):
     # the raw plane puts pixel (i, j) at its partner (width-1-i, height-1-j)
-    # with [::-1, ::-1], whose center is the negated center
-    g = GridGeometry(6, 4, pitch=0.3)  # default centered origin
+    # with [::-1, ::-1], whose center is the negated center; on an odd side
+    # the central pixel is its own partner and sits on the axis
+    g = GridGeometry(width, height, pitch=0.3)  # default centered origin
     x, y = pixel_centers(g)
     np.testing.assert_allclose(x[::-1, ::-1], -x, rtol=0, atol=1e-15)
     np.testing.assert_allclose(y[::-1, ::-1], -y, rtol=0, atol=1e-15)

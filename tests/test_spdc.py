@@ -194,8 +194,10 @@ def test_profile_on_ring_pixels():
     assert prof.r[0, 2] == 2.0
 
 
-def test_profile_point_reflection_symmetry():
-    g = GridGeometry(6, 6, pitch=0.4)  # centered origin
+@pytest.mark.parametrize("width,height", [(6, 6), (5, 5), (6, 3)], ids=["even", "odd", "6x3"])
+def test_profile_point_reflection_symmetry(width, height):
+    # partner pixels sit at negated centers, so they see the same squeezing
+    g = GridGeometry(width, height, pitch=0.4)  # centered origin
     prof = profile_for_grid(g, RingParams(r0=0.8, R=0.3, Xi=1.5))
     # centers carry last-ulp asymmetry, so compare to rounding tolerance
     assert np.allclose(prof.r, prof.r[::-1, ::-1], rtol=1e-12, atol=1e-12)
