@@ -31,6 +31,7 @@ from .spdc import SqueezingProfile
 
 __all__ = [
     "MAX_R",
+    "MAX_SHOTS",
     "FidelityMap",
     "conditional_amplitude",
     "feedback_displace",
@@ -48,6 +49,10 @@ MAX_R = 700.0
 # Normals drawn per block of whole pixels in teleport_image.  It bounds the
 # block's temporaries (a few arrays of this many doubles) and nothing else.
 _BLOCK_NORMALS = 1 << 20
+
+# Largest supported n_shots: one pixel's 2 * n_shots normals still fit in one
+# block, so _BLOCK_NORMALS keeps bounding memory.
+MAX_SHOTS = _BLOCK_NORMALS // 2
 
 
 @dataclass
@@ -132,7 +137,7 @@ def teleport_image(
         deterministic throughput tanh(r)*alpha and the fidelity map holds the
         exact outcome average (1 + tanh r)/2.  1 draws a single stochastic
         realization per pixel.  Larger values report per-pixel Monte Carlo
-        means over that many shots.
+        means over that many shots, at most MAX_SHOTS.
     raw_plane : bool
         The physical receiving plane is point-reflected (pixel j arrives at
         its partner).  By default the image is reflected back upright; set
@@ -148,6 +153,8 @@ def teleport_image(
         raise ValueError("profile geometry does not match image geometry")
     if n_shots < 0:
         raise ValueError("n_shots must be non-negative")
+    if n_shots > MAX_SHOTS:
+        raise ValueError(f"n_shots must be at most {MAX_SHOTS}, got {n_shots}")
 
     amps = field.amplitudes
     rs = profile.r

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "bell_probability_density",
     "verify_eigen_relations",
     "photocurrent_check",
-    "BetaGrid",
     "oracle_average_fidelity",
     "bell_completeness",
     "CheckResult",
@@ -180,18 +178,18 @@ class BellProjection(NamedTuple):
     tail: float  # top-level population of the normalized state
 
 
-def project_bell(joint: np.ndarray, beta: complex, dim: int | None = None) -> BellProjection:
+def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
     """Project modes (A, C) of a three-mode state onto the Bell state at beta.
 
     The Bell bra is (1/sqrt(pi)) sum_s <s|_A <s|_C D_C(beta)^dag; the
     contraction leaves mode B.  Its squared norm is the measurement density
     p(beta); the normalized remainder is the receiver's conditional state.
+    The truncation dim is read from the state, whose three axes must agree.
     """
     joint = np.asarray(joint, dtype=complex)
     if joint.ndim != 3:
         raise ValueError(f"expected a three-mode state, got {joint.ndim} modes")
-    if dim is None:
-        dim = joint.shape[0]
+    dim = joint.shape[0]
     if joint.shape != (dim, dim, dim):
         raise ValueError(f"mode dimensions {joint.shape} are not uniform ({dim})")
     d = displacement(beta, dim)
@@ -206,7 +204,7 @@ def project_bell(joint: np.ndarray, beta: complex, dim: int | None = None) -> Be
 
 def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
     """Measured density of outcome beta for a coherent input through the resource."""
-    return project_bell(joint_state(alpha, r, dim), beta, dim).density
+    return project_bell(joint_state(alpha, r, dim), beta).density
 
 
 def _residual_window(beta: complex, dim: int, smax: int) -> int:
@@ -265,12 +263,7 @@ def _on_axis(op: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(op, state, axes=(1, axis)), 0, axis)
 
 
-def photocurrent_check(
-    lo_amplitude: float,
-    phase: float,
-    test_state: np.ndarray,
-    dim: int | None = None,
-) -> tuple[float, float]:
+def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray) -> tuple[float, float]:
     """Balanced-detector photocurrent versus the quadrature it should read.
 
     The test state covers modes (A, C); a coherent local oscillator
@@ -282,15 +275,15 @@ def photocurrent_check(
         phase 0:    |lo| <q_C - q_A>   (combination (a_C - a_A)/sqrt(2))
         phase pi/2: |lo| <p_A + p_C>   (combination (a_A + a_C)/sqrt(2))
 
-    Only these two detector arrangements are modeled.  Each operator acts on
-    its own axis of the dim^3 amplitude array, and the photon-number
+    Only these two detector arrangements are modeled.  The truncation dim
+    is read from the test state, whose two axes must agree.  Each operator
+    acts on its own axis of the dim^3 amplitude array, and the photon-number
     difference is read as ||a_2 psi||^2 - ||a_1 psi||^2.
     """
     test_state = np.asarray(test_state, dtype=complex)
     if test_state.ndim != 2:
         raise ValueError(f"expected a two-mode test state, got {test_state.ndim} modes")
-    if dim is None:
-        dim = test_state.shape[0]
+    dim = test_state.shape[0]
     if test_state.shape != (dim, dim):
         raise ValueError(f"mode dimensions {test_state.shape} are not uniform ({dim})")
     q_phase = math.isclose(phase, 0.0, abs_tol=1e-12)
@@ -315,41 +308,24 @@ def photocurrent_check(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class BetaGrid:
-    """Quadrature grid for outcome-space integrals.
+def _grid_contractions(alpha: complex, r: float, dim: int, n: int):
+    """Bell contractions at every representable outcome of an n x n grid, on K x dim state vectors.
 
-    n points per axis, midpoint rule, on the square of half-width
-    5 cosh(r) around the input amplitude (covering the disc where the
-    density lives).  Grid points whose displacement cannot be represented,
-    |beta - alpha|^2 > dim - guard*sqrt(dim), are skipped: their computed
-    integrand would be pure truncation junk.
+    The grid holds n midpoints per axis on the square of half-width 5 cosh(r)
+    around alpha, where the density lives, and skips outcomes whose integrand
+    would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).  Returns
+    (u, raw, darea): per kept outcome beta_k, u[k] = D(beta_k)^dag |alpha> and
+    raw[k] = u[k] @ tms / sqrt(pi) is the receiver's unnormalized conditional
+    state (the joint state is the resource tms times |alpha>), whose squared
+    norm is the density p(beta_k).
     """
-
-    n: int = 61
-    half_width_scale: float = 5.0
-    guard: float = 2.0
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("grid needs at least 3 points per axis")
-
-
-def _grid_contractions(alpha: complex, r: float, dim: int, grid: BetaGrid | None):
-    """Bell contractions at every representable grid outcome, on K x dim state vectors.
-
-    Returns (u, raw, darea): for each grid outcome beta_k the guard keeps,
-    u[k] = D(beta_k)^dag |alpha> and raw[k] = u[k] @ tms / sqrt(pi) is the
-    receiver's unnormalized conditional state (the joint state is the
-    resource tms times |alpha>), whose squared norm is the density p(beta_k).
-    """
-    if grid is None:
-        grid = BetaGrid()
-    half = grid.half_width_scale * math.cosh(r)
-    step = 2.0 * half / grid.n
-    xs = -half + (np.arange(grid.n) + 0.5) * step
+    if n < 3:
+        raise ValueError("grid needs at least 3 points per axis")
+    half = 5.0 * math.cosh(r)
+    step = 2.0 * half / n
+    xs = -half + (np.arange(n) + 0.5) * step
     dx, dy = np.meshgrid(xs, xs, indexing="ij")
-    keep = dx * dx + dy * dy <= dim - grid.guard * math.sqrt(dim)
+    keep = dx * dx + dy * dy <= dim - 2.0 * math.sqrt(dim)
     v, spectral, rot = _displacement_factors(alpha + (dx[keep] + 1j * dy[keep]), dim)
     # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
     y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
@@ -359,23 +335,24 @@ def _grid_contractions(alpha: complex, r: float, dim: int, grid: BetaGrid | None
     return u, raw, step * step
 
 
-def oracle_average_fidelity(alpha: complex, r: float, dim: int, grid: BetaGrid | None = None) -> float:
+def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> float:
     """Average fidelity integrated over measured outcomes, oracle-side.
 
-    Sums, over the representable grid outcomes beta, the weighted overlap
-    |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of _grid_contractions, with raw
-    the unnormalized conditional state.  Converges to (1 + tanh r)/2 as
-    dim grows; the guarded grid skips outcomes beyond the truncation's
-    reach, so small dim undershoots (at r = 2 the examples use dim around 90).
+    Sums, over the representable outcomes beta of the n x n grid, the
+    weighted overlap |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of
+    _grid_contractions, with raw the unnormalized conditional state.
+    Converges to (1 + tanh r)/2 as dim grows; the guarded grid skips outcomes
+    beyond the truncation's reach, so small dim undershoots (at r = 2 the
+    examples use dim around 90).
     """
-    u, raw, darea = _grid_contractions(alpha, r, dim, grid)
+    u, raw, darea = _grid_contractions(alpha, r, dim, n)
     overlap = np.sum(u.conj() * raw, axis=1)
     return float(np.sum(np.abs(overlap) ** 2)) * darea
 
 
-def bell_completeness(alpha: complex, r: float, dim: int, grid: BetaGrid | None = None) -> float:
-    """Integral of the measured density over outcomes, sum_k |raw[k]|^2 darea; 1 when complete."""
-    _, raw, darea = _grid_contractions(alpha, r, dim, grid)
+def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
+    """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
+    _, raw, darea = _grid_contractions(alpha, r, dim, n)
     return float(np.sum(np.abs(raw) ** 2)) * darea
 
 
@@ -390,11 +367,11 @@ class CheckResult(NamedTuple):
         return bool(self.value <= self.tolerance)
 
 
-def run_all_checks(dim: int = 30, photo_dim: int = 10, tolerances: dict[str, float] | None = None) -> list[CheckResult]:
+def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     """Full oracle suite at the default working sizes.
 
-    Every row is a non-negative deviation and its tolerance; the suite
-    passes when every value is at or below tolerance.  Deliberately small
+    Every row is a non-negative deviation and its fixed tolerance; the
+    suite passes when every value is at or below tolerance.  Deliberately small
     dims (for example 4) make the eigenvalue rows fail, which is the
     documented way to demonstrate truncation sensitivity.  Both dims must be
     at least 2 and at most MAX_DIM and MAX_PHOTO_DIM, which bound memory.
@@ -418,11 +395,6 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10, tolerances: dict[str, flo
         "photocurrent_p": 1e-8,
         "average_fidelity": 5e-3,
     }
-    if tolerances:
-        unknown = set(tolerances) - set(tol)
-        if unknown:
-            raise ValueError(f"unknown check names: {sorted(unknown)}")
-        tol.update(tolerances)
 
     results: list[CheckResult] = []
 
@@ -447,7 +419,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10, tolerances: dict[str, flo
 
     # Conditional state equals the coherent state tanh(r)(alpha - beta).
     alpha, beta = 0.5 + 0.0j, 0.2 + 0.0j
-    proj = project_bell(joint_state(alpha, r, dim), beta, dim)
+    proj = project_bell(joint_state(alpha, r, dim), beta)
     zeta = math.tanh(r) * (alpha - beta)
     ov = abs(np.vdot(coherent_state(zeta, dim), proj.state)) ** 2
     results.append(CheckResult("conditional_state_overlap", abs(1.0 - ov), tol["conditional_state_overlap"]))
@@ -468,11 +440,11 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10, tolerances: dict[str, flo
     # Photocurrent identities on a coherent x coherent test state.
     test = np.einsum("a,c->ac", coherent_state(0.3 - 0.2j, photo_dim), coherent_state(0.25 + 0.35j, photo_dim))
     for name, phase in (("photocurrent_q", 0.0), ("photocurrent_p", math.pi / 2)):
-        lhs, rhs = photocurrent_check(0.45, phase, test, photo_dim)
+        lhs, rhs = photocurrent_check(0.45, phase, test)
         results.append(CheckResult(name, abs(lhs - rhs), tol[name]))
 
     # Outcome-averaged fidelity against (1 + tanh r)/2.
-    got = oracle_average_fidelity(0.4 + 0.2j, r, dim, BetaGrid(n=41))
+    got = oracle_average_fidelity(0.4 + 0.2j, r, dim)
     dev = abs(got - (1.0 + math.tanh(r)) / 2.0)
     results.append(CheckResult("average_fidelity", dev, tol["average_fidelity"]))
 

@@ -130,16 +130,32 @@ class SqueezingProfile:
 
 
 def eta_at_radius(rho, ring: RingParams):
-    """Ring profile as a function of radial distance alone; signed (sinc side lobes)."""
+    """Ring profile as a function of radial distance alone; signed (sinc side lobes).
+
+    Where a square in u = (rho^2 - r0^2) / R^2 leaves float64, u is taken as
+    ((rho - r0) / R) (rho / R + r0 / R) instead; where even that overflows,
+    sinc is taken at its limit 0 (|sinc u| <= 1/|u| < 1e-307 there).
+    """
     rho = np.asarray(rho, dtype=float)
-    # sin(x)/x with sinc(0) = 1; np.sinc is the normalized sin(pi x)/(pi x).
-    return ring.Xi * np.sinc((rho * rho - ring.r0**2) / ring.R**2 / np.pi)
+    r0, R = np.float64(ring.r0), np.float64(ring.R)
+    with np.errstate(all="ignore"):
+        # sin(x)/x with sinc(0) = 1; np.sinc is the normalized sin(pi x)/(pi x).
+        eta = np.asarray(np.sinc((rho * rho - r0**2) / R**2 / np.pi))
+        lost = ~np.isfinite(eta)
+        if np.any(lost):
+            d = rho[lost] - r0
+            eta[lost] = np.sinc(np.where(d == 0.0, 0.0, (d / R) * (rho[lost] / R + r0 / R)) / np.pi)
+            eta[np.isnan(eta)] = 0.0
+    return ring.Xi * eta
 
 
 def ring_from_spdc(params: SpdcParams) -> RingParams:
-    """Far-field ring parameters of a physical source."""
+    """Far-field ring parameters of a physical source; ValueError if r0 or R leaves float64's range."""
     r0 = params.f * math.tan(params.theta_d)
-    R = 2.0 * params.f / math.sqrt(params.L * params.k_p)
+    lk = params.L * params.k_p
+    R = 2.0 * params.f / math.sqrt(lk) if lk > 0 else math.inf
+    if not (math.isfinite(r0) and 0 < R < math.inf):
+        raise ValueError(f"the spdc parameters put the ring at r0 = {r0!r}, R = {R!r}, outside float64's range")
     return RingParams(r0=r0, R=R, Xi=params.Xi)
 
 

@@ -53,7 +53,7 @@ def test_acceptance_2_oracle_channel_equivalence():
         alpha = complex(*rng.uniform(-math.sqrt(0.5), math.sqrt(0.5), 2))
         beta = complex(*rng.uniform(-math.sqrt(0.5), math.sqrt(0.5), 2))
         r = rng.uniform(0.0, 1.0)
-        proj = fock.project_bell(fock.joint_state(alpha, r, dim), beta, dim)
+        proj = fock.project_bell(fock.joint_state(alpha, r, dim), beta)
         target = fock.coherent_state(math.tanh(r) * (alpha - beta), dim)
         worst = min(worst, abs(np.vdot(target, proj.state)) ** 2)
     elapsed = time.perf_counter() - t0
@@ -98,7 +98,7 @@ def test_acceptance_5_photocurrent_identities():
     )
     worst = 0.0
     for phase in (0.0, math.pi / 2):
-        lhs, rhs = fock.photocurrent_check(0.45, phase, test, dim)
+        lhs, rhs = fock.photocurrent_check(0.45, phase, test)
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-8
     report(5, "photocurrent identities", ok, f"worst |lhs-rhs| {worst:.2e}")

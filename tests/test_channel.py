@@ -282,6 +282,9 @@ def test_teleport_image_rejects_negative_shots():
     field, profile = _uniform_setup(n_side=2)
     with pytest.raises(ValueError):
         teleport_image(field, profile, seed=0, n_shots=-1)
+    # above the cap one pixel's normals would outgrow a block
+    with pytest.raises(ValueError, match=f"at most {channel.MAX_SHOTS}"):
+        teleport_image(field, profile, seed=0, n_shots=channel.MAX_SHOTS + 1)
 
 
 def test_analytic_fidelity_never_below_floor():

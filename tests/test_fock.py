@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from pixelport.fock import (
     MAX_DIM,
     MAX_PHOTO_DIM,
-    BetaGrid,
     bell_completeness,
     bell_probability_density,
     coherent_state,
@@ -152,14 +151,14 @@ def test_project_bell_no_entanglement_leaves_vacuum():
     dim = 20
     joint = joint_state(0.4 + 0.1j, 0.0, dim)
     for beta in (0.0, 0.3 - 0.5j, 1.0 + 1.0j):
-        proj = project_bell(joint, beta, dim)
+        proj = project_bell(joint, beta)
         assert abs(proj.state[0]) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(proj.state[1:]) < 1e-12)
 
 
 def test_project_bell_conditional_state_example():
     dim = 30
-    proj = project_bell(joint_state(0.5, 1.0, dim), 0.2, dim)
+    proj = project_bell(joint_state(0.5, 1.0, dim), 0.2)
     zeta = math.tanh(1.0) * (0.5 - 0.2)
     ov = abs(np.vdot(coherent_state(zeta, dim), proj.state)) ** 2
     assert ov >= 0.999
@@ -167,22 +166,22 @@ def test_project_bell_conditional_state_example():
 
 def test_project_bell_density_is_norm_squared():
     dim = 25
-    proj = project_bell(joint_state(0.3, 0.7, dim), 0.4 + 0.2j, dim)
+    proj = project_bell(joint_state(0.3, 0.7, dim), 0.4 + 0.2j)
     assert proj.density == pytest.approx(proj.norm**2, rel=1e-15)
     assert np.linalg.norm(proj.state) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_project_bell_rejects_wrong_mode_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="three-mode"):
         project_bell(np.zeros((5, 5)), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not uniform"):
         project_bell(np.zeros((5, 5, 4)), 0.0)
 
 
 def test_bell_completeness():
     # density integrates to 1 over the guarded outcome grid
-    assert bell_completeness(0.3 + 0.1j, 0.5, 48, BetaGrid(n=41)) == pytest.approx(1.0, abs=1e-3)
-    assert bell_completeness(0.0, 0.0, 40, BetaGrid(n=41)) == pytest.approx(1.0, abs=1e-3)
+    assert bell_completeness(0.3 + 0.1j, 0.5, 48, n=41) == pytest.approx(1.0, abs=1e-3)
+    assert bell_completeness(0.0, 0.0, 40, n=41) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_density_at_center():
@@ -230,14 +229,14 @@ def test_photocurrent_vacuum():
     vac = np.zeros((dim, dim), dtype=complex)
     vac[0, 0] = 1.0
     for phase in (0.0, math.pi / 2):
-        lhs, rhs = photocurrent_check(0.5, phase, vac, dim)
+        lhs, rhs = photocurrent_check(0.5, phase, vac)
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
 
 def test_photocurrent_coherent_q_phase():
     dim = 10
     test = np.einsum("a,c->ac", coherent_state(0.3 - 0.2j, dim), coherent_state(0.25 + 0.35j, dim))
-    lhs, rhs = photocurrent_check(0.45, 0.0, test, dim)
+    lhs, rhs = photocurrent_check(0.45, 0.0, test)
     assert abs(lhs - rhs) < 1e-8
     # the q expectation of a coherent state is sqrt(2) Re(alpha)
     want = 0.45 * math.sqrt(2.0) * (0.25 - 0.3)
@@ -247,7 +246,7 @@ def test_photocurrent_coherent_q_phase():
 def test_photocurrent_coherent_p_phase():
     dim = 10
     test = np.einsum("a,c->ac", coherent_state(0.3 - 0.2j, dim), coherent_state(0.25 + 0.35j, dim))
-    lhs, rhs = photocurrent_check(0.45, math.pi / 2, test, dim)
+    lhs, rhs = photocurrent_check(0.45, math.pi / 2, test)
     assert abs(lhs - rhs) < 1e-8
     want = 0.45 * math.sqrt(2.0) * (-0.2 + 0.35)
     assert rhs == pytest.approx(want, abs=1e-9)
@@ -260,7 +259,7 @@ def test_photocurrent_random_state_both_phases():
     state = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     state /= np.linalg.norm(state)
     for phase in (0.0, math.pi / 2):
-        lhs, rhs = photocurrent_check(0.7, phase, state, dim)
+        lhs, rhs = photocurrent_check(0.7, phase, state)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -282,7 +281,7 @@ def test_photocurrent_matches_dense_kron_reference():
         a_2 = (a_lo + b) / math.sqrt(2.0)
         want_lhs = np.vdot(psi, (a_2.conj().T @ a_2 - a_1.conj().T @ a_1) @ psi).real
         want_rhs = lo_amp * np.vdot(psi, quad @ psi).real
-        lhs, rhs = photocurrent_check(lo_amp, phase, state, dim)
+        lhs, rhs = photocurrent_check(lo_amp, phase, state)
         assert abs(lhs - want_lhs) < 1e-12
         assert abs(rhs - want_rhs) < 1e-12
 
@@ -291,21 +290,23 @@ def test_photocurrent_rejects_other_phases():
     vac = np.zeros((4, 4), dtype=complex)
     vac[0, 0] = 1.0
     with pytest.raises(ValueError):
-        photocurrent_check(0.5, 0.3, vac, 4)
+        photocurrent_check(0.5, 0.3, vac)
 
 
 def test_photocurrent_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        photocurrent_check(0.5, 0.0, np.zeros(4), 4)
+    with pytest.raises(ValueError, match="two-mode"):
+        photocurrent_check(0.5, 0.0, np.zeros(4))
+    with pytest.raises(ValueError, match="not uniform"):
+        photocurrent_check(0.5, 0.0, np.zeros((4, 5)))
 
 
 def test_oracle_average_fidelity_unsqueezed():
-    got = oracle_average_fidelity(0.4 + 0.2j, 0.0, 30, BetaGrid(n=41))
+    got = oracle_average_fidelity(0.4 + 0.2j, 0.0, 30, n=41)
     assert got == pytest.approx(0.5, abs=0.005)
 
 
 def test_oracle_average_fidelity_r1():
-    got = oracle_average_fidelity(0.4 + 0.2j, 1.0, 30, BetaGrid(n=41))
+    got = oracle_average_fidelity(0.4 + 0.2j, 1.0, 30, n=41)
     assert got == pytest.approx((1 + math.tanh(1.0)) / 2, abs=0.005)
 
 
@@ -314,20 +315,24 @@ def test_oracle_average_fidelity_r2_needs_room():
     # mean photon number sinh(2)^2 ~ 13 per arm and outcomes out to
     # |beta|^2 ~ 70: dim = 60 visibly undershoots, dim = 90 is enough
     want = (1 + math.tanh(2.0)) / 2
-    low = oracle_average_fidelity(0.3 + 0.1j, 2.0, 60, BetaGrid(n=41))
+    low = oracle_average_fidelity(0.3 + 0.1j, 2.0, 60, n=41)
     assert low < want - 0.01
-    got = oracle_average_fidelity(0.3 + 0.1j, 2.0, 90, BetaGrid(n=41))
+    got = oracle_average_fidelity(0.3 + 0.1j, 2.0, 90, n=41)
     assert got == pytest.approx(want, abs=0.01)
 
 
-def reference_grid_integrals(alpha, r, dim, grid):
-    """Per-outcome loop over the guarded grid: (completeness, average fidelity)."""
+def reference_grid_integrals(alpha, r, dim, n):
+    """Per-outcome loop over the guarded n x n grid: (completeness, average fidelity).
+
+    The grid is the oracle's: midpoints on the square of half-width 5 cosh(r)
+    around alpha, keeping outcomes with |beta - alpha|^2 <= dim - 2 sqrt(dim).
+    """
     joint = joint_state(alpha, r, dim)
     target = coherent_state(alpha, dim)
-    half = grid.half_width_scale * math.cosh(r)
-    step = 2.0 * half / grid.n
-    xs = -half + (np.arange(grid.n) + 0.5) * step
-    lam_max = dim - grid.guard * math.sqrt(dim)
+    half = 5.0 * math.cosh(r)
+    step = 2.0 * half / n
+    xs = -half + (np.arange(n) + 0.5) * step
+    lam_max = dim - 2.0 * math.sqrt(dim)
     density = fidelity = 0.0
     kept = 0
     for dx in xs:
@@ -336,11 +341,11 @@ def reference_grid_integrals(alpha, r, dim, grid):
                 continue
             kept += 1
             beta = alpha + complex(dx, dy)
-            proj = project_bell(joint, beta, dim)
+            proj = project_bell(joint, beta)
             sent = expm_displacement(beta, dim) @ proj.state
             density += proj.density * step * step
             fidelity += proj.density * abs(np.vdot(target, sent)) ** 2 * step * step
-    assert 0 < kept < grid.n**2  # the guard skips some outcomes
+    assert 0 < kept < n**2  # the guard skips some outcomes
     return density, fidelity
 
 
@@ -350,15 +355,16 @@ def reference_grid_integrals(alpha, r, dim, grid):
     [(0.4 + 0.2j, 0.0, 20), (0.3 - 0.1j, 0.5, 20), (-0.2 + 0.6j, 0.7, 20), (0.5 - 0.3j, 1.5, 32)],
 )
 def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
-    grid = BetaGrid(n=11)
-    density, fidelity = reference_grid_integrals(alpha, r, dim, grid)
-    assert abs(bell_completeness(alpha, r, dim, grid) - density) < 1e-12
-    assert abs(oracle_average_fidelity(alpha, r, dim, grid) - fidelity) < 1e-12
+    density, fidelity = reference_grid_integrals(alpha, r, dim, 11)
+    assert abs(bell_completeness(alpha, r, dim, n=11) - density) < 1e-12
+    assert abs(oracle_average_fidelity(alpha, r, dim, n=11) - fidelity) < 1e-12
 
 
 def test_beta_grid_validation():
-    with pytest.raises(ValueError):
-        BetaGrid(n=2)
+    with pytest.raises(ValueError, match="at least 3 points"):
+        oracle_average_fidelity(0.0, 0.5, 10, n=2)
+    with pytest.raises(ValueError, match="at least 3 points"):
+        bell_completeness(0.0, 0.5, 10, n=2)
 
 
 def test_run_all_checks_default_pass():
@@ -396,11 +402,3 @@ def test_run_all_checks_rejects_tiny_dims(dims):
 def test_run_all_checks_rejects_dims_above_cap(dims, name, cap):
     with pytest.raises(ValueError, match=f"{name} must be at most {cap}, got {cap + 1}"):
         run_all_checks(*dims)
-
-
-def test_run_all_checks_tolerance_override():
-    results = run_all_checks(tolerances={"average_fidelity": 1e-12})
-    by_name = {r.name: r for r in results}
-    assert not by_name["average_fidelity"].passed
-    with pytest.raises(ValueError):
-        run_all_checks(tolerances={"no_such_check": 1.0})

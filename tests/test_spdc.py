@@ -91,6 +91,53 @@ def test_eta_at_radius_side_lobes_negative():
     assert eta_at_radius(rho, ring) < 0.0
 
 
+def test_eta_at_radius_keeps_plain_formula_where_finite():
+    # the overflow fallback must not touch a single bit of an ordinary profile
+    rng = np.random.default_rng(4)
+    for r0, R, Xi in ((1.0, 0.5, 1.5), (0.7, 0.5, 10.0), (12.3, 0.07, 2.0), (0.0, 3.0, 0.9)):
+        ring = RingParams(r0=r0, R=R, Xi=Xi)
+        rho = np.concatenate([rng.uniform(0.0, r0 + 4 * R, 4000), [0.0, r0]])
+        plain = Xi * np.sinc((rho * rho - r0**2) / R**2 / np.pi)
+        assert np.array_equal(eta_at_radius(rho, ring), plain)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "r0,R,rho,want",
+    [
+        # r0**2 overflows: exact ring radius, a step off it, far inside
+        (1e160, 1.0, 1e160, 1.0),
+        (1e160, 1.0, 1.0000000000000002e160, 0.0),
+        (1e160, 1.0, 3.0, 0.0),
+        # both squares overflow, yet u = (rho - r0)(rho + r0)/R^2 = 2e-10 exactly
+        (1e160, 1e160, 1e160 + 1e150, math.sin(2e-10) / 2e-10),
+        # R**2 underflows to zero
+        (1.0, 1e-170, 1.0, 1.0),
+        (1.0, 1e-170, 0.5, 0.0),
+        # subnormal R: u = 1 at rho = R
+        (0.0, 1e-320, 1e-320, math.sin(1.0)),
+        # rho**2 overflows or rho itself is infinite
+        (1.0, 0.5, 1e200, 0.0),
+        (1.0, 0.5, math.inf, 0.0),
+    ],
+)
+def test_eta_at_radius_beyond_float64(r0, R, rho, want):
+    # |sinc u| <= 1/|u| puts every far-off case within 1e-300 of its limit 0
+    ring = RingParams(r0=r0, R=R, Xi=2.0)
+    assert eta_at_radius(rho, ring) == pytest.approx(2.0 * want, rel=1e-12, abs=1e-300)
+    assert eta_at_radius(np.array([rho, rho]), ring).tolist() == pytest.approx([2.0 * want] * 2, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"f": 1e300, "theta_d": 1.5707963267948}, {"L": 1e-300, "k_p": 1e-300}, {"f": 1e308}],
+    ids=["r0-overflows", "width-divides-by-zero", "width-overflows"],
+)
+def test_ring_from_spdc_rejects_rings_beyond_float64(changes):
+    with pytest.raises(ValueError, match="outside float64's range"):
+        ring_from_spdc(make_params(**changes))
+
+
 def test_ring_from_spdc_collinear():
     ring = ring_from_spdc(make_params(theta_d=0.0))
     assert ring.r0 == 0.0
@@ -224,6 +271,14 @@ def test_radial_profile_peak_normalization():
     assert eta[peak] == 7.0
     assert np.all(eta_norm <= 1.0)
     assert eta_at_radius(ring.r0, ring) == 7.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r0,R", [(1e160, 1.0), (1e200, 1.0), (1.0, 1e-200)])
+def test_radial_profile_beyond_float64_is_finite(r0, R):
+    x, eta, eta_norm = radial_profile(RingParams(r0=r0, R=R, Xi=1.0), 64)
+    assert np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_norm))
+    assert x[np.argmax(eta_norm)] == r0 and np.max(eta_norm) == 1.0
 
 
 def test_radial_profile_collinear_disk():
