@@ -8,10 +8,17 @@ Subcommands:
 * ``oracle-verify``: run the Fock-space oracle suite and print a table.
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
-or unwritable files, 3 oracle check failure.  With the numpy version and its
-SIMD dispatch fixed, a ``teleport`` run is reproducible: its output bytes
-depend only on the seed, the shot count and the input.  Another numpy or CPU
-may change the last bits, but not the statistics the tests check.
+or unwritable files, 3 oracle check failure.  :func:`main` is the one place
+where errors become exit codes: any ``ValueError``, ``ConfigError``
+included, is an input error and exits 1, and ``ImageFormatError`` or
+``OSError`` exits 2, each with one ``error:`` line.  The grid corner must
+be finite, so a ``pitch`` whose centered corner -width*pitch/2 overflows
+exits 1 and writes nothing.
+
+With the numpy version and its SIMD dispatch fixed, a ``teleport`` run is
+reproducible: its output bytes depend only on the seed, the shot count and
+the input.  Another numpy or CPU may change the last bits, but not the
+statistics the tests check.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, fock, spdc
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, squeezing_settings
 from .grid import GridGeometry, decompose, synthesize
 from .imagefile import ImageFormatError, _fmt, read_image, write_image
 
@@ -49,24 +56,9 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
 
 
 def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list[tuple[str, str]]:
-    params: list[tuple[str, str]] = [("mode", cfg.mode)]
-    if cfg.mode == "ideal":
-        params.append(("ideal_r", _fmt(cfg.ideal_r)))
-    elif cfg.ring is not None:
-        params += [("ring_r0", _fmt(cfg.ring.r0)), ("ring_width", _fmt(cfg.ring.R)), ("ring_xi", _fmt(cfg.ring.Xi))]
-    else:
-        s = cfg.spdc
-        params += [
-            ("spdc_pump_waist", _fmt(s.w_p)),
-            ("spdc_mode_waist", _fmt(s.w_0)),
-            ("spdc_length", _fmt(s.L)),
-            ("spdc_pump_k", _fmt(s.k_p)),
-            ("spdc_signal_k", _fmt(s.k_d)),
-            ("spdc_angle", _fmt(s.theta_d)),
-            ("spdc_focal", _fmt(s.f)),
-            ("spdc_xi", _fmt(s.Xi)),
-        ]
-    params += [
+    return [
+        ("mode", cfg.mode),
+        *((key, _fmt(value)) for key, value in squeezing_settings(cfg)),
         ("seed", str(cfg.seed)),
         ("n_shots", str(cfg.n_shots)),
         ("width", str(geometry.width)),
@@ -77,7 +69,6 @@ def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list
         ("raw_plane", str(raw_plane).lower()),
         ("input", cfg.input_path),
     ]
-    return params
 
 
 def cmd_teleport(args) -> int:
@@ -98,22 +89,18 @@ def cmd_teleport(args) -> int:
     height, width = samples.shape
     geometry = GridGeometry(width=width, height=height, pitch=cfg.pitch, origin=cfg.origin)
     field = decompose(samples, geometry)
-
-    try:
-        if cfg.mode == "ideal":
-            profile = spdc.SqueezingProfile.uniform(geometry, cfg.ideal_r)
-        else:
-            ring = cfg.ring if cfg.ring is not None else spdc.ring_from_spdc(cfg.spdc)
-            profile = spdc.profile_for_grid(geometry, ring)
-        out_field, fmap = channel.teleport_image(
-            field,
-            profile,
-            seed=cfg.seed,
-            n_shots=cfg.n_shots,
-            raw_plane=args.raw_plane,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.mode == "ideal":
+        profile = spdc.SqueezingProfile.uniform(geometry, cfg.ideal_r)
+    else:
+        ring = cfg.ring if cfg.ring is not None else spdc.ring_from_spdc(cfg.spdc)
+        profile = spdc.profile_for_grid(geometry, ring)
+    out_field, fmap = channel.teleport_image(
+        field,
+        profile,
+        seed=cfg.seed,
+        n_shots=cfg.n_shots,
+        raw_plane=args.raw_plane,
+    )
     # dividing by a pitch can overflow where multiplying by it did not
     with np.errstate(over="ignore", invalid="ignore"):
         out_samples = synthesize(out_field)
@@ -122,23 +109,21 @@ def cmd_teleport(args) -> int:
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
+    fidelity = _fmt(fmap.image_fidelity)
     write_image(cfg.output_path, out_samples, comments=tuple(comments))
     _write_csv(
         cfg.fidelity_map_path,
-        comments + [f"image_fidelity={_fmt(fmap.image_fidelity)}"],
+        comments + [f"image_fidelity={fidelity}"],
         ",".join(f"col{i}" for i in range(geometry.width)),
         fmap.per_pixel,
     )
 
-    summary = dict(params)
-    summary["image_fidelity"] = _fmt(fmap.image_fidelity)
-    summary["output"] = cfg.output_path
-    summary["fidelity_map"] = cfg.fidelity_map_path
+    summary = dict(params, image_fidelity=fidelity, output=cfg.output_path, fidelity_map=cfg.fidelity_map_path)
     if args.json:
         Path(cfg.summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     else:
         Path(cfg.summary_path).write_text("".join(f"{k}={v}\n" for k, v in summary.items()))
-    print(f"image_fidelity={_fmt(fmap.image_fidelity)}")
+    print(f"image_fidelity={fidelity}")
     return 0
 
 
@@ -147,93 +132,67 @@ def _ring(r0: float, width: float, xi: float) -> spdc.RingParams:
     for flag, value in (("--r0", r0), ("--ring-width", width), ("--xi", xi), ("--r0 + 4 * --ring-width", span)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    try:
-        return spdc.RingParams(r0=r0, R=width, Xi=xi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return spdc.RingParams(r0=r0, R=width, Xi=xi)
 
 
-def _profile_comments(ring: spdc.RingParams, samples: int) -> list[str]:
-    return [
-        f"r0={_fmt(ring.r0)}",
-        f"ring_width={_fmt(ring.R)}",
-        f"xi={_fmt(ring.Xi)}",
-        f"samples={samples}",
-    ]
+def _curve_jobs(
+    args, preset: str, stem: str, preset_xis, flag_xis
+) -> list[tuple[Path | str, list[spdc.RingParams]]]:
+    """Check the curve flags and return (CSV path, one ring per Xi) for each file to write.
 
-
-def _check_samples(samples: int) -> None:
-    if samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, got {samples}")
+    ``--preset`` gives the three FIG3_PAIRS geometries at ``preset_xis``, one file each in ``--out-dir``.
+    Otherwise ``--r0`` and ``--ring-width`` give one geometry at ``flag_xis()``, written to ``--out``;
+    ``flag_xis`` is called only then, so a preset ignores ``--xi``.
+    """
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+    if args.preset:
+        outdir = Path(args.out_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        return [
+            (outdir / f"{stem}_r0-{r0}_R-{width}.csv", [_ring(r0, width, xi) for xi in preset_xis])
+            for r0, width in FIG3_PAIRS
+        ]
+    if args.r0 is None or args.ring_width is None:
+        raise ConfigError(f"{args.command} needs --r0 and --ring-width (or --preset {preset})")
+    return [(args.out, [_ring(args.r0, args.ring_width, xi) for xi in flag_xis()])]
 
 
 def cmd_profile(args) -> int:
-    _check_samples(args.samples)
-    if args.preset:
-        outdir = Path(args.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for r0, width in FIG3_PAIRS:
-            ring = spdc.RingParams(r0=r0, R=width, Xi=1.0)
-            rows = np.column_stack(spdc.radial_profile(ring, args.samples))
-            path = outdir / f"ring_profile_r0-{r0}_R-{width}.csv"
-            _write_csv(path, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", rows)
-            print(path)
-        return 0
-    if args.r0 is None or args.ring_width is None:
-        raise ConfigError("profile needs --r0 and --ring-width (or --preset fig3)")
-    ring = _ring(args.r0, args.ring_width, args.xi)
-    rows = np.column_stack(spdc.radial_profile(ring, args.samples))
-    _write_csv(args.out, _profile_comments(ring, args.samples), "x,eta,eta_sq_norm", rows)
-    print(args.out)
+    for path, (ring,) in _curve_jobs(args, "fig3", "ring_profile", (1.0,), lambda: (args.xi,)):
+        xi = f"xi={_fmt(ring.Xi)}"
+        comments = [f"r0={_fmt(ring.r0)}", f"ring_width={_fmt(ring.R)}", xi, f"samples={args.samples}"]
+        _write_csv(path, comments, "x,eta,eta_sq_norm", np.column_stack(spdc.radial_profile(ring, args.samples)))
+        print(path)
     return 0
+
+
+def _xi_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--xi must be a comma-separated number list, got {text!r}") from None
 
 
 def cmd_fidelity_curve(args) -> int:
-    _check_samples(args.samples)
-    if args.preset:
-        outdir = Path(args.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for r0, width in FIG3_PAIRS:
-            path = outdir / f"fidelity_curve_r0-{r0}_R-{width}.csv"
-            _emit_fidelity_curve(path, r0, width, FIG4_XIS, args.samples)
-            print(path)
-        return 0
-    if args.r0 is None or args.ring_width is None:
-        raise ConfigError("fidelity-curve needs --r0 and --ring-width (or --preset fig4)")
-    try:
-        xis = tuple(float(v) for v in args.xi.split(","))
-    except ValueError:
-        raise ConfigError(f"--xi must be a comma-separated number list, got {args.xi!r}") from None
-    _emit_fidelity_curve(args.out, args.r0, args.ring_width, xis, args.samples)
-    print(args.out)
+    for path, rings in _curve_jobs(args, "fig4", "fidelity_curve", FIG4_XIS, lambda: _xi_list(args.xi)):
+        cols = []
+        for ring in rings:
+            x, eta, _ = spdc.radial_profile(ring, args.samples)
+            cols.append(channel.average_fidelity(np.abs(eta)))
+        xis = [_fmt(ring.Xi) for ring in rings]
+        xi_list = "xi_list=" + ",".join(xis)
+        comments = [f"r0={_fmt(ring.r0)}", f"ring_width={_fmt(ring.R)}", xi_list, f"samples={args.samples}"]
+        header = "x," + ",".join(f"fidelity_xi_{xi}" for xi in xis)
+        _write_csv(path, comments, header, np.column_stack((x, *cols)))
+        print(path)
     return 0
 
 
-def _emit_fidelity_curve(path, r0: float, width: float, xis, samples: int) -> None:
-    cols = []
-    x = None
-    for xi in xis:
-        ring = _ring(r0, width, xi)
-        x, eta, _ = spdc.radial_profile(ring, samples)
-        cols.append(channel.average_fidelity(np.abs(eta)))
-    comments = [
-        f"r0={_fmt(r0)}",
-        f"ring_width={_fmt(width)}",
-        f"xi_list={','.join(_fmt(v) for v in xis)}",
-        f"samples={samples}",
-    ]
-    header = "x," + ",".join(f"fidelity_xi_{_fmt(v)}" for v in xis)
-    _write_csv(path, comments, header, np.column_stack((x, *cols)))
-
-
 def cmd_oracle_verify(args) -> int:
-    try:
-        results = fock.run_all_checks(dim=args.dim, photo_dim=args.photo_dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
+    results = fock.run_all_checks(dim=args.dim, photo_dim=args.photo_dim)
     failing = [r.name for r in results if not r.passed]
     if args.json:
         payload = {
@@ -310,13 +269,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError or any other invalid input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ImageFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ImageFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,40 +20,28 @@ from dataclasses import dataclass
 from .channel import MAX_R
 from .spdc import RingParams, SpdcParams
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "squeezing_settings"]
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-_RING_KEYS = ("ring_r0", "ring_width", "ring_xi")
+# (config key, dataclass field) for each squeezing source, in the order a run echoes them
+_RING_KEYS = (("ring_r0", "r0"), ("ring_width", "R"), ("ring_xi", "Xi"))
 _SPDC_KEYS = (
-    "spdc_pump_waist",
-    "spdc_mode_waist",
-    "spdc_length",
-    "spdc_pump_k",
-    "spdc_signal_k",
-    "spdc_angle",
-    "spdc_focal",
-    "spdc_xi",
+    ("spdc_pump_waist", "w_p"),
+    ("spdc_mode_waist", "w_0"),
+    ("spdc_length", "L"),
+    ("spdc_pump_k", "k_p"),
+    ("spdc_signal_k", "k_d"),
+    ("spdc_angle", "theta_d"),
+    ("spdc_focal", "f"),
+    ("spdc_xi", "Xi"),
 )
 _KNOWN_KEYS = frozenset(
-    (
-        "mode",
-        "input",
-        "output",
-        "fidelity_map",
-        "summary",
-        "seed",
-        "n_shots",
-        "pitch",
-        "origin_x",
-        "origin_y",
-        "ideal_r",
-    )
-    + _RING_KEYS
-    + _SPDC_KEYS
+    ("mode", "input", "output", "fidelity_map", "summary", "seed", "n_shots", "pitch", "origin_x", "origin_y")
+    + ("ideal_r", *(key for key, _ in _RING_KEYS + _SPDC_KEYS))
 )
 
 
@@ -147,8 +135,8 @@ def parse_config(text: str) -> RunConfig:
     if "origin_x" in raw:
         cfg.origin = (_to_float("origin_x", raw["origin_x"]), _to_float("origin_y", raw["origin_y"]))
 
-    ring_given = [k for k in _RING_KEYS if k in raw]
-    spdc_given = [k for k in _SPDC_KEYS if k in raw]
+    ring_given = [k for k, _ in _RING_KEYS if k in raw]
+    spdc_given = [k for k, _ in _SPDC_KEYS if k in raw]
     if mode == "ideal":
         if "ideal_r" not in raw:
             raise ConfigError("mode=ideal requires ideal_r")
@@ -158,46 +146,37 @@ def parse_config(text: str) -> RunConfig:
         if cfg.ideal_r < 0:
             raise ConfigError("ideal_r must be non-negative")
         _check_r("ideal_r", cfg.ideal_r)
+        return cfg
+    if "ideal_r" in raw:
+        raise ConfigError("mode=spdc takes no ideal_r")
+    if ring_given and spdc_given:
+        raise ConfigError("give ring_* or spdc_* parameters, not both")
+    for given, table, name in ((ring_given, _RING_KEYS, "ring"), (spdc_given, _SPDC_KEYS, "spdc")):
+        if len(given) not in (0, len(table)):
+            missing = sorted({key for key, _ in table} - set(given))
+            raise ConfigError(f"incomplete {name} parameters, missing {missing}")
+    if not ring_given and not spdc_given:
+        raise ConfigError("mode=spdc requires ring_* or spdc_* parameters")
+    table, cls = (_RING_KEYS, RingParams) if ring_given else (_SPDC_KEYS, SpdcParams)
+    values = {field: _to_float(key, raw[key]) for key, field in table}
+    try:
+        params = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _check_r("ring_xi" if ring_given else "spdc_xi", params.Xi)
+    if ring_given:
+        cfg.ring = params
     else:
-        if "ideal_r" in raw:
-            raise ConfigError("mode=spdc takes no ideal_r")
-        if ring_given and spdc_given:
-            raise ConfigError("give ring_* or spdc_* parameters, not both")
-        if len(ring_given) not in (0, len(_RING_KEYS)):
-            missing = sorted(set(_RING_KEYS) - set(ring_given))
-            raise ConfigError(f"incomplete ring parameters, missing {missing}")
-        if len(spdc_given) not in (0, len(_SPDC_KEYS)):
-            missing = sorted(set(_SPDC_KEYS) - set(spdc_given))
-            raise ConfigError(f"incomplete spdc parameters, missing {missing}")
-        if not ring_given and not spdc_given:
-            raise ConfigError("mode=spdc requires ring_* or spdc_* parameters")
-        try:
-            if ring_given:
-                cfg.ring = RingParams(
-                    r0=_to_float("ring_r0", raw["ring_r0"]),
-                    R=_to_float("ring_width", raw["ring_width"]),
-                    Xi=_to_float("ring_xi", raw["ring_xi"]),
-                )
-            else:
-                cfg.spdc = SpdcParams(
-                    w_p=_to_float("spdc_pump_waist", raw["spdc_pump_waist"]),
-                    w_0=_to_float("spdc_mode_waist", raw["spdc_mode_waist"]),
-                    L=_to_float("spdc_length", raw["spdc_length"]),
-                    k_p=_to_float("spdc_pump_k", raw["spdc_pump_k"]),
-                    k_d=_to_float("spdc_signal_k", raw["spdc_signal_k"]),
-                    theta_d=_to_float("spdc_angle", raw["spdc_angle"]),
-                    f=_to_float("spdc_focal", raw["spdc_focal"]),
-                    Xi=_to_float("spdc_xi", raw["spdc_xi"]),
-                )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-        if cfg.ring is not None:
-            _check_r("ring_xi", cfg.ring.Xi)
-        else:
-            _check_r("spdc_xi", cfg.spdc.Xi)
+        cfg.spdc = params
     return cfg
+
+
+def squeezing_settings(cfg: RunConfig) -> list[tuple[str, float]]:
+    """(config key, value) pairs that set the squeezing of ``cfg``: ``ideal_r``, or the ring_* or spdc_* keys."""
+    if cfg.mode == "ideal":
+        return [("ideal_r", cfg.ideal_r)]
+    table, params = (_RING_KEYS, cfg.ring) if cfg.ring is not None else (_SPDC_KEYS, cfg.spdc)
+    return [(key, getattr(params, field)) for key, field in table]
 
 
 def load_config(path) -> RunConfig:

@@ -12,6 +12,7 @@ a centered grid it maps each pixel center to the negated center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ class GridGeometry:
     origin : tuple of float
         Transverse position of the grid corner (the corner of pixel (0, 0)
         nearest to negative x and y).  Pixel centers sit at
-        ``origin + (i + 0.5, j + 0.5) * pitch``.
+        ``origin + (i + 0.5, j + 0.5) * pitch``.  It must be finite, also
+        when centered: ``-0.5 * width * pitch`` overflows for a huge pitch.
     """
 
     width: int
@@ -56,6 +58,8 @@ class GridGeometry:
             object.__setattr__(self, "origin", centered_origin(self.width, self.height, self.pitch))
         else:
             object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -10,6 +10,7 @@ import pytest
 
 from pixelport import channel, fock
 from pixelport.cli import MAX_SAMPLES, _write_csv, main
+from pixelport.config import parse_config
 from pixelport.imagefile import read_image, write_image
 
 RING_CFG = """
@@ -307,6 +308,106 @@ def test_teleport_raw_plane_reflects(tmp_path, capsys):
     capsys.readouterr()
 
 
+SOURCE_ECHO = {
+    "ideal": ["ideal_r=1.0"],
+    "ring": ["ring_r0=1.0", "ring_width=0.5", "ring_xi=1.5"],
+    "spdc": [
+        "spdc_pump_waist=200.0",
+        "spdc_mode_waist=15.0",
+        "spdc_length=5.0",
+        "spdc_pump_k=10.0",
+        "spdc_signal_k=5.05",
+        "spdc_angle=0.1",
+        "spdc_focal=100.0",
+        "spdc_xi=1.0",
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SOURCE_ECHO))
+def test_teleport_echoes_run_parameters_in_order(tmp_path, capsys, mode):
+    assert _run_teleport(tmp_path, mode, n_shots=2) == 0
+    capsys.readouterr()
+    params = [
+        f"mode={BASE_SETTINGS[mode]['mode']}",
+        *SOURCE_ECHO[mode],
+        "seed=0",
+        "n_shots=2",
+        "width=6",
+        "height=4",
+        "pitch=1.0",
+        "origin_x=-3.0",
+        "origin_y=-2.0",
+        "raw_plane=false",
+        f"input={tmp_path / 'in.csv'}",
+    ]
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert summary[: len(params)] == params
+    keys = [line.partition("=")[0] for line in summary[len(params) :]]
+    assert keys == ["image_fidelity", "output", "fidelity_map"]
+    assert summary[-2:] == [f"output={tmp_path / 'out.csv'}", f"fidelity_map={tmp_path / 'fmap.csv'}"]
+    assert read_image(tmp_path / "out.csv")[2] == params
+    fmap_comments = [line[2:] for line in (tmp_path / "fmap.csv").read_text().splitlines() if line.startswith("# ")]
+    assert fmap_comments == params + [summary[len(params)]]
+
+
+HUGE_PITCH = "1.7976931348623157e308"
+# the centred grid's corner -0.5 * width * HUGE_PITCH overflows; samples * pitch does not
+ROW_IMAGE = np.array([[0.5, 0.25, 0.125]], dtype=complex)
+
+
+def test_teleport_origin_overflow_exits_cleanly(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", ROW_IMAGE)
+    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid origin must be finite") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
+
+
+# summary keys that describe the run's outputs rather than configure it
+NOT_CONFIG_KEYS = ("width", "height", "raw_plane", "image_fidelity", "output", "fidelity_map")
+
+
+def replay_config(summary_path) -> str:
+    """The key=value summary at summary_path as config text, without the keys no config takes."""
+    lines = Path(summary_path).read_text().splitlines()
+    items = (line.partition("=") for line in lines)
+    return "".join(f"{k} = {v}\n" for k, _, v in items if k not in NOT_CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("mode", sorted(BASE_SETTINGS))
+@pytest.mark.parametrize(
+    "grid",
+    [{}, {"pitch": 0.5, "origin_x": -0.75, "origin_y": 0.25}, {"pitch": HUGE_PITCH}],
+    ids=["default-grid", "explicit-grid", "huge-pitch"],
+)
+def test_summary_replays_as_config(tmp_path, capsys, monkeypatch, mode, grid):
+    write_image(tmp_path / "in.csv", ROW_IMAGE)
+    first = tmp_path / "first"
+    first.mkdir()
+    monkeypatch.chdir(first)
+    cfg = first / "run.cfg"
+    settings = {**BASE_SETTINGS[mode], **grid, "input": tmp_path / "in.csv"}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    flags = ["--shots", "2", "--seed", "3"]
+    if main(["teleport", "--config", str(cfg), *flags]) == 1:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in first.iterdir()] == ["run.cfg"]
+        return
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    monkeypatch.chdir(replay)
+    text = replay_config(first / "summary.txt")
+    parse_config(text)
+    (replay / "run.cfg").write_text(text)
+    assert main(["teleport", "--config", str(replay / "run.cfg"), *flags]) == 0
+    capsys.readouterr()
+    for name in ("teleported.csv", "fidelity_map.csv"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_teleport_missing_config(tmp_path, capsys):
     assert main(["teleport", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -410,7 +511,7 @@ def test_profile_single_ring(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.strip() == str(out)
     lines = out.read_text().splitlines()
-    assert "x,eta,eta_sq_norm" in lines
+    assert lines[:5] == ["# r0=1.0", "# ring_width=0.5", "# xi=1.5", "# samples=64", "x,eta,eta_sq_norm"]
     data = np.array([[float(c) for c in l.split(",")] for l in lines if not l.startswith("#") and "," in l and not l.startswith("x")])
     assert data.shape[1] == 3 and data.shape[0] in (64, 65)
     # normalized curve peaks at exactly 1 on the ring radius
@@ -487,7 +588,12 @@ def test_profile_preset_fig3(tmp_path, capsys):
         "ring_profile_r0-1.0_R-0.5.csv",
         "ring_profile_r0-1.0_R-0.7.csv",
     ]
-    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+    pairs = [("1.0", "0.5"), ("1.0", "0.7"), ("0.7", "0.5")]
+    paths = [tmp_path / f"ring_profile_r0-{r0}_R-{w}.csv" for r0, w in pairs]
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in paths)
+    for path, (r0, w) in zip(paths, pairs):
+        head = [f"# r0={r0}", f"# ring_width={w}", "# xi=1.0", "# samples=32", "x,eta,eta_sq_norm"]
+        assert path.read_text().splitlines()[:5] == head
 
 
 def test_fidelity_curve_values(tmp_path, capsys):
@@ -499,6 +605,7 @@ def test_fidelity_curve_values(tmp_path, capsys):
     lines = out.read_text().splitlines()
     header = next(l for l in lines if l.startswith("x,"))
     assert header == "x,fidelity_xi_1.0,fidelity_xi_10.0"
+    assert lines[:5] == ["# r0=1.0", "# ring_width=0.5", "# xi_list=1.0,10.0", "# samples=97", header]
     data = np.array([[float(c) for c in l.split(",")] for l in lines if l[:1].isdigit() or l[:1] == "-"])
     assert data.shape == (97, 3)
     # 97 samples over [0, 3] put x = r0 = 1.0 exactly on the grid
@@ -526,7 +633,12 @@ def test_fidelity_curve_preset_fig4(tmp_path, capsys):
     for name in names:
         header = next(l for l in (tmp_path / name).read_text().splitlines() if l.startswith("x,"))
         assert header == "x,fidelity_xi_1.0,fidelity_xi_10.0"
-    capsys.readouterr()
+    pairs = [("1.0", "0.5"), ("1.0", "0.7"), ("0.7", "0.5")]
+    paths = [tmp_path / f"fidelity_curve_r0-{r0}_R-{w}.csv" for r0, w in pairs]
+    assert capsys.readouterr().out == "".join(f"{p}\n" for p in paths)
+    for path, (r0, w) in zip(paths, pairs):
+        head = [f"# r0={r0}", f"# ring_width={w}", "# xi_list=1.0,10.0", "# samples=32", header]
+        assert path.read_text().splitlines()[:5] == head
 
 
 def test_oracle_verify_json_passes(capsys):

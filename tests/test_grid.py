@@ -19,6 +19,16 @@ def test_geometry_validation():
         GridGeometry(4, 4, pitch=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"pitch": float(np.finfo(float).max)}, {"origin": (np.inf, 0.0)}, {"origin": (0.0, np.nan)}],
+    ids=["centered-corner-overflows", "inf-origin", "nan-origin"],
+)
+def test_geometry_rejects_nonfinite_origin(kwargs):
+    with pytest.raises(ValueError, match="grid origin must be finite"):
+        GridGeometry(3, 1, **kwargs)
+
+
 def test_default_origin_centers_grid():
     g = GridGeometry(4, 4, pitch=1.0)
     assert g.origin == (-2.0, -2.0)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from pixelport import fock
 from pixelport.channel import MAX_SHOTS
 from pixelport.cli import MAX_SAMPLES, main
+from pixelport.config import parse_config
 from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
+from test_cli import HUGE_PITCH, ROW_IMAGE, replay_config
 
 # the example files are rewritten on every example, so one tmp_path serves all
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -174,6 +176,7 @@ IMAGE = np.array([[1.0 + 0.5j, -0.25j], [2.0, 0.0]])
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=["--shots", "1"])
 @example(settings=_config("ideal", n_shots=str(MAX_SHOTS + 1)), image=IMAGE, flags=[])
 @example(settings=_config("ideal"), image=IMAGE, flags=["--shots", str(MAX_SHOTS + 1)])
+@example(settings=_config("ideal", pitch=HUGE_PITCH), image=ROW_IMAGE, flags=[])
 def test_teleport_any_config_exits_cleanly(tmp_path, settings, image, flags):
     write_image(tmp_path / "in.csv", image)
     outputs = [tmp_path / name for name in ("out.csv", "fmap.csv", "summary.txt")]
@@ -186,6 +189,9 @@ def test_teleport_any_config_exits_cleanly(tmp_path, settings, image, flags):
         assert got.shape == image.shape
         rows = [line for line in outputs[1].read_text().splitlines() if not line.startswith("#")][1:]
         assert np.all(np.isfinite(np.loadtxt(rows, delimiter=",", ndmin=2)))
+        if "--json" not in flags:
+            # the key=value summary configures the same run again
+            parse_config(replay_config(outputs[2]))
 
 
 CURVE_NUMBERS = st.one_of(
