@@ -7,9 +7,12 @@ keys are rejected rather than silently dropped.
 The channel is configured either with a uniform squeezing (``mode = ideal``,
 ``ideal_r``) or from a down-conversion profile (``mode = spdc``) given as
 ring parameters (``ring_r0``, ``ring_width``, ``ring_xi``) or as the full
-physical parameter set (``spdc_*``), but never both.  Numbers must be
-finite, the seed non-negative, and ``ideal_r``, ``ring_xi`` and ``spdc_xi``
-at most :data:`pixelport.channel.MAX_R`.
+physical parameter set (``spdc_*``), but never both.  :func:`parse_config`
+checks the text, which keys are given and that numbers are finite.
+:class:`RunConfig` checks each value, also after :func:`dataclasses.replace`:
+the seed and ``n_shots`` non-negative, ``n_shots`` at most ``MAX_SHOTS``,
+``pitch`` positive, ``ideal_r`` non-negative, and ``ideal_r``, ``ring_xi``
+and ``spdc_xi`` at most ``MAX_R`` (both from :mod:`pixelport.channel`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import MAX_R
+from .channel import MAX_R, MAX_SHOTS
 from .spdc import RingParams, SpdcParams
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "squeezing_settings"]
@@ -45,9 +48,9 @@ _KNOWN_KEYS = frozenset(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one teleportation run needs."""
+    """Everything one teleportation run needs; ConfigError names the first value out of range."""
 
     mode: str
     input_path: str
@@ -61,6 +64,22 @@ class RunConfig:
     ideal_r: float | None = None
     ring: RingParams | None = None
     spdc: SpdcParams | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.n_shots < 0:
+            raise ConfigError("n_shots must be non-negative")
+        if self.n_shots > MAX_SHOTS:
+            raise ConfigError(f"n_shots must be at most {MAX_SHOTS}, got {self.n_shots}")
+        if not self.pitch > 0:
+            raise ConfigError("pitch must be positive")
+        if self.ideal_r is not None and self.ideal_r < 0:
+            raise ConfigError("ideal_r must be non-negative")
+        ring_xi, spdc_xi = getattr(self.ring, "Xi", None), getattr(self.spdc, "Xi", None)
+        for key, r in (("ideal_r", self.ideal_r), ("ring_xi", ring_xi), ("spdc_xi", spdc_xi)):
+            if r is not None and not r <= MAX_R:
+                raise ConfigError(f"{key} must be at most {MAX_R!r}, got {r!r}")
 
 
 def _to_int(key: str, raw: str) -> int:
@@ -78,11 +97,6 @@ def _to_float(key: str, raw: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {raw!r}")
     return value
-
-
-def _check_r(key: str, value: float) -> None:
-    if value > MAX_R:
-        raise ConfigError(f"{key} must be at most {MAX_R!r}, got {value!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -111,29 +125,14 @@ def parse_config(text: str) -> RunConfig:
     if "input" not in raw:
         raise ConfigError("missing required key 'input'")
 
-    cfg = RunConfig(mode=mode, input_path=raw["input"])
-    if "output" in raw:
-        cfg.output_path = raw["output"]
-    if "fidelity_map" in raw:
-        cfg.fidelity_map_path = raw["fidelity_map"]
-    if "summary" in raw:
-        cfg.summary_path = raw["summary"]
-    if "seed" in raw:
-        cfg.seed = _to_int("seed", raw["seed"])
-        if cfg.seed < 0:
-            raise ConfigError("seed must be non-negative")
-    if "n_shots" in raw:
-        cfg.n_shots = _to_int("n_shots", raw["n_shots"])
-        if cfg.n_shots < 0:
-            raise ConfigError("n_shots must be non-negative")
+    fields = {f"{key}_path": raw[key] for key in ("input", "output", "fidelity_map", "summary") if key in raw}
+    fields.update({key: _to_int(key, raw[key]) for key in ("seed", "n_shots") if key in raw})
     if "pitch" in raw:
-        cfg.pitch = _to_float("pitch", raw["pitch"])
-        if not cfg.pitch > 0:
-            raise ConfigError("pitch must be positive")
+        fields["pitch"] = _to_float("pitch", raw["pitch"])
     if ("origin_x" in raw) != ("origin_y" in raw):
         raise ConfigError("origin_x and origin_y must be given together")
     if "origin_x" in raw:
-        cfg.origin = (_to_float("origin_x", raw["origin_x"]), _to_float("origin_y", raw["origin_y"]))
+        fields["origin"] = (_to_float("origin_x", raw["origin_x"]), _to_float("origin_y", raw["origin_y"]))
 
     ring_given = [k for k, _ in _RING_KEYS if k in raw]
     spdc_given = [k for k, _ in _SPDC_KEYS if k in raw]
@@ -142,11 +141,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("mode=ideal requires ideal_r")
         if ring_given or spdc_given:
             raise ConfigError("mode=ideal takes no ring_*/spdc_* keys")
-        cfg.ideal_r = _to_float("ideal_r", raw["ideal_r"])
-        if cfg.ideal_r < 0:
-            raise ConfigError("ideal_r must be non-negative")
-        _check_r("ideal_r", cfg.ideal_r)
-        return cfg
+        return RunConfig(mode=mode, ideal_r=_to_float("ideal_r", raw["ideal_r"]), **fields)
     if "ideal_r" in raw:
         raise ConfigError("mode=spdc takes no ideal_r")
     if ring_given and spdc_given:
@@ -163,12 +158,7 @@ def parse_config(text: str) -> RunConfig:
         params = cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_r("ring_xi" if ring_given else "spdc_xi", params.Xi)
-    if ring_given:
-        cfg.ring = params
-    else:
-        cfg.spdc = params
-    return cfg
+    return RunConfig(mode=mode, **{"ring" if ring_given else "spdc": params}, **fields)
 
 
 def squeezing_settings(cfg: RunConfig) -> list[tuple[str, float]]:

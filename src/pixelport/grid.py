@@ -8,6 +8,8 @@ anti-correlated in pairs under point reflection through the grid center:
 pixel (i, j) pairs with (width-1-i, height-1-j), which is where a downstream
 receiver's copy of it lands.  On an array that is ``[::-1, ::-1]``, and on
 a centered grid it maps each pixel center to the negated center.
+
+A corner, amplitude, output sample or center past float64 raises ValueError.
 """
 
 from __future__ import annotations
@@ -102,22 +104,36 @@ def decompose(samples: np.ndarray, geometry: GridGeometry) -> ImageField:
 
     The mode value is taken constant over each pixel, so the amplitude of
     pixel j is the sample times the square root of the pixel area:
-    ``samples * pitch``.
+    ``samples * pitch``.  ValueError if finite samples overflow there;
+    ImageField names non-finite ones.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != geometry.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {geometry.shape}")
-    return ImageField(geometry, samples * geometry.pitch)
+    with np.errstate(over="ignore"):
+        amps = samples * geometry.pitch
+    if not np.all(np.isfinite(amps.view(float))) and np.all(np.isfinite(samples.view(float))):
+        raise ValueError(f"pitch = {float(geometry.pitch)!r} makes the amplitudes samples * pitch overflow")
+    return ImageField(geometry, amps)
 
 
 def synthesize(fieldarr: ImageField) -> np.ndarray:
-    """Exact inverse of :func:`decompose`: recover the center samples."""
-    return fieldarr.amplitudes / fieldarr.geometry.pitch
+    """Exact inverse of :func:`decompose`: recover the center samples; ValueError if they overflow."""
+    pitch = float(fieldarr.geometry.pitch)
+    with np.errstate(over="ignore", invalid="ignore"):  # dividing can overflow where multiplying did not
+        samples = fieldarr.amplitudes / pitch
+    if not np.all(np.isfinite(samples.view(float))):
+        raise ValueError(f"pitch = {pitch!r} makes the output samples amplitudes / pitch overflow")
+    return samples
 
 
 def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width)."""
+    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width); ValueError past float64."""
     ox, oy = geometry.origin
+    for axis, origin, n in (("x", ox, geometry.width), ("y", oy, geometry.height)):
+        last = origin + (n - 0.5) * geometry.pitch  # Python floats: an overflow gives inf, not a warning
+        if not math.isfinite(last):
+            raise ValueError(f"pixel centers must be finite, got origin_{axis} + ({n} - 0.5) * pitch = {last!r}")
     xs = ox + (np.arange(geometry.width) + 0.5) * geometry.pitch
     ys = oy + (np.arange(geometry.height) + 0.5) * geometry.pitch
     return np.meshgrid(xs, ys)

@@ -162,7 +162,8 @@ def ring_from_spdc(params: SpdcParams) -> RingParams:
 def profile_for_grid(geometry: GridGeometry, ring: RingParams) -> SqueezingProfile:
     """Per-pixel squeezing magnitudes |eta| at the pixel centers."""
     x, y = pixel_centers(geometry)
-    rho = np.hypot(x, y)
+    with np.errstate(over="ignore"):  # an infinite radius is sinc's limit 0 in eta_at_radius
+        rho = np.hypot(x, y)
     return SqueezingProfile(geometry, np.abs(eta_at_radius(rho, ring)))
 
 

@@ -141,7 +141,7 @@ def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):
     cfg = write_ideal_config(tmp_path, 1.0, n_shots=1)
     assert main(["teleport", "--config", str(cfg), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
-    assert "--seed must be non-negative" in err
+    assert err == "error: seed must be non-negative\n"
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
@@ -163,9 +163,9 @@ BASE_SETTINGS = {
 }
 
 
-def _run_teleport(tmp_path, mode, n_shots=1, **changes):
-    """Teleport the 4x6 sample image with BASE_SETTINGS[mode] plus changes; returns the exit code."""
-    write_image(tmp_path / "in.csv", sample_image())
+def _run_teleport(tmp_path, mode, n_shots=1, image=None, **changes):
+    """Teleport image (default sample_image()) with BASE_SETTINGS[mode] plus changes; returns the exit code."""
+    write_image(tmp_path / "in.csv", sample_image() if image is None else image)
     settings = {
         **BASE_SETTINGS[mode],
         "input": tmp_path / "in.csv",
@@ -226,6 +226,10 @@ def test_teleport_shot_mean_overflow_exits_cleanly(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
 
+# finite pixel centres whose distance from the axis, hypot(x, y), overflows: the ring is sinc's limit 0 there
+RADIUS_OVERFLOWS = {"origin_x": "1.5e308", "origin_y": "1.5e308"}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "mode,changes",
@@ -233,11 +237,20 @@ def test_teleport_shot_mean_overflow_exits_cleanly(tmp_path, capsys):
         ("ring", {"ring_r0": "1e160"}),
         ("ring", {"ring_width": "1e-170"}),
         ("ring", {"origin_x": "1e200", "origin_y": "1e200"}),
+        ("ring", RADIUS_OVERFLOWS),
         ("ring", {"pitch": "1e300"}),
         ("spdc", {"spdc_focal": "1e300", "spdc_angle": "1.5707963267948"}),
         ("spdc", {"spdc_length": "1e-300", "spdc_pump_k": "1e-300"}),
     ],
-    ids=["r0-squared-overflows", "width-squared-underflows", "far-grid", "huge-pitch", "spdc-r0-big", "spdc-width-inf"],
+    ids=[
+        "r0-squared-overflows",
+        "width-squared-underflows",
+        "far-grid",
+        "radius-overflows",
+        "huge-pitch",
+        "spdc-r0-big",
+        "spdc-width-inf",
+    ],
 )
 def test_teleport_rings_beyond_float64_exit_cleanly(tmp_path, capsys, mode, changes):
     code = _run_teleport(tmp_path, mode, n_shots=0, **changes)
@@ -363,6 +376,52 @@ def test_teleport_origin_overflow_exits_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grid origin must be finite") and len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
+
+
+# a 2x2 image whose samples * HUGE_PITCH stay finite
+QUARTER_IMAGE = np.full((2, 2), 0.25 + 0j)
+# ring grids with a finite corner whose last pixel centre on x, origin_x + 1.5 * pitch, overflows
+CENTERS_PAST_FLOAT64 = [
+    {"origin_x": HUGE_PITCH, "origin_y": "0", "pitch": "1e300"},
+    {"origin_x": "-" + HUGE_PITCH, "origin_y": "0", "pitch": HUGE_PITCH},
+]
+
+
+@pytest.mark.parametrize("grid", CENTERS_PAST_FLOAT64, ids=["sum-overflows", "product-overflows"])
+def test_teleport_pixel_centers_past_float64_exit_cleanly(tmp_path, capsys, grid):
+    assert _run_teleport(tmp_path, "ring", n_shots=0, image=QUARTER_IMAGE, **grid) == 1
+    err = capsys.readouterr().err
+    assert err == "error: pixel centers must be finite, got origin_x + (2 - 0.5) * pitch = inf\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
+
+
+def test_teleport_ideal_huge_pitch_computes_no_centers(tmp_path, capsys):
+    # the centred corner -pitch is finite, and an ideal run never asks for the pixel centres
+    write_image(tmp_path / "in.csv", QUARTER_IMAGE)
+    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    got, _, _ = read_image(tmp_path / "out.csv")
+    np.testing.assert_array_equal(got, np.tanh(1.0) * (QUARTER_IMAGE * float(HUGE_PITCH)) / float(HUGE_PITCH))
+
+
+def test_teleport_reports_the_corner_before_the_amplitudes(tmp_path, capsys):
+    # 4 * HUGE_PITCH overflows too, but the grid is built, and its corner checked, first
+    write_image(tmp_path / "in.csv", ROW_IMAGE * 8)
+    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
+    assert main(["teleport", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid origin must be finite")
+
+
+@pytest.mark.parametrize("in_config", [True, False], ids=["config-key", "shots-flag"])
+def test_teleport_checks_shots_cap_before_reading_input(tmp_path, capsys, in_config):
+    # in.csv does not exist: an unreadable input would exit 2
+    cap = channel.MAX_SHOTS
+    cfg = write_ideal_config(tmp_path, 1.0, **({"n_shots": cap + 1} if in_config else {}))
+    flags = [] if in_config else ["--shots", str(cap + 1)]
+    assert main(["teleport", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"error: n_shots must be at most {cap}, got {cap + 1}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 # summary keys that describe the run's outputs rather than configure it

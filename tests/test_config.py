@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
-from pixelport.channel import MAX_R
-from pixelport.config import ConfigError, load_config, parse_config
+from pixelport.channel import MAX_R, MAX_SHOTS
+from pixelport.config import ConfigError, RunConfig, load_config, parse_config
 
 IDEAL = """
 # a comment
@@ -98,6 +99,7 @@ def test_spdc_mode():
         (IDEAL + "seed = 1.5\n", "seed must be an integer"),
         (IDEAL + "seed = -1\n", "seed must be non-negative"),
         (IDEAL + "n_shots = -1\n", "n_shots must be non-negative"),
+        (IDEAL + "n_shots = 524289\n", "n_shots must be at most 524288, got 524289"),
         (IDEAL + "pitch = 0\n", "pitch must be positive"),
         (IDEAL + "pitch = abc\n", "pitch must be a number"),
         (IDEAL + "pitch = inf\n", "pitch must be finite"),
@@ -167,3 +169,18 @@ def test_load_config_undecodable_file(tmp_path):
     path.write_bytes(b"mode = ideal\n# \xff\n")
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(path)
+
+
+def test_run_config_checks_values_built_in_python():
+    with pytest.raises(ConfigError, match="^seed must be non-negative$"):
+        RunConfig(mode="ideal", input_path="in.csv", ideal_r=1.0, seed=-1)
+    cfg = parse_config(IDEAL)
+    with pytest.raises(ConfigError, match=f"^n_shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
+        dataclasses.replace(cfg, n_shots=MAX_SHOTS + 1)
+    assert dataclasses.replace(cfg, n_shots=MAX_SHOTS).n_shots == MAX_SHOTS
+
+
+def test_run_config_is_frozen():
+    cfg = parse_config(IDEAL)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1

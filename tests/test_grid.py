@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,44 @@ def test_image_field_rejects_nonfinite():
     bad = np.array([[1.0, np.inf], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         ImageField(g, bad)
+
+
+MAX = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: decompose(np.full((2, 2), 1e10 + 0j), GridGeometry(2, 2, pitch=1e300)), "amplitudes samples"),
+        (lambda: synthesize(ImageField(GridGeometry(1, 1, pitch=1e-320), np.ones((1, 1)))), "output samples"),
+    ],
+    ids=["decompose", "synthesize"],
+)
+def test_scaling_overflow_raises_without_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^pitch = .* makes the {message} .* overflow$"):
+            call()
+
+
+def test_decompose_names_nonfinite_samples_not_the_pitch():
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        decompose(np.array([[np.nan + 0j]]), GridGeometry(1, 1, pitch=2.0))
+
+
+@pytest.mark.parametrize(
+    "origin,pitch", [((MAX, 0.0), 1e300), ((-MAX, 0.0), MAX)], ids=["sum-overflows", "product-overflows"]
+)
+def test_pixel_centers_past_float64_raise_without_warning(origin, pitch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"pixel centers must be finite, got origin_x \+ \(2 - 0\.5\)"):
+            pixel_centers(GridGeometry(2, 2, pitch=pitch, origin=origin))
+
+
+def test_pixel_centers_near_float64_edge():
+    # the products (i + 0.5) * pitch reach 0.75 * MAX, and the corner -MAX brings every center back in range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y = pixel_centers(GridGeometry(2, 2, pitch=MAX / 2, origin=(-MAX, -MAX)))
+    assert x[0].tolist() == [-MAX + MAX / 4, -MAX + 0.75 * MAX] and np.all(y == x.T)

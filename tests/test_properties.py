@@ -16,7 +16,7 @@ from pixelport.channel import MAX_SHOTS
 from pixelport.cli import MAX_SAMPLES, main
 from pixelport.config import parse_config
 from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
-from test_cli import HUGE_PITCH, ROW_IMAGE, replay_config
+from test_cli import CENTERS_PAST_FLOAT64, HUGE_PITCH, QUARTER_IMAGE, RADIUS_OVERFLOWS, ROW_IMAGE, replay_config
 
 # the example files are rewritten on every example, so one tmp_path serves all
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -170,6 +170,9 @@ IMAGE = np.array([[1.0 + 0.5j, -0.25j], [2.0, 0.0]])
 @example(settings=_config("ring", ring_width="1e-170"), image=IMAGE, flags=[])
 @example(settings=_config("ring", origin_x="1e200", origin_y="1e200"), image=IMAGE, flags=[])
 @example(settings=_config("ring", pitch="1e300"), image=IMAGE, flags=["--shots", "1"])
+@example(settings=_config("ring", **CENTERS_PAST_FLOAT64[0]), image=QUARTER_IMAGE, flags=[])
+@example(settings=_config("ring", **CENTERS_PAST_FLOAT64[1]), image=QUARTER_IMAGE, flags=[])
+@example(settings=_config("ring", **RADIUS_OVERFLOWS), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_focal="1e300", spdc_angle="1.5707963267948"), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_length="1e-300", spdc_pump_k="1e-300"), image=IMAGE, flags=[])
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=[])
