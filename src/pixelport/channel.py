@@ -133,9 +133,10 @@ def teleport_image(
         [2*n_shots*k, 2*n_shots*(k+1)) of its ``standard_normal`` stream:
         the n_shots real parts of beta, then the n_shots imaginary parts.
     n_shots : int
-        0 runs the analytic channel (no sampling): the output keeps the
-        deterministic throughput tanh(r)*alpha and the fidelity map holds the
-        exact outcome average (1 + tanh r)/2.  1 draws a single stochastic
+        0 runs the analytic channel (no sampling): the output is
+        tanh(r)*alpha, which is the output at outcome beta = 0 and not the
+        shot mean (that tends to alpha), and the fidelity map holds the exact
+        outcome average (1 + tanh r)/2.  1 draws a single stochastic
         realization per pixel.  Larger values report per-pixel Monte Carlo
         means over that many shots, at most MAX_SHOTS.
     raw_plane : bool

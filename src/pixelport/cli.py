@@ -38,21 +38,22 @@ from .imagefile import ImageFormatError, _fmt, read_image, write_image
 
 FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
-# Largest --samples for profile and fidelity-curve.  A run holds about 600
-# bytes per radial sample, so it peaks near 90 MB at the cap.
+# Largest --samples for profile and fidelity-curve.  With three columns a run
+# holds about 500 bytes per radial sample, so it peaks near 85 MB at the cap.
 MAX_SAMPLES = 100_000
 
 
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
     # A fidelity map repeats most of its values, so each distinct bit pattern
     # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
     rows = np.asarray(rows, dtype=float)
     patterns, inverse = np.unique(rows.view(np.int64), return_inverse=True)
     text = np.array([repr(v) for v in patterns.view(float).tolist()], dtype=object)
-    lines += [",".join(row) for row in text[inverse.reshape(rows.shape)].tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(header + "\n")
+        for row in inverse.reshape(rows.shape):
+            fh.write(",".join(text[row].tolist()) + "\n")
 
 
 def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list[tuple[str, str]]:
@@ -86,24 +87,20 @@ def cmd_teleport(args) -> int:
     out_field, fmap = channel.teleport_image(
         field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane
     )
-    out_samples = synthesize(out_field)
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
     fidelity = _fmt(fmap.image_fidelity)
-    write_image(cfg.output_path, out_samples, comments=tuple(comments))
-    _write_csv(
-        cfg.fidelity_map_path,
-        comments + [f"image_fidelity={fidelity}"],
-        ",".join(f"col{i}" for i in range(geometry.width)),
-        fmap.per_pixel,
-    )
+    write_image(cfg.output_path, synthesize(out_field), comments=tuple(comments))
+    header = ",".join(f"col{i}" for i in range(geometry.width))
+    _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fmap.per_pixel)
 
     summary = dict(params, image_fidelity=fidelity, output=cfg.output_path, fidelity_map=cfg.fidelity_map_path)
     if args.json:
-        Path(cfg.summary_path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     else:
-        Path(cfg.summary_path).write_text("".join(f"{k}={v}\n" for k, v in summary.items()))
+        text = "".join(f"{k}={v}\n" for k, v in summary.items())
+    Path(cfg.summary_path).write_text(text, encoding="utf-8")
     print(f"image_fidelity={fidelity}")
     return 0
 

@@ -10,14 +10,16 @@ ring parameters (``ring_r0``, ``ring_width``, ``ring_xi``) or as the full
 physical parameter set (``spdc_*``), but never both.  :func:`parse_config`
 checks the text, which keys are given and that numbers are finite.
 :class:`RunConfig` checks each value, also after :func:`dataclasses.replace`:
-the seed and ``n_shots`` non-negative, ``n_shots`` at most ``MAX_SHOTS``,
-``pitch`` positive, ``ideal_r`` non-negative, and ``ideal_r``, ``ring_xi``
-and ``spdc_xi`` at most ``MAX_R`` (both from :mod:`pixelport.channel`).
+the seed and ``n_shots`` non-negative integers, ``n_shots`` at most
+``MAX_SHOTS``, ``pitch`` positive, ``pitch`` and the origin finite,
+``ideal_r`` non-negative, and ``ideal_r``, ``ring_xi`` and ``spdc_xi`` at
+most ``MAX_R`` (both from :mod:`pixelport.channel`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .channel import MAX_R, MAX_SHOTS
@@ -66,14 +68,18 @@ class RunConfig:
     spdc: SpdcParams | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.n_shots < 0:
-            raise ConfigError("n_shots must be non-negative")
+        for key, value in (("seed", self.seed), ("n_shots", self.n_shots)):
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"{key} must be non-negative")
         if self.n_shots > MAX_SHOTS:
             raise ConfigError(f"n_shots must be at most {MAX_SHOTS}, got {self.n_shots}")
         if not self.pitch > 0:
             raise ConfigError("pitch must be positive")
+        for key, value in (("pitch", self.pitch), *zip(("origin_x", "origin_y"), self.origin or ())):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         if self.ideal_r is not None and self.ideal_r < 0:
             raise ConfigError("ideal_r must be non-negative")
         ring_xi, spdc_xi = getattr(self.ring, "Xi", None), getattr(self.spdc, "Xi", None)

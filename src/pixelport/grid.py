@@ -38,7 +38,8 @@ class GridGeometry:
     width, height : int
         Pixel counts along x and y.
     pitch : float
-        Side length of one (square) pixel.  The pixel area is ``pitch**2``.
+        Side length of one (square) pixel, positive and finite.  The pixel
+        area is ``pitch**2``.
     origin : tuple of float
         Transverse position of the grid corner (the corner of pixel (0, 0)
         nearest to negative x and y).  Pixel centers sit at
@@ -54,8 +55,8 @@ class GridGeometry:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("grid needs at least one pixel per axis")
-        if not self.pitch > 0:
-            raise ValueError("pitch must be positive")
+        if not 0 < self.pitch < math.inf:
+            raise ValueError(f"pitch must be positive and finite, got {self.pitch!r}")
         if self.origin is None:
             object.__setattr__(self, "origin", centered_origin(self.width, self.height, self.pitch))
         else:

@@ -11,11 +11,14 @@ with encoding either ``re_im`` (each pixel as real,imag) or ``amp_phase``
 ``re_im`` is written.  Every data row holds one image row as 2*width
 comma-separated numbers.  Lines starting with ``#`` after the header carry
 run parameters and are ignored on read.  Values are written with shortest
-round-trip formatting, so write -> read -> write is byte-stable.
+round-trip formatting, so write -> read -> write is byte-stable.  Reading and
+writing hold one row of text at a time: each row is written as soon as it is
+formatted, and read rows go straight into numpy's text reader.
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -40,51 +43,16 @@ def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> No
     if samples.ndim != 2:
         raise ValueError("image must be a 2D array")
     height, width = samples.shape
-    lines = [MAGIC, f"{width} {height}", "re_im"]
-    lines += [f"# {c}" for c in comments]
-    # one row of (re, im) pairs at a time, so no whole-image list is built
-    lines += [",".join(map(repr, row.tolist())) for row in np.ascontiguousarray(samples).view(float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{MAGIC}\n{width} {height}\nre_im\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        for row in np.ascontiguousarray(samples).view(float):
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _parse_rows(rows: list[str]) -> np.ndarray:
-    """Parse comma-separated rows of numbers with numpy's C text reader."""
-    return np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-
-
-def read_image(path) -> tuple[np.ndarray, str, list[str]]:
-    """Read an image file; returns (samples, encoding, comments).
-
-    The file must be UTF-8.  A cell must be a number that numpy's text reader
-    parses: ASCII decimal, ``inf`` or ``nan``, with optional surrounding
-    whitespace.  Underscore separators and non-ASCII digits are non-numeric
-    cells.  Non-finite values are rejected after parsing.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
-
-    lines = text.splitlines()
-    if len(lines) < 3:
-        raise ImageFormatError(f"{path}: truncated header")
-    if lines[0].strip() != MAGIC:
-        raise ImageFormatError(f"{path}: bad magic line {lines[0]!r}")
-    dims = lines[1].split()
-    try:
-        width, height = int(dims[0]), int(dims[1])
-    except (IndexError, ValueError) as exc:
-        raise ImageFormatError(f"{path}: bad dimension line {lines[1]!r}") from exc
-    if width < 1 or height < 1:
-        raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    encoding = lines[2].strip()
-    if encoding not in ENCODINGS:
-        raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
-
-    comments: list[str] = []
-    rows: list[str] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(lines[3:], start=4):
+def _data_rows(lines, path, width: int, height: int, comments: list[str], linenos: list[int]):
+    """Yield the payload's data rows; collect comments and line numbers; check each row's and the rows' count."""
+    for lineno, line in enumerate(lines, start=4):
         stripped = line.strip()
         if not stripped:
             continue
@@ -94,21 +62,63 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         count = stripped.count(",") + 1
         if count != 2 * width:
             raise ImageFormatError(f"{path}:{lineno}: expected {2 * width} values per row, got {count}")
-        rows.append(stripped)
         linenos.append(lineno)
-    if len(rows) != height:
-        raise ImageFormatError(f"{path}: expected {height} data rows, found {len(rows)}")
+        yield stripped
+    # raised before numpy's reader sees the end, so an empty payload never reaches it
+    if len(linenos) != height:
+        raise ImageFormatError(f"{path}: expected {height} data rows, found {len(linenos)}")
 
+
+def _cannot_read(path, exc: Exception) -> ImageFormatError:
+    if isinstance(exc, UnicodeDecodeError):
+        try:  # a streamed decode error counts from its buffer; decoding the whole file names the file offset
+            Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as whole:
+            exc = whole
+    return ImageFormatError(f"cannot read {path}: {exc}")
+
+
+def read_image(path) -> tuple[np.ndarray, str, list[str]]:
+    """Read an image file; returns (samples, encoding, comments).
+
+    The file must be UTF-8.  A cell must be a number that numpy's text reader
+    parses: ASCII decimal, ``inf`` or ``nan``, with optional surrounding
+    whitespace.  Underscore separators and non-ASCII digits are non-numeric
+    cells.  Non-finite values are rejected after parsing.  Lines are numbered
+    as ``str.splitlines`` numbers them, and the first fault in file order is
+    reported.
+    """
     try:
-        data = _parse_rows(rows)
-    except ValueError:
-        # parse row by row only to name the first bad line
-        for lineno, row in zip(linenos, rows):
+        with open(path, encoding="utf-8") as fh:
+            # str.splitlines also breaks at \x0c, \u2028 and the like: rows and line numbers follow it
+            lines = (part for line in fh for part in line.splitlines())
+            header = list(itertools.islice(lines, 3))
+            if len(header) < 3:
+                raise ImageFormatError(f"{path}: truncated header")
+            if header[0].strip() != MAGIC:
+                raise ImageFormatError(f"{path}: bad magic line {header[0]!r}")
+            dims = header[1].split()
             try:
-                _parse_rows([row])
+                width, height = int(dims[0]), int(dims[1])
+            except (IndexError, ValueError) as exc:
+                raise ImageFormatError(f"{path}: bad dimension line {header[1]!r}") from exc
+            if width < 1 or height < 1:
+                raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
+            encoding = header[2].strip()
+            if encoding not in ENCODINGS:
+                raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
+            comments: list[str] = []
+            linenos: list[int] = []
+            rows = _data_rows(lines, path, width, height, comments, linenos)
+            try:
+                data = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+            except UnicodeDecodeError:  # a ValueError too, but of the file, not of a cell
+                raise
             except ValueError as exc:
-                raise ImageFormatError(f"{path}:{lineno}: non-numeric cell") from exc
-        raise
+                # numpy's C text reader pulls one row at a time, so the bad cell is on the last row pulled
+                raise ImageFormatError(f"{path}:{linenos[-1]}: non-numeric cell") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot_read(path, exc) from exc
     data = data.reshape(height, width, 2)
     if not np.all(np.isfinite(data)):
         raise ImageFormatError(f"{path}: non-finite values")

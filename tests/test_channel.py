@@ -294,3 +294,20 @@ def test_analytic_fidelity_never_below_floor():
     field = ImageField(g, np.zeros((5, 5), dtype=complex))
     _, fmap = teleport_image(field, profile, seed=0, n_shots=0)
     assert np.all(fmap.per_pixel >= 0.5)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: tanh(r) * (alpha - beta) + beta cancels to the rounding error of beta, "
+    "about 1e-16 cosh(r), so the output loses the input (by r = 100 every output is 0)",
+)
+@pytest.mark.parametrize("r", [40.0, 100.0, channel.MAX_R])
+def test_teleport_image_single_shot_keeps_the_input_at_large_r(r):
+    g = GridGeometry(8, 8)
+    rng = np.random.default_rng(41)
+    amps = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    out, fmap = teleport_image(ImageField(g, amps), SqueezingProfile.uniform(g, r), seed=5, n_shots=1)
+    assert fmap.image_fidelity == 1.0
+    # the output is alpha plus noise of standard deviation e^-r / sqrt(2) per quadrature, and rounding
+    assert np.all(np.abs(out.amplitudes - amps) <= 8.0 * math.exp(-r) + 4.0 * np.finfo(float).eps * np.abs(amps))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +499,39 @@ def test_teleport_undecodable_image(tmp_path, capsys):
     assert main(["teleport", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
+
+
+def test_teleport_header_only_image_exits_with_one_line(tmp_path, capsys):
+    # numpy's reader warns on an empty payload, so the reader must never hand it one
+    inp = tmp_path / "in.csv"
+    inp.write_text("pixelport-image-v1\n2 2\nre_im\n# a comment\n\n")
+    cfg = write_ideal_config(tmp_path, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["teleport", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {inp}: expected 2 data rows, found 0\n"
+
+
+def test_every_output_is_written_as_utf8(tmp_path):
+    # a non-ASCII input path is echoed into "# input=...", so no writer may fall back to the locale's encoding
+    write_image(tmp_path / "in é.csv", sample_image())
+    (tmp_path / "run.cfg").write_text("mode = ideal\ninput = in é.csv\nideal_r = 1.0\nn_shots = 1\n", encoding="utf-8")
+    cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "pixelport.cli"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = (
+        ["teleport", "--config", "run.cfg"],
+        ["teleport", "--config", "run.cfg", "--json"],
+        ["profile", "--preset", "fig3", "--out-dir", "curves é"],
+        ["fidelity-curve", "--preset", "fig4", "--out-dir", "curves é"],
+    )
+    for argv in runs:
+        proc = subprocess.run(cmd + argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    _, _, comments = read_image(tmp_path / "teleported.csv")
+    assert "input=in é.csv" in comments
+    assert json.loads((tmp_path / "summary.txt").read_text(encoding="utf-8"))["input"] == "in é.csv"
+    assert "input=in é.csv" in (tmp_path / "fidelity_map.csv").read_text(encoding="utf-8")
+    assert len(list((tmp_path / "curves é").glob("*.csv"))) == 6
 
 
 def test_teleport_undecodable_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pixelport.channel import MAX_R, MAX_SHOTS
@@ -178,6 +179,29 @@ def test_run_config_checks_values_built_in_python():
     with pytest.raises(ConfigError, match=f"^n_shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
         dataclasses.replace(cfg, n_shots=MAX_SHOTS + 1)
     assert dataclasses.replace(cfg, n_shots=MAX_SHOTS).n_shots == MAX_SHOTS
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"pitch": math.inf}, "pitch must be finite, got inf"),
+        ({"origin": (math.nan, 0.0)}, "origin_x must be finite, got nan"),
+        ({"origin": (0.0, -math.inf)}, "origin_y must be finite, got -inf"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"n_shots": 2.0}, "n_shots must be an integer, got 2.0"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+    ],
+    ids=["inf-pitch", "nan-origin-x", "inf-origin-y", "float-seed", "float-shots", "str-seed"],
+)
+def test_run_config_rejects_values_the_text_cannot_give(change, message):
+    # a library caller can build these; the config text cannot
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        dataclasses.replace(parse_config(IDEAL), **change)
+
+
+def test_run_config_takes_numpy_integers():
+    cfg = dataclasses.replace(parse_config(IDEAL), seed=np.int64(3), n_shots=np.uint8(2), origin=(1.0, -2.0))
+    assert (cfg.seed, cfg.n_shots, cfg.origin) == (3, 2, (1.0, -2.0))
 
 
 def test_run_config_is_frozen():

@@ -31,6 +31,13 @@ def test_geometry_rejects_nonfinite_origin(kwargs):
         GridGeometry(3, 1, **kwargs)
 
 
+@pytest.mark.parametrize("pitch", [np.inf, np.nan, -np.inf, 0.0])
+def test_geometry_rejects_pitch_that_is_not_positive_and_finite(pitch):
+    # with an explicit origin nothing else would catch an infinite pitch
+    with pytest.raises(ValueError, match="^pitch must be positive and finite, got "):
+        GridGeometry(1, 1, pitch=pitch, origin=(0.0, 0.0))
+
+
 def test_default_origin_centers_grid():
     g = GridGeometry(4, 4, pitch=1.0)
     assert g.origin == (-2.0, -2.0)

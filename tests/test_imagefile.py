@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,3 +173,97 @@ def test_read_names_the_first_bad_line(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(ImageFormatError, match=r"img\.csv:8: non-numeric cell"):
         read_image(path)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _payload(rng, height, width):
+    return [",".join(map(repr, row)) for row in rng.normal(size=(height, 2 * width)).tolist()]
+
+
+def test_read_late_invalid_utf8_is_unreadable_not_a_bad_cell(tmp_path):
+    # the reader decodes as it goes: a bad byte far past its first buffer is still a file it cannot read
+    rows = _payload(np.random.default_rng(31), 2000, 2)
+    text = "\n".join([MAGIC, "2 2000", "re_im", *rows]) + "\n"
+    data = text.encode()
+    at = data.index(rows[1800].encode())
+    assert len(data) > 64 * 1024 and at > 64 * 1024
+    path = tmp_path / "late.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    with pytest.raises(ImageFormatError, match=f"^cannot read .*late.csv: .* byte 0xff in position {at}: "):
+        read_image(path)
+
+
+def test_read_header_only_payload_warns_nothing(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(f"{MAGIC}\n2 2\nre_im\n# just a comment\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ImageFormatError, match=r"empty\.csv: expected 2 data rows, found 0$"):
+            read_image(path)
+
+
+def test_read_names_a_bad_cell_deep_in_a_large_file(tmp_path):
+    rows = _payload(np.random.default_rng(32), 5000, 2)
+    rows[2999] = "0.5,0.5,x,0.5"
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join([MAGIC, "2 5000", "re_im", *rows]) + "\n")
+    # data row 3000 is line 3003, under the three header lines
+    with pytest.raises(ImageFormatError, match=r"big\.csv:3003: non-numeric cell$"):
+        read_image(path)
+
+
+def test_read_sizes_nothing_from_the_header(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(f"{MAGIC}\n2 1000000000\nre_im\n1.0,0.0,0.0,0.0\n")
+
+    def read():
+        with pytest.raises(ImageFormatError, match="expected 1000000000 data rows, found 1$"):
+            read_image(path)
+
+    assert _traced_peak(read) < 1 << 20
+
+
+# separators that str.splitlines breaks at, and the line numbers it gives
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"], ids=["crlf", "cr", "form-feed", "line-separator"])
+def test_read_numbers_lines_as_splitlines_does(tmp_path, sep):
+    rows = _payload(np.random.default_rng(33), 3, 2)
+    lines = [MAGIC, "2 3", "re_im", "# a = 1", rows[0], "", "#b", rows[1], rows[2]]
+    reference = tmp_path / "lf.csv"
+    reference.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "sep.csv"
+    path.write_bytes((sep.join(lines) + sep).encode())
+    want, _, _ = read_image(reference)
+    got, encoding, comments = read_image(path)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert (encoding, comments) == ("re_im", ["a = 1", "b"])
+    # a bad cell on line 8 and a short row on line 8, as str.splitlines counts them
+    for bad, fragment in (("0.5,x,0.5,0.5", "non-numeric cell"), ("0.5,0.5", "expected 4 values per row, got 2")):
+        path.write_bytes(sep.join(lines[:7] + [bad] + lines[8:]).encode())
+        with pytest.raises(ImageFormatError, match=rf"sep\.csv:8: {fragment}$"):
+            read_image(path)
+
+
+def _image_256():
+    rng = np.random.default_rng(34)
+    return rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+
+
+def test_read_image_holds_one_row_of_text(tmp_path):
+    img = _image_256()
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    assert path.stat().st_size > 2 * img.nbytes  # the whole text would not fit under the bound
+    assert _traced_peak(read_image, path) <= 2 * img.nbytes
+
+
+def test_write_image_holds_one_row_of_text(tmp_path):
+    img = _image_256()
+    assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
