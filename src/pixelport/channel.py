@@ -16,7 +16,10 @@ The teleportation fidelity for one outcome is
 F(beta) = exp(-(1 - tanh r)^2 |alpha - beta|^2), averaging to (1 + tanh r)/2.
 Whole images draw every pixel's outcomes from one seeded generator in
 row-major pixel order and evaluate them as array expressions, block by
-block; the blocks only bound memory and never change a result.
+block; the blocks only bound memory and never change a result.  A shot is
+evaluated from its offset beta - alpha = cosh(r)/sqrt(2) z, never from beta:
+since (1 - tanh r) cosh r = e^-r, the output is alpha + e^-r/sqrt(2) z and the
+fidelity exp(-e^-2r |z|^2 / 2), with no cancellation at any r.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ __all__ = [
 ]
 
 # Largest supported squeezing.  cosh(r) overflows float64 at r = 710.48;
-# stopping at 700 leaves a factor e^10 of headroom, so the sampled outcomes
-# alpha + cosh(r)/sqrt(2) * z stay finite for any normal draw z.
+# stopping at 700 leaves a factor e^10 of headroom, so the outcomes
+# alpha + cosh(r)/sqrt(2) * z of sample_bell_outcomes stay finite for any
+# normal draw z.
 MAX_R = 700.0
 
 # Normals drawn per block of whole pixels in teleport_image.  It bounds the
@@ -169,16 +173,17 @@ def teleport_image(
         fid = np.empty(g.n_pixels, dtype=float)
         rng = np.random.default_rng(seed)
         step = max(1, _BLOCK_NORMALS // (2 * n_shots))
-        # Amplitudes near the float64 limit can overflow in the draws or the
-        # shot mean; that is reported once below instead of as a warning.
+        # The offset form of the module docstring.  Amplitudes near the float64
+        # limit can overflow in the shot mean; that is reported once below
+        # instead of as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, g.n_pixels, step):
-                a = flat_a[lo : lo + step]
-                r = flat_r[lo : lo + step]
-                beta = sample_bell_outcomes(a, r, rng, n_shots)
-                a, r = a[:, None], r[:, None]
-                out[lo : lo + step] = feedback_displace(conditional_amplitude(a, beta, r), beta).mean(axis=-1)
-                fid[lo : lo + step] = conditional_fidelity(a, beta, r).mean(axis=-1)
+                a = flat_a[lo : lo + step, None]
+                c = np.exp(-flat_r[lo : lo + step, None]) / math.sqrt(2.0)
+                z = rng.standard_normal((a.shape[0], 2, n_shots))
+                z_re, z_im = z[:, 0, :], z[:, 1, :]
+                out[lo : lo + step] = (a.real + c * z_re + 1j * (a.imag + c * z_im)).mean(axis=-1)
+                fid[lo : lo + step] = np.exp(-(c * c) * (z_re * z_re + z_im * z_im)).mean(axis=-1)
         if not np.all(np.isfinite(out.view(float))):
             raise ValueError("the teleported amplitudes overflow float64; use a smaller pitch or input")
         out = out.reshape(g.shape)

@@ -40,7 +40,11 @@ FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
 # Largest --samples for profile and fidelity-curve.  With three columns a run
 # holds about 500 bytes per radial sample, so it peaks near 85 MB at the cap.
+# Each further fidelity-curve column adds about 150 bytes per sample, so that
+# command also caps its cells: (1 + number of --xi values) * --samples may be
+# at most MAX_CELLS, the three columns of a run at the cap.
 MAX_SAMPLES = 100_000
+MAX_CELLS = 3 * MAX_SAMPLES
 
 
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
@@ -147,15 +151,20 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _xi_list(text: str) -> tuple[float, ...]:
+def _xi_list(text: str, samples: int) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        xis = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"--xi must be a comma-separated number list, got {text!r}") from None
+    if (1 + len(xis)) * samples > MAX_CELLS:
+        raise ConfigError(
+            f"(1 + number of --xi values) * --samples must be at most {MAX_CELLS}, got {1 + len(xis)} * {samples}"
+        )
+    return xis
 
 
 def cmd_fidelity_curve(args) -> int:
-    for path, rings in _curve_jobs(args, "fig4", "fidelity_curve", FIG4_XIS, lambda: _xi_list(args.xi)):
+    for path, rings in _curve_jobs(args, "fig4", "fidelity_curve", FIG4_XIS, lambda: _xi_list(args.xi, args.samples)):
         cols = []
         for ring in rings:
             x, eta, _ = spdc.radial_profile(ring, args.samples)

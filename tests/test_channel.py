@@ -204,12 +204,12 @@ def test_teleport_image_single_shot_matches_pixel_streams(n_shots):
         for i in range(g.width):
             k = j * g.width + i
             alpha, r = amps[j, i], rs[j, i]
-            s = np.cosh(r) / math.sqrt(2.0)
+            # offset form: beta - alpha = cosh(r)/sqrt(2) z and (1 - tanh r) cosh r = e^-r
+            c = np.exp(-r) / math.sqrt(2.0)
             draws = z[2 * n_shots * k : 2 * n_shots * (k + 1)]
-            beta = alpha.real + s * draws[:n_shots] + 1j * (alpha.imag + s * draws[n_shots:])
-            output = np.tanh(r) * (alpha - beta) + beta
-            d = np.abs(alpha - beta)
-            fidelity = np.exp(-((1.0 - np.tanh(r)) ** 2) * d * d)
+            z_re, z_im = draws[:n_shots], draws[n_shots:]
+            output = alpha.real + c * z_re + 1j * (alpha.imag + c * z_im)
+            fidelity = np.exp(-(c * c) * (z_re * z_re + z_im * z_im))
             assert out.amplitudes[j, i] == output.mean()
             assert fmap.per_pixel[j, i] == fidelity.mean()
 
@@ -296,12 +296,6 @@ def test_analytic_fidelity_never_below_floor():
     assert np.all(fmap.per_pixel >= 0.5)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 4: tanh(r) * (alpha - beta) + beta cancels to the rounding error of beta, "
-    "about 1e-16 cosh(r), so the output loses the input (by r = 100 every output is 0)",
-)
 @pytest.mark.parametrize("r", [40.0, 100.0, channel.MAX_R])
 def test_teleport_image_single_shot_keeps_the_input_at_large_r(r):
     g = GridGeometry(8, 8)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pixelport import channel, fock
-from pixelport.cli import MAX_SAMPLES, _write_csv, main
+from pixelport.cli import MAX_CELLS, MAX_SAMPLES, _write_csv, main
 from pixelport.config import parse_config
 from pixelport.imagefile import read_image, write_image
 
@@ -292,11 +292,13 @@ def test_teleport_never_writes_an_image_its_reader_refuses(tmp_path, capsys, pit
 
 
 def test_teleport_largest_r_runs_stochastic(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image((16, 16)))
+    img = sample_image((16, 16))
+    write_image(tmp_path / "in.csv", img)
     cfg = write_ideal_config(tmp_path, channel.MAX_R, n_shots=1)
     assert main(["teleport", "--config", str(cfg)]) == 0
     got, _, _ = read_image(tmp_path / "out.csv")
-    assert np.all(np.isfinite(got.view(float)))
+    # noise of standard deviation e^-r / sqrt(2) per quadrature, and rounding
+    assert np.all(np.abs(got - img) <= 8.0 * math.exp(-channel.MAX_R) + 4.0 * np.finfo(float).eps * np.abs(img))
     capsys.readouterr()
 
 
@@ -618,6 +620,10 @@ def test_profile_requires_geometry(capsys):
     assert "ring-width" in capsys.readouterr().err
 
 
+CURVE = ["fidelity-curve", "--r0", "1", "--ring-width", "0.5"]
+CELLS = "(1 + number of --xi values) * --samples"
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -638,6 +644,10 @@ def test_profile_requires_geometry(capsys):
         (["profile", "--preset", "fig3", "--samples", "100000000000000"], "--samples"),
         (["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
         (["fidelity-curve", "--preset", "fig4", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
+        # (1 + number of --xi values) * --samples above MAX_CELLS
+        (CURVE + ["--xi", "1,2,3", "--samples", str(MAX_SAMPLES)], CELLS),
+        (CURVE + ["--xi", "1,2,3,4,5", "--samples", "50001"], CELLS),
+        (CURVE + ["--xi", "1,2,3,4,5,6,7,8", "--samples", "100000"], CELLS),
     ],
 )
 def test_curve_commands_reject_bad_flags(tmp_path, capsys, monkeypatch, argv, flag):
@@ -707,6 +717,18 @@ def test_fidelity_curve_values(tmp_path, capsys):
     assert on_ring[1] == numpy_fidelity(1.0)
     assert on_ring[2] == numpy_fidelity(10.0)
     assert np.all(data[:, 1:] >= 0.5 - 1e-12)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("xi,samples", [("1,2", MAX_SAMPLES), ("1,2,3,4,5", MAX_CELLS // 6)])
+def test_fidelity_curve_takes_cells_up_to_the_cap(tmp_path, capsys, xi, samples):
+    columns = 1 + len(xi.split(","))
+    assert columns * samples == MAX_CELLS
+    out = tmp_path / "curve.csv"
+    assert main(CURVE + ["--xi", xi, "--samples", str(samples), "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", comments="#", skiprows=5)
+    # the exact ring radius is one more row when the uniform grid misses it
+    assert data.shape in ((samples, columns), (samples + 1, columns))
     capsys.readouterr()
 
 

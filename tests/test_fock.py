@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pixelport import fock
 from pixelport.fock import (
     MAX_DIM,
     MAX_PHOTO_DIM,
@@ -109,6 +110,18 @@ def test_displacement_broadcasts_over_beta():
     assert displacement(np.zeros(0), 7).shape == (0, 7, 7)
 
 
+@pytest.mark.parametrize("dim", [30, 160])
+def test_rotation_factors_match_per_level_exp(dim):
+    # rot[n] = e^{i n arg(beta)} is a running product; the reference takes one complex exp per level
+    angles = np.concatenate([np.linspace(-math.pi, math.pi, 721)[1:], [0.5 * math.pi, -0.5 * math.pi, 1e-300]])
+    beta = np.concatenate([np.geomspace(1e-3, 12.0, angles.size) * np.exp(1j * angles), [0.0, -2.0, -0.5 - 0.0j]])
+    _, _, rot = fock._displacement_factors(beta, dim)
+    want = np.exp(1j * np.angle(beta)[:, None] * np.arange(dim))
+    assert rot.shape == (beta.size, dim)
+    assert np.max(np.abs(rot - want)) < 1e-13
+    assert np.all(rot[-3] == 1.0)
+
+
 def test_two_mode_squeezed_vacuum_limit():
     m = two_mode_squeezed(0.0, 8)
     want = np.zeros((8, 8))
@@ -169,6 +182,36 @@ def test_project_bell_density_is_norm_squared():
     proj = project_bell(joint_state(0.3, 0.7, dim), 0.4 + 0.2j)
     assert proj.density == pytest.approx(proj.norm**2, rel=1e-15)
     assert np.linalg.norm(proj.state) == pytest.approx(1.0, rel=1e-12)
+
+
+def per_outcome_bell(joint, beta):
+    """Reference: dense expm displacement and one einsum over the joint state per outcome."""
+    d = expm_displacement(beta, joint.shape[0])
+    return np.einsum("cs,sbc->b", d.conj(), joint) / math.sqrt(math.pi)
+
+
+BELL_OUTCOMES = np.array([0.0, 0.2, -0.7 + 0.4j, 1.5j, -2.0, 2.5 - 1.0j])
+
+
+@pytest.mark.filterwarnings("ignore:two-mode squeezed")
+@pytest.mark.parametrize("dim", [10, 30, 60])
+def test_bell_batch_matches_per_outcome_expm_reference(dim):
+    alpha, r = 0.3 - 0.2j, 0.8
+    rng = np.random.default_rng(dim)
+    noise = rng.normal(size=(dim,) * 3) + 1j * rng.normal(size=(dim,) * 3)
+    for joint in (joint_state(alpha, r, dim), noise / np.linalg.norm(noise)):
+        raw = fock._bell_contractions(joint, BELL_OUTCOMES)
+        assert raw.shape == (BELL_OUTCOMES.size, dim)
+        for beta, row in zip(BELL_OUTCOMES, raw):
+            want = per_outcome_bell(joint, beta)
+            density = float(np.vdot(want, want).real)
+            assert np.max(np.abs(row - want)) < 1e-12
+            proj = project_bell(joint, beta)
+            assert abs(proj.density - density) < 1e-12
+            assert np.max(np.abs(proj.state - want / math.sqrt(density))) < 1e-12
+    for beta in BELL_OUTCOMES:
+        want = per_outcome_bell(joint_state(alpha, r, dim), beta)
+        assert abs(bell_probability_density(alpha, r, beta, dim) - float(np.vdot(want, want).real)) < 1e-12
 
 
 def test_project_bell_rejects_wrong_mode_count():
@@ -388,6 +431,23 @@ def test_run_all_checks_undersized_space_fails():
     results = run_all_checks(dim=4)
     failing = {r.name for r in results if not r.passed}
     assert any(name.startswith("eigen_residual") for name in failing)
+
+
+def test_run_all_checks_makes_at_most_three_eigendecompositions(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    run_all_checks()
+    first = len(calls)
+    run_all_checks()
+    # one for the Bell batch, one for the eigen-relation outcome, one for the grid; nothing is kept between calls
+    assert 0 < first <= 3
+    assert len(calls) == 2 * first
 
 
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])
