@@ -8,14 +8,7 @@ file/CLI plumbing (:mod:`pixelport.imagefile`, :mod:`pixelport.config`,
 :mod:`pixelport.cli`).
 """
 
-from .channel import (
-    FidelityMap,
-    average_fidelity,
-    conditional_amplitude,
-    conditional_fidelity,
-    feedback_displace,
-    teleport_image,
-)
+from .channel import FidelityMap, average_fidelity, teleport_image
 from .grid import GridGeometry, ImageField, decompose, synthesize
 from .spdc import (
     RingParams,
@@ -40,9 +33,6 @@ __all__ = [
     "ring_from_spdc",
     "profile_for_grid",
     "FidelityMap",
-    "conditional_amplitude",
-    "feedback_displace",
-    "conditional_fidelity",
     "average_fidelity",
     "teleport_image",
     "__version__",

@@ -36,18 +36,13 @@ __all__ = [
     "MAX_R",
     "MAX_SHOTS",
     "FidelityMap",
-    "conditional_amplitude",
-    "feedback_displace",
-    "conditional_fidelity",
-    "sample_bell_outcomes",
     "average_fidelity",
     "teleport_image",
 ]
 
 # Largest supported squeezing.  cosh(r) overflows float64 at r = 710.48;
-# stopping at 700 leaves a factor e^10 of headroom, so the outcomes
-# alpha + cosh(r)/sqrt(2) * z of sample_bell_outcomes stay finite for any
-# normal draw z.
+# stopping at 700 leaves a factor e^10 of headroom, so a measurement outcome
+# beta = alpha + cosh(r)/sqrt(2) * z stays finite for any normal draw z.
 MAX_R = 700.0
 
 # Normals drawn per block of whole pixels in teleport_image.  It bounds the
@@ -72,43 +67,6 @@ class FidelityMap:
         if per.shape != self.geometry.shape:
             raise ValueError(f"fidelity shape {per.shape} does not match grid {self.geometry.shape}")
         self.per_pixel = per
-
-
-def conditional_amplitude(alpha, beta, r):
-    """Receiver amplitude right after the measurement, before feedback."""
-    return np.tanh(r) * (alpha - beta)
-
-
-def feedback_displace(zeta, beta):
-    """Amplitude after displacing back by the measurement outcome.
-
-    Identically equal to tanh(r)*alpha + (1-tanh(r))*beta when zeta came from
-    :func:`conditional_amplitude` with the same beta and r.
-    """
-    return zeta + beta
-
-
-def conditional_fidelity(alpha, beta, r):
-    """Overlap fidelity of the teleported pixel for a known outcome beta."""
-    d = np.abs(alpha - beta)
-    g = 1.0 - np.tanh(r)
-    return np.exp(-(g * g) * d * d)
-
-
-def sample_bell_outcomes(alpha, r, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n measurement outcomes beta for every entry of alpha and r.
-
-    beta follows the rotation-invariant complex Gaussian centered on alpha
-    with density exp(-|beta-alpha|^2 / cosh(r)^2) / (pi cosh(r)^2), i.e. each
-    real component is Normal(component of alpha, cosh(r)^2 / 2).  alpha and r
-    broadcast to a shape S and the result has shape S + (n,).  One
-    ``standard_normal`` call of shape S + (2, n) supplies the draws: per
-    entry, the n real parts and then the n imaginary parts.
-    """
-    alpha, r = np.broadcast_arrays(np.asarray(alpha, dtype=complex), np.asarray(r, dtype=float))
-    s = (np.cosh(r) / math.sqrt(2.0))[..., None]
-    z = rng.standard_normal(alpha.shape + (2, n))
-    return alpha.real[..., None] + s * z[..., 0, :] + 1j * (alpha.imag[..., None] + s * z[..., 1, :])
 
 
 def average_fidelity(r):
@@ -164,8 +122,10 @@ def teleport_image(
     amps = field.amplitudes
     rs = profile.r
     if n_shots == 0:
-        out = np.tanh(rs) * amps
-        fid = average_fidelity(rs)
+        t = np.tanh(rs)
+        out = t * amps
+        # average_fidelity(rs) = (1 + t) / 2, the same bits, written over t
+        fid = np.divide(np.add(1.0, t, out=t), 2.0, out=t)
     else:
         flat_a = amps.ravel()
         flat_r = rs.ravel()

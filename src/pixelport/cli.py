@@ -13,6 +13,11 @@ where errors become exit codes: any ``ValueError``, ``ConfigError``
 included, is an input error and exits 1, and ``ImageFormatError`` or
 ``OSError`` exits 2, each with one ``error:`` line.  ``teleport`` only wires
 the steps: each value is checked where it is built (see config and grid).
+It drops each array once no later step reads it: the input samples once
+decomposed, the field and squeezing profile once teleported, the teleported
+field once written.  So it holds at most one complex image and one real map
+besides the running step's own arrays, and only the fidelity map while its
+CSV is written.
 
 With the numpy version and its SIMD dispatch fixed, a ``teleport`` run is
 reproducible: its output bytes depend only on the seed, the shot count and
@@ -83,6 +88,7 @@ def cmd_teleport(args) -> int:
     samples, _, _ = read_image(cfg.input_path)
     geometry = GridGeometry(width=samples.shape[1], height=samples.shape[0], pitch=cfg.pitch, origin=cfg.origin)
     field = decompose(samples, geometry)
+    del samples
     if cfg.mode == "ideal":
         profile = spdc.SqueezingProfile.uniform(geometry, cfg.ideal_r)
     else:
@@ -91,11 +97,13 @@ def cmd_teleport(args) -> int:
     out_field, fmap = channel.teleport_image(
         field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane
     )
+    del field, profile
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
     fidelity = _fmt(fmap.image_fidelity)
     write_image(cfg.output_path, synthesize(out_field), comments=tuple(comments))
+    del out_field
     header = ",".join(f"col{i}" for i in range(geometry.width))
     _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fmap.per_pixel)
 

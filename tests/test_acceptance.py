@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from kspace import eta_k, eta_quadrature
+from outcomes import conditional_fidelity, sample_bell_outcomes
 from pixelport import channel, fock, grid, spdc
 from pixelport.cli import FIG3_PAIRS, FIG4_XIS, main
 from pixelport.imagefile import write_image
@@ -32,8 +33,8 @@ def test_acceptance_1_average_fidelity_law():
     worst_dev_se = 0.0
     for k, r in enumerate((0.0, 0.5, 1.0, 2.0)):
         rng = np.random.default_rng([105, k])
-        betas = channel.sample_bell_outcomes(alpha, r, rng, n_draws)
-        fids = channel.conditional_fidelity(alpha, betas, r)
+        betas = sample_bell_outcomes(alpha, r, rng, n_draws)
+        fids = conditional_fidelity(alpha, betas, r)
         dev = abs(float(fids.mean()) - channel.average_fidelity(r))
         se = float(fids.std(ddof=1)) / math.sqrt(n_draws)
         worst_dev_se = max(worst_dev_se, dev / se)

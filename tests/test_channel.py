@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from outcomes import conditional_amplitude, conditional_fidelity, feedback_displace, sample_bell_outcomes
 from pixelport import channel
-from pixelport.channel import (
-    average_fidelity,
-    conditional_amplitude,
-    conditional_fidelity,
-    feedback_displace,
-    sample_bell_outcomes,
-    teleport_image,
-)
+from pixelport.channel import average_fidelity, teleport_image
 from pixelport.grid import GridGeometry, ImageField, decompose
-from pixelport.spdc import SqueezingProfile
+from pixelport.spdc import RingParams, SqueezingProfile, profile_for_grid
 
 
 class ForcedRng:
@@ -212,6 +206,23 @@ def test_teleport_image_single_shot_matches_pixel_streams(n_shots):
             fidelity = np.exp(-(c * c) * (z_re * z_re + z_im * z_im))
             assert out.amplitudes[j, i] == output.mean()
             assert fmap.per_pixel[j, i] == fidelity.mean()
+
+
+def test_teleport_image_modes_on_a_ring_profile():
+    # n_shots >= 1 writes shot means, which tend to alpha; n_shots = 0 writes tanh(r) * alpha, the output at beta = 0
+    g = GridGeometry(6, 5, pitch=0.5)
+    profile = profile_for_grid(g, RingParams(r0=1.0, R=0.5, Xi=1.5))
+    rs = profile.r
+    assert np.ptp(rs) > 1.0
+    amps = np.random.default_rng(43).normal(size=g.shape) + 1j * np.random.default_rng(44).normal(size=g.shape)
+    field = ImageField(g, amps)
+    n_shots = 4000
+    out, _ = teleport_image(field, profile, seed=45, n_shots=n_shots)
+    se = np.exp(-rs) / math.sqrt(2 * n_shots)  # per component
+    assert np.all(np.abs(out.amplitudes.real - amps.real) <= 4 * se)
+    assert np.all(np.abs(out.amplitudes.imag - amps.imag) <= 4 * se)
+    analytic, _ = teleport_image(field, profile, seed=45, n_shots=0)
+    assert np.array_equal(analytic.amplitudes, np.tanh(rs) * amps)
 
 
 def test_teleport_image_deterministic_and_block_invariant(monkeypatch):

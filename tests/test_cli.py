@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -575,11 +576,17 @@ def test_write_csv_matches_per_value_reference(tmp_path):
     assert path.read_text().splitlines()[2].startswith("0.5,0.5,-0.0,0.0,")
 
 
-def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image((64, 64)))
+def write_ring_config(tmp_path, side):
+    # the benchmark's ring on a side x side unit-pitch image: r0 = side / 4, width side / 16
     cfg = write_ideal_config(tmp_path, 1.0)
     text = cfg.read_text().replace("mode = ideal", "mode = spdc").replace("ideal_r = 1.0", "")
-    cfg.write_text(text + "ring_r0 = 16.0\nring_width = 4.0\nring_xi = 1.5\n")
+    cfg.write_text(text + f"ring_r0 = {side / 4}\nring_width = {side / 16}\nring_xi = 1.5\n")
+    return cfg
+
+
+def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", sample_image((64, 64)))
+    cfg = write_ring_config(tmp_path, 64)
     assert main(["teleport", "--config", str(cfg)]) == 0
     capsys.readouterr()
     lines = (tmp_path / "fmap.csv").read_text().splitlines()
@@ -589,6 +596,22 @@ def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
     # the ring repeats values, so the map exercises the formatting of repeats
     assert len(np.unique(values)) < values.size // 4
     assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
+
+
+def test_teleport_holds_only_live_arrays(tmp_path, capsys):
+    # An analytic ring run drops each array once no later stage reads it, so
+    # its traced peak stays under four complex images' worth of bytes.
+    img = sample_image((256, 256), seed=35)
+    write_image(tmp_path / "in.csv", img)
+    cfg = write_ring_config(tmp_path, 256)
+    tracemalloc.start()
+    try:
+        assert main(["teleport", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 4 * img.nbytes
 
 
 def test_teleport_unwritable_output(tmp_path, capsys):
