@@ -104,7 +104,8 @@ def teleport_image(
     raw_plane : bool
         The physical receiving plane is point-reflected (pixel j arrives at
         its partner).  By default the image is reflected back upright; set
-        True to get the raw plane.
+        True to get the raw plane, whose two arrays are then reversed views
+        (``[::-1, ::-1]``) of the upright ones, not copies.
 
     Returns
     -------
@@ -144,17 +145,16 @@ def teleport_image(
                 z_re, z_im = z[:, 0, :], z[:, 1, :]
                 out[lo : lo + step] = (a.real + c * z_re + 1j * (a.imag + c * z_im)).mean(axis=-1)
                 fid[lo : lo + step] = np.exp(-(c * c) * (z_re * z_re + z_im * z_im)).mean(axis=-1)
-        if not np.all(np.isfinite(out.view(float))):
+        if not np.all(np.isfinite(out)):
             raise ValueError("the teleported amplitudes overflow float64; use a smaller pitch or input")
         out = out.reshape(g.shape)
         fid = fid.reshape(g.shape)
 
-    if raw_plane:
-        out = out[::-1, ::-1].copy()
-        fid = fid[::-1, ::-1].copy()
-
     # Correctly rounded mean: a uniform profile then reports exactly the
     # per-pixel closed-form value instead of drifting a few ulp in the
     # floating-point reduction.
-    fmap = FidelityMap(g, fid, math.fsum(fid.ravel()) / fid.size)
-    return ImageField(g, out), fmap
+    mean = math.fsum(fid.ravel()) / fid.size
+    if raw_plane:
+        out = out[::-1, ::-1]
+        fid = fid[::-1, ::-1]
+    return ImageField(g, out), FidelityMap(g, fid, mean)

@@ -20,11 +20,17 @@ of the numeric code); operators are dense matrices.
 Every displacement comes from one eigendecomposition of the truncated
 momentum operator, shared by all the outcomes of one call; the rotation
 factors e^{i n arg(beta)} are running products over the levels.
-run_all_checks evaluates its rows in batches: the conditional-state row and
-the three outcome-density points are one batch of four Bell projections of
-one joint state, contracted by one matmul; the eigen-relation row takes one
-displacement; the average-fidelity row contracts every grid outcome at once.
-So a run makes three eigendecompositions, and keeps nothing between runs.
+
+For a coherent input the joint state is the resource times |alpha>, so its
+Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
+sqrt(pi), one dim-vector per outcome, with no three-mode array and no dense
+D(beta).  That one contraction serves run_all_checks' conditional-state and
+outcome-density rows (one batch of four outcomes), the average-fidelity and
+completeness grids (every grid outcome at once) and bell_probability_density.
+project_bell is the generic projection of an arbitrary three-mode state, one
+outcome and one dense displacement at a time; no check runs it.  The
+eigen-relation row takes one displacement, so a run makes three
+eigendecompositions, and keeps nothing between runs.
 """
 
 from __future__ import annotations
@@ -61,9 +67,11 @@ __all__ = [
 COHERENT_TAIL_WARN = 1e-8
 SQUEEZED_TAIL_WARN = 1e-6
 
-# run_all_checks truncation caps.  A three-mode state takes 16*dim^3 bytes:
-# 65 MB at MAX_DIM.  photocurrent_check holds about ten photo_dim^3 arrays:
-# about 80 MB at MAX_PHOTO_DIM.
+# run_all_checks truncation caps.  dim bounds the average-fidelity grid, a
+# few (outcomes x dim) arrays of 4.3 MB each at MAX_DIM: run_all_checks at
+# MAX_DIM peaks at 24 MB traced (tracemalloc) with the default photo_dim.
+# photocurrent_check holds about eight photo_dim^3 arrays: 66 MB traced at
+# MAX_PHOTO_DIM.
 MAX_DIM = 160
 MAX_PHOTO_DIM = 80
 
@@ -199,20 +207,19 @@ class BellProjection(NamedTuple):
     tail: float  # top-level population of the normalized state
 
 
-def _bell_contractions(joint: np.ndarray, beta: complex | np.ndarray) -> np.ndarray:
-    """Unnormalized receiver states of a (dim, dim, dim) joint state at every beta.
+def _bell_rows(alpha: complex, r: float, beta: complex | np.ndarray, dim: int):
+    """(u, raw) of the coherent input |alpha> at every outcome beta, each of shape beta.shape + (dim,).
 
-    raw[..., b] = (1/sqrt(pi)) sum_{s,c} <s|D(beta)^dag|c> joint[s, b, c], shape
-    beta.shape + (dim,).  One displacement call serves all outcomes, and one
-    matmul, batched over s, contracts them with the joint state.
+    u = D(beta)^dag |alpha>, and raw = u @ tms / sqrt(pi) is the receiver's
+    unnormalized conditional state, whose squared norm is the density p(beta).
     """
-    beta = np.asarray(beta, dtype=complex)
-    dim = joint.shape[0]
-    d = displacement(beta.reshape(-1), dim)
-    # dagger[s, c, k] = <s|D(beta_k)^dag|c> = conj(<c|D(beta_k)|s>), contiguous for BLAS
-    dagger = np.ascontiguousarray(d.conj().transpose(2, 1, 0))
-    raw = np.matmul(joint, dagger).sum(axis=0).T / math.sqrt(math.pi)
-    return raw.reshape(beta.shape + (dim,))
+    v, spectral, rot = _displacement_factors(beta, dim)
+    # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
+    y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
+    y *= spectral.conj()
+    u = rot * (y @ v.T)
+    raw = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
+    return u, raw
 
 
 def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
@@ -229,18 +236,17 @@ def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
     dim = joint.shape[0]
     if joint.shape != (dim, dim, dim):
         raise ValueError(f"mode dimensions {joint.shape} are not uniform ({dim})")
-    raw = _bell_contractions(joint, beta)
+    d = displacement(beta, dim)
+    raw = np.einsum("cs,sbc->b", d.conj(), joint) / math.sqrt(math.pi)
     norm = float(np.linalg.norm(raw))
-    if norm > 0.0:
-        state = raw / norm
-    else:
-        state = raw.copy()
+    state = raw / norm if norm > 0.0 else raw
     return BellProjection(density=norm * norm, state=state, norm=norm, tail=tail_population(state))
 
 
 def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
     """Measured density of outcome beta for a coherent input through the resource."""
-    return project_bell(joint_state(alpha, r, dim), beta).density
+    _, raw = _bell_rows(alpha, r, beta, dim)
+    return float(np.linalg.norm(raw)) ** 2
 
 
 def _residual_window(beta: complex, dim: int, smax: int) -> int:
@@ -345,15 +351,11 @@ def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray
 
 
 def _grid_contractions(alpha: complex, r: float, dim: int, n: int):
-    """Bell contractions at every representable outcome of an n x n grid, on K x dim state vectors.
+    """_bell_rows at every representable outcome of an n x n grid: (u, raw, darea), one row per outcome.
 
     The grid holds n midpoints per axis on the square of half-width 5 cosh(r)
     around alpha, where the density lives, and skips outcomes whose integrand
-    would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).  Returns
-    (u, raw, darea): per kept outcome beta_k, u[k] = D(beta_k)^dag |alpha> and
-    raw[k] = u[k] @ tms / sqrt(pi) is the receiver's unnormalized conditional
-    state (the joint state is the resource tms times |alpha>), whose squared
-    norm is the density p(beta_k).
+    would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).
     """
     if n < 3:
         raise ValueError("grid needs at least 3 points per axis")
@@ -362,13 +364,7 @@ def _grid_contractions(alpha: complex, r: float, dim: int, n: int):
     xs = -half + (np.arange(n) + 0.5) * step
     dx, dy = np.meshgrid(xs, xs, indexing="ij")
     keep = dx * dx + dy * dy <= dim - 2.0 * math.sqrt(dim)
-    v, spectral, rot = _displacement_factors(alpha + (dx[keep] + 1j * dy[keep]), dim)
-    # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
-    y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
-    y *= spectral.conj()
-    u = rot * (y @ v.T)
-    raw = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
-    return u, raw, step * step
+    return (*_bell_rows(alpha, r, alpha + (dx[keep] + 1j * dy[keep]), dim), step * step)
 
 
 def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> float:
@@ -439,11 +435,11 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     dev = abs(deficit - math.tanh(r) ** (2 * dim))
     results.append(CheckResult("squeezed_norm_deficit", dev, 1e-10))
 
-    # One batch of Bell projections of one joint state: the conditional state
-    # at beta, then the outcome density at alpha + each offset.
+    # One batch of Bell contractions: the conditional state at beta, then the
+    # outcome density at alpha + each offset.
     alpha, beta = 0.5 + 0.0j, 0.2 + 0.0j
     offsets = (0.0, 0.5 + 0.5j, -1.0 + 0.3j)
-    raw = _bell_contractions(joint_state(alpha, r, dim), np.array([beta, *(alpha + off for off in offsets)]))
+    _, raw = _bell_rows(alpha, r, np.array([beta, *(alpha + off for off in offsets)]), dim)
 
     # Conditional state equals the coherent state tanh(r)(alpha - beta).
     zeta = math.tanh(r) * (alpha - beta)

@@ -95,7 +95,7 @@ class ImageField:
             raise ValueError(
                 f"amplitude array shape {amps.shape} does not match grid {self.geometry.shape}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         self.amplitudes = amps
 
@@ -113,7 +113,7 @@ def decompose(samples: np.ndarray, geometry: GridGeometry) -> ImageField:
         raise ValueError(f"sample shape {samples.shape} does not match grid {geometry.shape}")
     with np.errstate(over="ignore"):
         amps = samples * geometry.pitch
-    if not np.all(np.isfinite(amps.view(float))) and np.all(np.isfinite(samples.view(float))):
+    if not np.all(np.isfinite(amps)) and np.all(np.isfinite(samples)):
         raise ValueError(f"pitch = {float(geometry.pitch)!r} makes the amplitudes samples * pitch overflow")
     return ImageField(geometry, amps)
 
@@ -123,7 +123,7 @@ def synthesize(fieldarr: ImageField) -> np.ndarray:
     pitch = float(fieldarr.geometry.pitch)
     with np.errstate(over="ignore", invalid="ignore"):  # dividing can overflow where multiplying did not
         samples = fieldarr.amplitudes / pitch
-    if not np.all(np.isfinite(samples.view(float))):
+    if not np.all(np.isfinite(samples)):
         raise ValueError(f"pitch = {pitch!r} makes the output samples amplitudes / pitch overflow")
     return samples
 

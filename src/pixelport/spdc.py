@@ -88,7 +88,7 @@ class SpdcParams:
             warnings.warn(
                 f"w_0/w_p = {self.w_0 / self.w_p:.3g} is not small; the closed-form "
                 "profile assumes a detector mode much narrower than the pump",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the code that built the params
             )
 
 

@@ -598,15 +598,17 @@ def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
     assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
 
 
-def test_teleport_holds_only_live_arrays(tmp_path, capsys):
-    # An analytic ring run drops each array once no later stage reads it, so
-    # its traced peak stays under four complex images' worth of bytes.
+@pytest.mark.parametrize("flags", [[], ["--raw-plane"]], ids=["upright", "raw-plane"])
+def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
+    # An analytic ring run drops each array once no later stage reads it, and
+    # the raw plane is a reversed view, not a copy, so its traced peak stays
+    # under four complex images' worth of bytes.
     img = sample_image((256, 256), seed=35)
     write_image(tmp_path / "in.csv", img)
     cfg = write_ring_config(tmp_path, 256)
     tracemalloc.start()
     try:
-        assert main(["teleport", "--config", str(cfg)]) == 0
+        assert main(["teleport", "--config", str(cfg), *flags]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

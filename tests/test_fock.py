@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,21 +198,24 @@ BELL_OUTCOMES = np.array([0.0, 0.2, -0.7 + 0.4j, 1.5j, -2.0, 2.5 - 1.0j])
 @pytest.mark.parametrize("dim", [10, 30, 60])
 def test_bell_batch_matches_per_outcome_expm_reference(dim):
     alpha, r = 0.3 - 0.2j, 0.8
+    product = joint_state(alpha, r, dim)
+    u, raw = fock._bell_rows(alpha, r, BELL_OUTCOMES, dim)
+    assert u.shape == raw.shape == (BELL_OUTCOMES.size, dim)
+    for beta, u_row, row in zip(BELL_OUTCOMES, u, raw):
+        want = per_outcome_bell(product, beta)
+        assert np.max(np.abs(row - want)) < 1e-12
+        assert np.max(np.abs(u_row - expm_displacement(beta, dim).conj().T @ coherent_state(alpha, dim))) < 1e-12
+        assert abs(bell_probability_density(alpha, r, beta, dim) - float(np.vdot(want, want).real)) < 1e-12
+    # project_bell takes any three-mode state, the product one and a random one
     rng = np.random.default_rng(dim)
     noise = rng.normal(size=(dim,) * 3) + 1j * rng.normal(size=(dim,) * 3)
-    for joint in (joint_state(alpha, r, dim), noise / np.linalg.norm(noise)):
-        raw = fock._bell_contractions(joint, BELL_OUTCOMES)
-        assert raw.shape == (BELL_OUTCOMES.size, dim)
-        for beta, row in zip(BELL_OUTCOMES, raw):
+    for joint in (product, noise / np.linalg.norm(noise)):
+        for beta in BELL_OUTCOMES:
             want = per_outcome_bell(joint, beta)
             density = float(np.vdot(want, want).real)
-            assert np.max(np.abs(row - want)) < 1e-12
             proj = project_bell(joint, beta)
             assert abs(proj.density - density) < 1e-12
             assert np.max(np.abs(proj.state - want / math.sqrt(density))) < 1e-12
-    for beta in BELL_OUTCOMES:
-        want = per_outcome_bell(joint_state(alpha, r, dim), beta)
-        assert abs(bell_probability_density(alpha, r, beta, dim) - float(np.vdot(want, want).real)) < 1e-12
 
 
 def test_project_bell_rejects_wrong_mode_count():
@@ -448,6 +452,19 @@ def test_run_all_checks_makes_at_most_three_eigendecompositions(monkeypatch):
     # one for the Bell batch, one for the eigen-relation outcome, one for the grid; nothing is kept between calls
     assert 0 < first <= 3
     assert len(calls) == 2 * first
+
+
+def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
+    # a 160^3 complex state alone is 65 MB; the factored Bell rows and the
+    # outcome grid stay near 24 MB
+    run_all_checks(dim=MAX_DIM)
+    tracemalloc.start()
+    try:
+        run_all_checks(dim=MAX_DIM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])

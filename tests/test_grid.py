@@ -134,6 +134,23 @@ def test_image_field_rejects_nonfinite():
         ImageField(g, bad)
 
 
+LAYOUTS = {"flipped": np.fliplr, "fortran": np.asfortranarray, "point-reflected": lambda a: a[::-1, ::-1]}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_amplitudes_in_any_memory_layout(layout):
+    # the finiteness checks read the complex values, so no layout is refused
+    g = GridGeometry(3, 2, pitch=0.5)
+    samples = LAYOUTS[layout](np.arange(6.0).reshape(2, 3) - 1j * np.arange(6.0, 12.0).reshape(2, 3))
+    assert np.array_equal(ImageField(g, samples).amplitudes, samples)
+    assert np.array_equal(synthesize(decompose(samples, g)), samples)
+    bad = LAYOUTS[layout](np.array([[0.0, 1.0, 2.0], [3.0, complex(4.0, np.nan), 5.0]]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        ImageField(g, bad)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        decompose(bad, g)
+
+
 MAX = float(np.finfo(float).max)
 
 

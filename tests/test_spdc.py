@@ -223,8 +223,10 @@ def test_far_field_substitution_matches():
 
 
 def test_waist_ratio_warning():
-    with pytest.warns(UserWarning, match="not small"):
+    with pytest.warns(UserWarning, match="not small") as record:
         make_params(w_0=10.0, w_p=50.0)
+    # the warning names the code that built the params, not the generated __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_profile_for_grid_zero_xi():
