@@ -19,6 +19,10 @@ field once written.  So it holds at most one complex image and one real map
 besides the running step's own arrays, and only the fidelity map while its
 CSV is written.
 
+:func:`main` parses with one parser per process, built on first use.
+``parse_args`` keeps nothing in it: each call gets a fresh namespace from
+the declared defaults, so one call's flags never reach the next.
+
 With the numpy version and its SIMD dispatch fixed, a ``teleport`` run is
 reproducible: its output bytes depend only on the seed, the shot count and
 the input.  Another numpy or CPU may change the last bits, but not the
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -219,6 +224,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pixelport", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

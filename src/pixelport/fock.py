@@ -24,9 +24,11 @@ factors e^{i n arg(beta)} are running products over the levels.
 For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
 sqrt(pi), one dim-vector per outcome, with no three-mode array and no dense
-D(beta).  That one contraction serves run_all_checks' conditional-state and
-outcome-density rows (one batch of four outcomes), the average-fidelity and
-completeness grids (every grid outcome at once) and bell_probability_density.
+D(beta).  The resource tms is built in its Schmidt form, a diagonal matrix,
+so that product is u times the diagonal of tms, elementwise.  That one
+contraction serves run_all_checks' conditional-state and outcome-density
+rows (one batch of four outcomes), the average-fidelity and completeness
+grids (every grid outcome at once) and bell_probability_density.
 project_bell is the generic projection of an arbitrary three-mode state, one
 outcome and one dense displacement at a time; no check runs it.  The
 eigen-relation row takes one displacement, so a run makes three
@@ -70,7 +72,7 @@ SQUEEZED_TAIL_WARN = 1e-6
 # run_all_checks truncation caps.  dim bounds the average-fidelity grid, a
 # few (outcomes x dim) arrays of 4.3 MB each at MAX_DIM: run_all_checks at
 # MAX_DIM peaks at 24 MB traced (tracemalloc) with the default photo_dim.
-# photocurrent_check holds about eight photo_dim^3 arrays: 66 MB traced at
+# photocurrent_check holds about three photo_dim^3 arrays: 25 MB traced at
 # MAX_PHOTO_DIM.
 MAX_DIM = 160
 MAX_PHOTO_DIM = 80
@@ -212,13 +214,14 @@ def _bell_rows(alpha: complex, r: float, beta: complex | np.ndarray, dim: int):
 
     u = D(beta)^dag |alpha>, and raw = u @ tms / sqrt(pi) is the receiver's
     unnormalized conditional state, whose squared norm is the density p(beta).
+    tms is diagonal (its Schmidt form), so raw is u times its diagonal / sqrt(pi).
     """
     v, spectral, rot = _displacement_factors(beta, dim)
     # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
     y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
     y *= spectral.conj()
     u = rot * (y @ v.T)
-    raw = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
+    raw = u * (two_mode_squeezed(r, dim).diagonal() / math.sqrt(math.pi))
     return u, raw
 
 
@@ -301,8 +304,14 @@ def verify_eigen_relations(beta: complex, dim: int) -> np.ndarray:
 
 
 def _on_axis(op: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a single-mode operator to one mode (axis) of a multi-mode state."""
-    return np.moveaxis(np.tensordot(op, state, axes=(1, axis)), 0, axis)
+    """Apply a single-mode operator to one mode (axis) of a three-mode state.
+
+    Each axis is one matmul that reads the state in place and returns a
+    C-ordered array, so no transposed copy of the state is made.
+    """
+    if axis == 0:
+        return (op @ state.reshape(state.shape[0], -1)).reshape(state.shape)
+    return op @ state if axis == 1 else state @ op.T
 
 
 def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray) -> tuple[float, float]:
@@ -319,8 +328,11 @@ def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray
 
     Only these two detector arrangements are modeled.  The truncation dim
     is read from the test state, whose two axes must agree.  Each operator
-    acts on its own axis of the dim^3 amplitude array, and the photon-number
-    difference is read as ||a_2 psi||^2 - ||a_1 psi||^2.
+    acts on its own axis of the dim^3 amplitude array.  The detectors see
+    a_{1,2} = (a_lo -+ b)/sqrt(2), so the photon-number difference
+    ||a_2 psi||^2 - ||a_1 psi||^2 is read as 2 Re <a_lo psi, b psi>; b psi and
+    the quadrature are each summed in place, so at most three dim^3 arrays
+    are live at once.
     """
     test_state = np.asarray(test_state, dtype=complex)
     if test_state.ndim != 2:
@@ -335,17 +347,17 @@ def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray
     lo = coherent_state(abs(lo_amplitude) * np.exp(1j * phase), dim)
     psi = np.einsum("ac,l->acl", test_state, lo)
     a = destroy(dim)
-    a_A, a_C, a_lo = (_on_axis(a, psi, axis) for axis in range(3))
-    if q_phase:
-        b = (a_C - a_A) / math.sqrt(2.0)
-        quad = _on_axis(position_op(dim), psi, 1) - _on_axis(position_op(dim), psi, 0)
-    else:
-        b = (a_A + a_C) / math.sqrt(2.0)
-        quad = _on_axis(momentum_op(dim), psi, 0) + _on_axis(momentum_op(dim), psi, 1)
+    quad_op = position_op(dim) if q_phase else momentum_op(dim)
+    # phase 0 reads mode C minus mode A, phase pi/2 their sum
+    combine = np.subtract if q_phase else np.add
 
-    a_1 = (a_lo - b) / math.sqrt(2.0)
-    a_2 = (a_lo + b) / math.sqrt(2.0)
-    lhs = float(np.vdot(a_2, a_2).real) - float(np.vdot(a_1, a_1).real)
+    b = _on_axis(a, psi, 1)
+    combine(b, _on_axis(a, psi, 0), out=b)
+    b /= math.sqrt(2.0)
+    lhs = 2.0 * float(np.vdot(_on_axis(a, psi, 2), b).real)
+    del b
+    quad = _on_axis(quad_op, psi, 1)
+    combine(quad, _on_axis(quad_op, psi, 0), out=quad)
     rhs = abs(lo_amplitude) * float(np.vdot(psi, quad).real)
     return lhs, rhs
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pixelport import channel, fock
-from pixelport.cli import MAX_CELLS, MAX_SAMPLES, _write_csv, main
+from pixelport.cli import MAX_CELLS, MAX_SAMPLES, _write_csv, build_parser, main
 from pixelport.config import parse_config
 from pixelport.imagefile import read_image, write_image
 
@@ -136,6 +136,42 @@ def test_teleport_seed_and_shots_overrides(tmp_path, capsys):
     assert main(["teleport", "--config", str(cfg), "--shots", str(channel.MAX_SHOTS + 1)]) == 1
     cap = channel.MAX_SHOTS
     assert capsys.readouterr().err.endswith(f"error: n_shots must be at most {cap}, got {cap + 1}\n")
+
+
+def test_parser_carries_no_flags_between_calls(tmp_path, capsys):
+    write_image(tmp_path / "in.csv", sample_image())
+    cfg = write_ideal_config(tmp_path, 1.0, seed=11, n_shots=2)
+    assert main(["teleport", "--config", str(cfg), "--seed", "5", "--shots", "3", "--raw-plane", "--json"]) == 0
+    first = json.loads((tmp_path / "summary.txt").read_text())
+    assert (first["seed"], first["n_shots"], first["raw_plane"]) == ("5", "3", "true")
+    # the same process and parser, no flags: the config's values, the upright plane, key=value lines
+    assert main(["teleport", "--config", str(cfg)]) == 0
+    text = (tmp_path / "summary.txt").read_text()
+    summary = dict(line.split("=", 1) for line in text.splitlines())
+    assert (summary["seed"], summary["n_shots"], summary["raw_plane"]) == ("11", "2", "false")
+    capsys.readouterr()
+
+
+def run_captured(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; --help exits through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_behaves_as_fresh(capsys):
+    assert build_parser() is build_parser()
+    calls = (["oracle-verify", "--dim", "abc"], ["oracle-verify", "--json"], ["--help"])
+    reused = [run_captured(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in reused] == [1, 0, 0]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_captured(capsys, argv))
+    assert reused == fresh
 
 
 def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):

@@ -218,6 +218,18 @@ def test_bell_batch_matches_per_outcome_expm_reference(dim):
             assert np.max(np.abs(proj.state - want / math.sqrt(density))) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("dim", [4, 30, 90])
+def test_bell_rows_match_the_dense_resource_product(dim):
+    # the resource applied as its Schmidt diagonal against the dense matrix
+    # product, on run_all_checks' four-outcome batch and on the fidelity grid
+    r = 1.0
+    batch = np.array([0.2, 0.5, 1.0 + 0.5j, -0.5 + 0.3j])
+    for u, raw in (fock._bell_rows(0.5, r, batch, dim), fock._grid_contractions(0.4 + 0.2j, r, dim, 41)[:2]):
+        want = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
+        assert np.all(np.abs(raw - want) <= 1e-15 * np.abs(want))
+
+
 def test_project_bell_rejects_wrong_mode_count():
     with pytest.raises(ValueError, match="three-mode"):
         project_bell(np.zeros((5, 5)), 0.0)
@@ -331,6 +343,22 @@ def test_photocurrent_matches_dense_kron_reference():
         lhs, rhs = photocurrent_check(lo_amp, phase, state)
         assert abs(lhs - want_lhs) < 1e-12
         assert abs(rhs - want_rhs) < 1e-12
+
+
+def test_photocurrent_at_the_photo_dim_cap_holds_few_three_mode_arrays():
+    # one photo_dim^3 complex array is 8.2 MB at the cap; the check holds
+    # about three at once, far from one array per ladder and quadrature term
+    dim = MAX_PHOTO_DIM
+    test = np.einsum("a,c->ac", coherent_state(0.3 - 0.2j, dim), coherent_state(0.25 + 0.35j, dim))
+    for phase in (0.0, math.pi / 2):
+        tracemalloc.start()
+        try:
+            lhs, rhs = photocurrent_check(0.45, phase, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(lhs - rhs) < 1e-8
+        assert peak <= 45e6
 
 
 def test_photocurrent_rejects_other_phases():
