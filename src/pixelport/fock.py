@@ -18,8 +18,10 @@ States are plain complex ndarrays with one axis per mode (matching the rest
 of the numeric code); operators are dense matrices.
 
 Every displacement comes from one eigendecomposition of the truncated
-momentum operator, shared by all the outcomes of one call; the rotation
-factors e^{i n arg(beta)} are running products over the levels.
+momentum operator; the rotation factors e^{i n arg(beta)} are running
+products over the levels.  A public function takes its own
+eigendecomposition, and run_all_checks takes one and hands it to the
+private cores of every row that displaces.
 
 For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
@@ -28,11 +30,15 @@ D(beta).  The resource tms is built in its Schmidt form, a diagonal matrix,
 so that product is u times the diagonal of tms, elementwise.  That one
 contraction serves run_all_checks' conditional-state and outcome-density
 rows (one batch of four outcomes), the average-fidelity and completeness
-grids (every grid outcome at once) and bell_probability_density.
+grids and bell_probability_density.  A grid pass walks its kept outcomes in
+blocks of _GRID_BLOCK to 2 _GRID_BLOCK - 1 rows and reduces each block to one
+number per outcome, so its temporaries are (block x dim) arrays, not
+(outcomes x dim).  The input state, the resource diagonal and the
+eigendecomposition are built once per pass, not once per block.
 project_bell is the generic projection of an arbitrary three-mode state, one
 outcome and one dense displacement at a time; no check runs it.  The
-eigen-relation row takes one displacement, so a run makes three
-eigendecompositions, and keeps nothing between runs.
+eigen-relation row takes one displacement.  So a run makes one
+eigendecomposition and keeps nothing between runs.
 """
 
 from __future__ import annotations
@@ -69,13 +75,19 @@ __all__ = [
 COHERENT_TAIL_WARN = 1e-8
 SQUEEZED_TAIL_WARN = 1e-6
 
-# run_all_checks truncation caps.  dim bounds the average-fidelity grid, a
-# few (outcomes x dim) arrays of 4.3 MB each at MAX_DIM: run_all_checks at
-# MAX_DIM peaks at 24 MB traced (tracemalloc) with the default photo_dim.
-# photocurrent_check holds about three photo_dim^3 arrays: 25 MB traced at
-# MAX_PHOTO_DIM.
+# run_all_checks truncation caps.  dim bounds the eigen-relation row's dense
+# dim x dim matrices and the grid blocks, a few (_GRID_BLOCK x dim) arrays of
+# about 0.3 MB each at MAX_DIM: run_all_checks at MAX_DIM peaks near 6 MB
+# traced (tracemalloc) with the default photo_dim.  photocurrent_check holds
+# about three photo_dim^3 arrays: 25 MB traced at MAX_PHOTO_DIM.
 MAX_DIM = 160
 MAX_PHOTO_DIM = 80
+
+# Least outcomes per block of a grid pass; a block holds fewer than twice
+# this.  At the default dim 30 a (block x dim) complex temporary is then at
+# most 61 KB, below glibc's 128 KiB mmap threshold, so a pass reuses heap
+# memory instead of mapping and faulting in fresh pages for every array.
+_GRID_BLOCK = 64
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -108,17 +120,23 @@ def _expi(x) -> np.ndarray:
     return out
 
 
-def _displacement_factors(beta: complex | np.ndarray, dim: int):
+def _momentum_eigh(dim: int):
+    """(lam, V) with p = V diag(lam) V^dag for the truncated momentum operator p."""
+    return np.linalg.eigh(momentum_op(dim))
+
+
+def _displacement_factors(beta: complex | np.ndarray, eig):
     """(V, spectral, rot) with D(beta) = R V diag(spectral) V^dag R^dag, R = diag(rot).
 
     The generator is -i sqrt(2) |beta| R p R^dag with R = diag(e^{i n arg(beta)}),
-    so one eigendecomposition p = V diag(lam) V^dag of the truncated momentum
-    operator serves every beta: spectral = exp(-i sqrt(2) |beta| lam), and
-    spectral and rot carry beta.shape + (dim,).  rot is the running product
-    of e^{i arg(beta)} over the levels.
+    so one eigendecomposition eig = (lam, V) of the truncated momentum
+    operator (_momentum_eigh) serves every beta: spectral =
+    exp(-i sqrt(2) |beta| lam), and spectral and rot carry beta.shape + (dim,).
+    rot is the running product of e^{i arg(beta)} over the levels.
     """
     beta = np.asarray(beta, dtype=complex)
-    lam, v = np.linalg.eigh(momentum_op(dim))
+    lam, v = eig
+    dim = lam.size
     spectral = _expi(-math.sqrt(2.0) * np.abs(beta)[..., None] * lam)
     rot = np.empty(beta.shape + (dim,), dtype=complex)
     rot[..., 0] = 1.0
@@ -134,7 +152,11 @@ def displacement(beta: complex | np.ndarray, dim: int) -> np.ndarray:
     while |beta|^2 stays well below dim; beyond that the norm that should
     escape to higher levels is folded back in.
     """
-    v, spectral, rot = _displacement_factors(beta, dim)
+    return _displacement(beta, _momentum_eigh(dim))
+
+
+def _displacement(beta: complex | np.ndarray, eig) -> np.ndarray:
+    v, spectral, rot = _displacement_factors(beta, eig)
     d = (v * spectral[..., None, :]) @ v.conj().T
     d *= rot[..., :, None]
     d *= rot.conj()[..., None, :]
@@ -209,20 +231,30 @@ class BellProjection(NamedTuple):
     tail: float  # top-level population of the normalized state
 
 
-def _bell_rows(alpha: complex, r: float, beta: complex | np.ndarray, dim: int):
-    """(u, raw) of the coherent input |alpha> at every outcome beta, each of shape beta.shape + (dim,).
+def _bell_inputs(alpha: complex, r: float, dim: int):
+    """(|alpha>, diagonal of tms / sqrt(pi)): the two vectors _bell_rows contracts, with their truncation warnings."""
+    return coherent_state(alpha, dim), two_mode_squeezed(r, dim).diagonal() / math.sqrt(math.pi)
 
-    u = D(beta)^dag |alpha>, and raw = u @ tms / sqrt(pi) is the receiver's
-    unnormalized conditional state, whose squared norm is the density p(beta).
-    tms is diagonal (its Schmidt form), so raw is u times its diagonal / sqrt(pi).
+
+def _bell_rows(coherent: np.ndarray, schmidt: np.ndarray, beta: complex | np.ndarray, eig):
+    """(u, raw) of the coherent input at every outcome beta, each of shape beta.shape + (dim,).
+
+    coherent and schmidt come from _bell_inputs(alpha, r, dim), and eig from
+    _momentum_eigh(dim).  u = D(beta)^dag |alpha>, and raw = u @ tms / sqrt(pi)
+    is the receiver's unnormalized conditional state, whose squared norm is
+    the density p(beta).  tms is diagonal (its Schmidt form), so raw is u
+    times schmidt, elementwise.
     """
-    v, spectral, rot = _displacement_factors(beta, dim)
+    v, spectral, rot = _displacement_factors(beta, eig)
     # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
-    y = (rot.conj() * coherent_state(alpha, dim)) @ v.conj()
+    y = (rot.conj() * coherent) @ v.conj()
     y *= spectral.conj()
-    u = rot * (y @ v.T)
-    raw = u * (two_mode_squeezed(r, dim).diagonal() / math.sqrt(math.pi))
-    return u, raw
+    u = y @ v.T
+    # in place, so the operand order is fixed: complex products are not
+    # bitwise commutative, and numpy swaps the operands of rot * (y @ v.T)
+    # once the temporary reaches 256 KiB, which would tie the bits to the block size
+    u *= rot
+    return u, u * schmidt
 
 
 def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
@@ -248,7 +280,7 @@ def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
 
 def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
     """Measured density of outcome beta for a coherent input through the resource."""
-    _, raw = _bell_rows(alpha, r, beta, dim)
+    _, raw = _bell_rows(*_bell_inputs(alpha, r, dim), beta, _momentum_eigh(dim))
     return float(np.linalg.norm(raw)) ** 2
 
 
@@ -281,9 +313,14 @@ def verify_eigen_relations(beta: complex, dim: int) -> np.ndarray:
     shrinks as |beta| grows).  Residuals decrease monotonically with dim;
     useful accuracy needs dim of at least 8 or so.
     """
+    return _eigen_residuals(beta, _momentum_eigh(dim))
+
+
+def _eigen_residuals(beta: complex, eig) -> np.ndarray:
+    dim = eig[0].size
     margin = math.ceil(dim / 5)
     smax = dim - margin
-    d = displacement(beta, dim)
+    d = _displacement(beta, eig)
     # Psi[na, nc] = <nc| D(beta) |na> / sqrt(pi) for na below the summation cap.
     psi = d.T.copy() / math.sqrt(math.pi)
     psi[smax:, :] = 0.0
@@ -362,42 +399,54 @@ def photocurrent_check(lo_amplitude: float, phase: float, test_state: np.ndarray
     return lhs, rhs
 
 
-def _grid_contractions(alpha: complex, r: float, dim: int, n: int):
-    """_bell_rows at every representable outcome of an n x n grid: (u, raw, darea), one row per outcome.
+def _grid_sum(alpha: complex, r: float, n: int, eig, per_outcome) -> float:
+    """Sum of per_outcome(u, raw) times the cell area over the representable outcomes of an n x n grid.
 
     The grid holds n midpoints per axis on the square of half-width 5 cosh(r)
     around alpha, where the density lives, and skips outcomes whose integrand
-    would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).
+    would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).  The K
+    kept outcomes go through _bell_rows in K // _GRID_BLOCK near-equal
+    blocks (one block when K is smaller), so no block is a lone row unless
+    K is 1: a one-row matmul takes BLAS's matrix-vector path, whose last
+    bits differ.  per_outcome maps a block's (u, raw) to one value per row,
+    and rows are independent, so any block size gives the same sum.
     """
     if n < 3:
         raise ValueError("grid needs at least 3 points per axis")
+    dim = eig[0].size
     half = 5.0 * math.cosh(r)
     step = 2.0 * half / n
     xs = -half + (np.arange(n) + 0.5) * step
     dx, dy = np.meshgrid(xs, xs, indexing="ij")
     keep = dx * dx + dy * dy <= dim - 2.0 * math.sqrt(dim)
-    return (*_bell_rows(alpha, r, alpha + (dx[keep] + 1j * dy[keep]), dim), step * step)
+    betas = alpha + (dx[keep] + 1j * dy[keep])
+    coherent, schmidt = _bell_inputs(alpha, r, dim)
+    blocks = np.array_split(betas, max(1, betas.size // _GRID_BLOCK))
+    terms = np.concatenate([per_outcome(*_bell_rows(coherent, schmidt, block, eig)) for block in blocks])
+    return float(np.sum(terms)) * (step * step)
+
+
+def _fidelity_terms(u: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """|<u|raw>|^2 = |<alpha| D(beta) raw>|^2 per outcome row."""
+    return np.abs(np.sum(u.conj() * raw, axis=1)) ** 2
 
 
 def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> float:
     """Average fidelity integrated over measured outcomes, oracle-side.
 
     Sums, over the representable outcomes beta of the n x n grid, the
-    weighted overlap |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of
-    _grid_contractions, with raw the unnormalized conditional state.
+    weighted overlap |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of _bell_rows,
+    with raw the unnormalized conditional state (_grid_sum).
     Converges to (1 + tanh r)/2 as dim grows; the guarded grid skips outcomes
     beyond the truncation's reach, so small dim undershoots (at r = 2 the
     examples use dim around 90).
     """
-    u, raw, darea = _grid_contractions(alpha, r, dim, n)
-    overlap = np.sum(u.conj() * raw, axis=1)
-    return float(np.sum(np.abs(overlap) ** 2)) * darea
+    return _grid_sum(alpha, r, n, _momentum_eigh(dim), _fidelity_terms)
 
 
 def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
     """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
-    _, raw, darea = _grid_contractions(alpha, r, dim, n)
-    return float(np.sum(np.abs(raw) ** 2)) * darea
+    return _grid_sum(alpha, r, n, _momentum_eigh(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=1))
 
 
 class CheckResult(NamedTuple):
@@ -427,6 +476,8 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
             raise ValueError(f"{name} must be at most {cap}, got {value}")
 
     results: list[CheckResult] = []
+    # the one eigendecomposition of the run, shared by every row that displaces
+    eig = _momentum_eigh(dim)
 
     # Ladder commutator [a, a^dag] = 1 below the truncation edge.
     a = destroy(dim)
@@ -451,7 +502,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     # outcome density at alpha + each offset.
     alpha, beta = 0.5 + 0.0j, 0.2 + 0.0j
     offsets = (0.0, 0.5 + 0.5j, -1.0 + 0.3j)
-    _, raw = _bell_rows(alpha, r, np.array([beta, *(alpha + off for off in offsets)]), dim)
+    _, raw = _bell_rows(*_bell_inputs(alpha, r, dim), np.array([beta, *(alpha + off for off in offsets)]), eig)
 
     # Conditional state equals the coherent state tanh(r)(alpha - beta).
     zeta = math.tanh(r) * (alpha - beta)
@@ -467,7 +518,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     results.append(CheckResult("outcome_density", dev, 1e-6))
 
     # Eigenvalue relations at a complex outcome.
-    res = verify_eigen_relations(1.0 + 2.0j, dim)
+    res = _eigen_residuals(1.0 + 2.0j, eig)
     for k in range(4):
         results.append(CheckResult(f"eigen_residual_{k + 1}", float(res[k]), 1e-8))
 
@@ -478,7 +529,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
         results.append(CheckResult(name, abs(lhs - rhs), 1e-8))
 
     # Outcome-averaged fidelity against (1 + tanh r)/2.
-    got = oracle_average_fidelity(0.4 + 0.2j, r, dim)
+    got = _grid_sum(0.4 + 0.2j, r, 41, eig, _fidelity_terms)
     dev = abs(got - (1.0 + math.tanh(r)) / 2.0)
     results.append(CheckResult("average_fidelity", dev, 5e-3))
 

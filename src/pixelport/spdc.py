@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,14 @@ __all__ = [
 
 # Narrow-detector-mode approximation w_0 << w_p baked into the closed forms.
 WAIST_RATIO_WARN = 0.1
+
+
+def _require_finite(params) -> None:
+    """ValueError naming the first field of a parameter dataclass that is NaN or infinite."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class SpdcParams:
     Xi: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("w_p", "w_0", "L", "k_p", "k_d", "f"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -101,6 +110,7 @@ class RingParams:
     Xi: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.r0 < 0:
             raise ValueError("r0 must be non-negative")
         if not self.R > 0:

@@ -316,3 +316,55 @@ def test_teleport_image_single_shot_keeps_the_input_at_large_r(r):
     assert fmap.image_fidelity == 1.0
     # the output is alpha plus noise of standard deviation e^-r / sqrt(2) per quadrature, and rounding
     assert np.all(np.abs(out.amplitudes - amps) <= 8.0 * math.exp(-r) + 4.0 * np.finfo(float).eps * np.abs(amps))
+
+
+# Random stream v2 (README, Determinism): the first 64 standard_normal draws of
+# default_rng(seed), each as the hex of its float64 bit pattern.  Every
+# stochastic teleport output is read from this stream.
+STREAM_V2_HEAD = {
+    0: (
+        "3fc017ed89db8441 bfc0e8cfe9bd45cc 3fe47e57a468b06d 3fbadabbec84d4f0",
+        "bfe1243418e643ed 3fd7245f95ced1e6 3ff4dd2f26bd103c 3fee4e7cbc69bca3",
+        "bfe684ffc1daaf28 bff43f2a959cc8bb bfe3f1dd4920f4fb 3fa528adc38b0ce3",
+        "c00299a9bc1a2383 bfcc015d809d257e bff3ef405142e27e bfe76ebbf28c26f7",
+        "bfe16a91d07da4d4 bfd43e4302d4d028 3fda58279af0c1f8 3ff0ae227fb66293",
+        "bfc073d2e6df9e08 3ff5dd08ccd30870 bfe549465703261f 3fd67f2417d0e872",
+        "3fece93a4c6361df 3fb81130a04e056d bfe7cabef01267ae bfed7ec6375d8ae8",
+        "bfdd4b6142f1a705 3fcc2f5a93057217 bff02765657beec8 bfcac643e69916c2",
+        "bfc4617c3124dbcb 3fe14e9b664d2b5b 3fcb79f33b79f514 3fd6be6d2ccde9a7",
+        "bfe4ec29f9d48276 bfc0972df6e9bfe4 3fe91653b998f2ca 3ff7e5180e78d0df",
+        "bff42521e63e874f 3ff8390822d24221 3ff588b4ab1a2987 3fe90080c440025b",
+        "3fd0ecd74ee079a4 bfd4174fb779be26 3ff7540d7f0aecc3 3fff5d37d30dd579",
+        "3ffcd37f15d68815 3ff50aaa3ec616ed 3fd6df521600b894 bff35545eb0cca3f",
+        "bf723e7f4153196a 3fe501d7b9197da1 bff49d20e903b248 3fd949ae099a3b4c",
+        "3fdb82e303bff2ef 3fe645fb640141bf bff2f225ae5d4012 bfe52caadf52c691",
+        "bfdbee8e1a5350e6 bff2b782348aecfe 3ffbd473693fca3a bfdfbd005a1940ca",
+    ),
+    12345: (
+        "bff6c7fcc2ecc744 3ff4383b54eb0649 bfebdc76014d359e bfd0964b5602ac3c",
+        "bfb349b2ef952a32 bfe7b553bada1ce9 bff5e27a999dd7f4 3fe4c3bad680ecc7",
+        "3fd71b937ce1adfe bfff3eed56d34288 4002c77eb67ef983 3feefded390f6a23",
+        "bfe84ce6581d98d7 3fecdeceea47f9f3 bfdde28f900b3633 bfaf12b2545efbbe",
+        "3fe93e367eab0658 bff41b500b5c2a20 3fe26d6cbcef9049 3ff66237cc6211bd",
+        "3ff5282202e695a7 bfd32e42ae77a479 3fece4b71a4b1672 bff9f200bcb12224",
+        "bfc43f8bb297c11e 3fdcc458411e711c bff57f63d6933187 bfb4e97a5a882cdc",
+        "3ffb9888e6367658 4004f1fd91bfb642 3fe8e024e59af086 3fea8429c36aef35",
+        "bfeeb008423512fd bff359a7884b85bd bff698bf82a45f8f 3fe1545a04763acb",
+        "3fe80fe3350fd115 bfe51490858e3b23 bff3a8a71a0c27de 3fd07bd3940a7f71",
+        "3fd40699f65fffe6 bfc0be6ffdb8da25 3ff451d9d20e1bda bfb7cc633bb86161",
+        "bfb0ef43c0dd0c1b bff1bb3f17d1e6a2 3fc16708b9640d62 3ff58da169ed357f",
+        "3faf4e44e4e033a8 3fb227759108200b 3fdbc0fef599dcab 3fd1c24ad314795d",
+        "3fe0f7d3da67d93b 3fe12cd1742e26b1 3fe3c985f8619f24 bfe970c872bcc51f",
+        "3fd333b4ff85b168 bff9a4aa6cb9721a 3fd1133b6616f92e bff42f9c6b25962f",
+        "bfb23ecdb5c0d50d 3fde56d4ae068012 bfda8cf6ca1b2235 3fb903f2d3d801d8",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STREAM_V2_HEAD))
+def test_random_stream_v2_is_pinned(seed):
+    got = " ".join(f"{w:016x}" for w in np.random.default_rng(seed).standard_normal(64).view("<u8"))
+    assert got == " ".join(STREAM_V2_HEAD[seed]), (
+        f"numpy's default_rng({seed}).standard_normal stream changed: random stream v2 no longer "
+        "holds, so stochastic outputs need a new stream version"
+    )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_rotation_factors_match_per_level_exp(dim):
     # rot[n] = e^{i n arg(beta)} is a running product; the reference takes one complex exp per level
     angles = np.concatenate([np.linspace(-math.pi, math.pi, 721)[1:], [0.5 * math.pi, -0.5 * math.pi, 1e-300]])
     beta = np.concatenate([np.geomspace(1e-3, 12.0, angles.size) * np.exp(1j * angles), [0.0, -2.0, -0.5 - 0.0j]])
-    _, _, rot = fock._displacement_factors(beta, dim)
+    _, _, rot = fock._displacement_factors(beta, fock._momentum_eigh(dim))
     want = np.exp(1j * np.angle(beta)[:, None] * np.arange(dim))
     assert rot.shape == (beta.size, dim)
     assert np.max(np.abs(rot - want)) < 1e-13
@@ -199,7 +200,7 @@ BELL_OUTCOMES = np.array([0.0, 0.2, -0.7 + 0.4j, 1.5j, -2.0, 2.5 - 1.0j])
 def test_bell_batch_matches_per_outcome_expm_reference(dim):
     alpha, r = 0.3 - 0.2j, 0.8
     product = joint_state(alpha, r, dim)
-    u, raw = fock._bell_rows(alpha, r, BELL_OUTCOMES, dim)
+    u, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), BELL_OUTCOMES, fock._momentum_eigh(dim))
     assert u.shape == raw.shape == (BELL_OUTCOMES.size, dim)
     for beta, u_row, row in zip(BELL_OUTCOMES, u, raw):
         want = per_outcome_bell(product, beta)
@@ -222,12 +223,24 @@ def test_bell_batch_matches_per_outcome_expm_reference(dim):
 @pytest.mark.parametrize("dim", [4, 30, 90])
 def test_bell_rows_match_the_dense_resource_product(dim):
     # the resource applied as its Schmidt diagonal against the dense matrix
-    # product, on run_all_checks' four-outcome batch and on the fidelity grid
+    # product, on run_all_checks' four-outcome batch and on every block of the fidelity grid
     r = 1.0
-    batch = np.array([0.2, 0.5, 1.0 + 0.5j, -0.5 + 0.3j])
-    for u, raw in (fock._bell_rows(0.5, r, batch, dim), fock._grid_contractions(0.4 + 0.2j, r, dim, 41)[:2]):
+    eig = fock._momentum_eigh(dim)
+    blocks = [fock._bell_rows(*fock._bell_inputs(0.5, r, dim), np.array([0.2, 0.5, 1.0 + 0.5j, -0.5 + 0.3j]), eig)]
+
+    def keep(u, raw):
+        blocks.append((u, raw))
+        return np.zeros(len(u))
+
+    fock._grid_sum(0.4 + 0.2j, r, 41, eig, keep)
+    for u, raw in blocks:
         want = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
         assert np.all(np.abs(raw - want) <= 1e-15 * np.abs(want))
+    # the grid blocks cover the kept outcomes (1 at dim 4, 421 at 30, 1485 at 90),
+    # each with _GRID_BLOCK to 2 _GRID_BLOCK - 1 rows unless one block holds them all
+    sizes = [len(u) for u, _ in blocks[1:]]
+    assert sum(sizes) == {4: 1, 30: 421, 90: 1485}[dim]
+    assert len(sizes) == 1 or fock._GRID_BLOCK <= min(sizes) <= max(sizes) < 2 * fock._GRID_BLOCK
 
 
 def test_project_bell_rejects_wrong_mode_count():
@@ -435,6 +448,33 @@ def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
     assert abs(oracle_average_fidelity(alpha, r, dim, n=11) - fidelity) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("dim", [4, 30, 90])
+def test_grid_sums_do_not_depend_on_the_block_size(monkeypatch, dim):
+    # rows are independent, so two-row blocks, the default blocks and one
+    # block of every kept outcome give the same bits
+    args = (0.4 + 0.2j, 1.0, dim)
+    results = set()
+    for block in (2, fock._GRID_BLOCK, 10**9):
+        monkeypatch.setattr(fock, "_GRID_BLOCK", block)
+        results.add((oracle_average_fidelity(*args), bell_completeness(*args)))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize(
+    "call,count",
+    [(lambda: run_all_checks(8, 4), 7), (lambda: oracle_average_fidelity(0.4 + 0.2j, 2.0, 90), 1)],
+    ids=["run_all_checks", "oracle_average_fidelity"],
+)
+def test_truncation_warnings_fire_once_per_pass_not_per_block(call, count):
+    # the grid builds its input state and resource once, whatever its number of blocks
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert len(caught) == count
+    assert all("loses" in str(w.message) for w in caught)
+
+
 def test_beta_grid_validation():
     with pytest.raises(ValueError, match="at least 3 points"):
         oracle_average_fidelity(0.0, 0.5, 10, n=2)
@@ -482,17 +522,44 @@ def test_run_all_checks_makes_at_most_three_eigendecompositions(monkeypatch):
     assert len(calls) == 2 * first
 
 
-def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
-    # a 160^3 complex state alone is 65 MB; the factored Bell rows and the
-    # outcome grid stay near 24 MB
-    run_all_checks(dim=MAX_DIM)
+def traced_peak(call):
+    """Peak traced (tracemalloc) bytes of a second, warm call."""
+    call()
     tracemalloc.start()
     try:
-        run_all_checks(dim=MAX_DIM)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32e6
+
+
+def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
+    # a 160^3 complex state alone is 65 MB, and the whole grid of 1681
+    # outcomes 4.3 MB per array; the run peaks near 6.2 MB, mostly the
+    # eigen row's dense matrices
+    assert traced_peak(lambda: run_all_checks(dim=MAX_DIM)) <= 8e6
+
+
+def test_average_fidelity_at_the_dim_cap_holds_one_block_at_a_time():
+    # the grid pass holds (block x dim) arrays, not (outcomes x dim): it peaks near 1.6 MB
+    assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, MAX_DIM)) <= 2.5e6
+
+
+@pytest.mark.parametrize("dim", [8, 30, 90])
+def test_run_all_checks_makes_one_eigendecomposition(monkeypatch, dim):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_all_checks(dim)
+    # the Bell batch, the eigen-relation row and the grid share it
+    assert calls == [(dim, dim)]
 
 
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])

@@ -297,3 +297,20 @@ def test_spdc_params_validation():
         RingParams(r0=1.0, R=0.0, Xi=1.0)
     with pytest.raises(ValueError):
         RingParams(r0=-0.1, R=1.0, Xi=1.0)
+
+
+RING_FIELDS = {"r0": 1.0, "R": 1.0, "Xi": 1.0}
+SPDC_FIELDS = {"w_p": 50.0, "w_0": 1.0, "L": 2.0, "k_p": 20.0, "k_d": 9.0, "theta_d": 0.2, "f": 3.0, "Xi": 1.0}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls,name",
+    [(RingParams, name) for name in RING_FIELDS] + [(SpdcParams, name) for name in SPDC_FIELDS],
+    ids=[f"ring-{name}" for name in RING_FIELDS] + [f"spdc-{name}" for name in SPDC_FIELDS],
+)
+def test_params_reject_non_finite_fields(cls, name, bad):
+    # a NaN or infinite field would pass the sign checks and make NaN or inf curves
+    base = RING_FIELDS if cls is RingParams else SPDC_FIELDS
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+        cls(**{**base, name: bad})
