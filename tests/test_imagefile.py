@@ -117,6 +117,24 @@ def test_read_missing_file(tmp_path):
         ("pixelport-image-v2\n2 2\nre_im\n", "bad magic"),
         (f"{MAGIC}\n2\nre_im\n", "bad dimension"),
         (f"{MAGIC}\ntwo two\nre_im\n", "bad dimension"),
+        # the dimension line is held to ASCII digits like the cells, with exactly two fields
+        *(
+            (f"{MAGIC}\n{dims}\nre_im\n0.0,0.0\n", "bad dimension line")
+            for dims in (
+                "1_0 1",  # int() reads 10
+                "\u0661 1",  # an Arabic-Indic digit, int() reads 1
+                "1 \uff11",  # a fullwidth digit
+                "1 1 junk",  # a third field
+                "1 1 1",
+                "+1 1",
+                "-1 2",
+                "1.0 1",
+                "0x1 1",
+                "1 \u00b2",  # a superscript two, a digit to str.isdigit but not to int()
+                "9" * 5000 + " 1",  # past int()'s digit limit
+                "",
+            )
+        ),
         (f"{MAGIC}\n0 2\nre_im\n", "non-positive"),
         (f"{MAGIC}\n2 2\npolar\n", "unknown encoding"),
         (f"{MAGIC}\n2 2\n", "truncated header"),
@@ -130,9 +148,16 @@ def test_read_missing_file(tmp_path):
 )
 def test_read_rejects_malformed(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(ImageFormatError, match=fragment):
         read_image(path)
+
+
+@pytest.mark.parametrize("dims", ["1 1", " 1\t1 ", "01 001"])
+def test_read_accepts_two_ascii_digit_fields(tmp_path, dims):
+    path = tmp_path / "ok.csv"
+    path.write_text(f"{MAGIC}\n{dims}\nre_im\n0.5,-0.25\n", encoding="utf-8")
+    assert read_image(path)[0].tolist() == [[0.5 - 0.25j]]
 
 
 def test_single_pixel(tmp_path):
