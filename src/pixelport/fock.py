@@ -18,10 +18,13 @@ States are plain complex ndarrays with one axis per mode (matching the rest
 of the numeric code); operators are dense matrices.
 
 Every displacement comes from one eigendecomposition of the truncated
-momentum operator; the rotation factors e^{i n arg(beta)} are running
-products over the levels.  A public function takes its own
-eigendecomposition, and run_all_checks takes one and hands it to the
-private cores of every row that displaces.
+position operator q.  q links even levels only to odd ones, so that is one
+real SVD of q's half-size even-odd block; at the default dim it stays on one
+BLAS thread, where the complex eigh it replaced woke a second.  The momentum
+operator is q rotated by diag(i^n), and that rotation joins the factors
+e^{i n arg(beta)}, which are running products over the levels.  A public
+function takes its own eigendecomposition, and run_all_checks takes one and
+hands it to the private cores of every row that displaces.
 
 For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
@@ -29,16 +32,19 @@ sqrt(pi), one dim-vector per outcome, with no three-mode array and no dense
 D(beta).  The resource tms is built in its Schmidt form, a diagonal matrix,
 so that product is u times the diagonal of tms, elementwise.  That one
 contraction serves run_all_checks' conditional-state and outcome-density
-rows (one batch of four outcomes) and the average-fidelity grid.  A grid
-pass walks its kept outcomes in blocks of _GRID_BLOCK to 2 _GRID_BLOCK - 1
-rows and reduces each block to one number per outcome, so its temporaries
-are (block x dim) arrays, not (outcomes x dim).  The input state, the
-resource diagonal and the eigendecomposition are built once per pass, not
-once per block.  project_bell is the generic projection of an arbitrary
-three-mode state, one outcome and one dense displacement at a time; no
-check runs it, and it stays public because the benchmark's tracer
-(perfbench/spans.py) wraps it by name.  The eigen-relation row takes one
-displacement.  So a run makes one eigendecomposition and keeps nothing
+rows (one batch of four outcomes) and the average-fidelity grid.  Its
+arrays put the levels first, (dim x outcomes), so each product with the
+real eigenvectors is a real matmul on a float view; the spectral factor is
+evaluated for the nonnegative half of the spectrum and conjugated for the
+other.  A grid pass walks its kept outcomes in blocks whose (dim x block)
+complex arrays stay within _GRID_BLOCK_BYTES, and reduces each block to
+one number per outcome, so its temporaries are not (dim x outcomes).  The
+input state, the resource diagonal and the eigendecomposition are built
+once per pass, not once per block.  project_bell is the generic projection
+of an arbitrary three-mode state, one outcome and one dense displacement at
+a time; no check runs it, and it stays public because the benchmark's
+tracer (perfbench/spans.py) wraps it by name.  The eigen-relation row takes
+one displacement.  So a run makes one eigendecomposition and keeps nothing
 between runs.
 """
 
@@ -72,18 +78,17 @@ COHERENT_TAIL_WARN = 1e-8
 SQUEEZED_TAIL_WARN = 1e-6
 
 # run_all_checks truncation caps.  dim bounds the eigen-relation row's dense
-# dim x dim matrices and the grid blocks, a few (_GRID_BLOCK x dim) arrays of
-# about 0.3 MB each at MAX_DIM: run_all_checks at MAX_DIM peaks near 6 MB
-# traced (tracemalloc) with the default photo_dim.  photocurrent_check holds
-# about three photo_dim^3 arrays: 25 MB traced at MAX_PHOTO_DIM.
+# dim x dim matrices; a grid block's arrays stay near _GRID_BLOCK_BYTES at
+# any dim.  run_all_checks at MAX_DIM peaks near 6 MB traced (tracemalloc)
+# with the default photo_dim.  photocurrent_check holds about three
+# photo_dim^3 arrays: 25 MB traced at MAX_PHOTO_DIM.
 MAX_DIM = 160
 MAX_PHOTO_DIM = 80
 
-# Least outcomes per block of a grid pass; a block holds fewer than twice
-# this.  At the default dim 30 a (block x dim) complex temporary is then at
-# most 61 KB, below glibc's 128 KiB mmap threshold, so a pass reuses heap
-# memory instead of mapping and faulting in fresh pages for every array.
-_GRID_BLOCK = 64
+# Byte budget of one (dim x block) complex temporary of a grid pass.  Below
+# glibc's 128 KiB mmap threshold, a pass reuses heap memory instead of
+# mapping and faulting in fresh pages for every array, at any dim.
+_GRID_BLOCK_BYTES = 96 * 1024
 
 
 def destroy(dim: int) -> np.ndarray:
@@ -111,28 +116,52 @@ def _expi(x) -> np.ndarray:
     return out
 
 
-def _momentum_eigh(dim: int):
-    """(lam, V) with p = V diag(lam) V^dag for the truncated momentum operator p."""
-    return np.linalg.eigh(momentum_op(dim))
+def _position_eig(dim: int):
+    """(lam, V) with q = V diag(lam) V^T for the truncated position operator q, V real orthogonal.
+
+    q links even levels only to odd ones, so one SVD of its ceil(dim/2) x
+    floor(dim/2) even-odd block q[0::2, 1::2] = U diag(sigma) W^T gives every
+    eigenpair: +-sigma with eigenvectors (u, +-w)/sqrt(2) over the (even,
+    odd) levels, and, when dim is odd, 0 with the left null vector (u, 0).
+    lam ascends and lam == -lam[::-1]; column dim - 1 - j of V is column j
+    times the parity (-1)^n.  Both hold exactly, by construction.
+    """
+    k = dim // 2
+    u, sigma, wt = np.linalg.svd(position_op(dim).real[0::2, 1::2])
+    pos = np.empty((dim, k))  # eigenvectors of +sigma, sigma descending
+    pos[0::2] = u[:, :k]
+    pos[1::2] = wt.T
+    pos *= math.sqrt(0.5)
+    zero = np.zeros((dim, dim - 2 * k))
+    zero[0::2] = u[:, k:]
+    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    lam = np.concatenate([-sigma, np.zeros(dim - 2 * k), sigma[::-1]])
+    return lam, np.concatenate([parity[:, None] * pos, zero, pos[:, ::-1]], axis=1)
 
 
 def _displacement_factors(beta: complex | np.ndarray, eig):
-    """(V, spectral, rot) with D(beta) = R V diag(spectral) V^dag R^dag, R = diag(rot).
+    """(V, spectral, rot) with D(beta) = R V diag(spectral) V^T R^dag, R = diag(rot).
 
     The generator is -i sqrt(2) |beta| R p R^dag with R = diag(e^{i n arg(beta)}),
-    so one eigendecomposition eig = (lam, V) of the truncated momentum
-    operator (_momentum_eigh) serves every beta: spectral =
-    exp(-i sqrt(2) |beta| lam), and spectral and rot carry beta.shape + (dim,).
-    rot is the running product of e^{i arg(beta)} over the levels.
+    and p = T q T^dag with T = diag(i^n), so one eigendecomposition eig =
+    (lam, V) of the truncated position operator (_position_eig) serves every
+    beta: spectral = exp(-i sqrt(2) |beta| lam) and rot = e^{i n (arg(beta)
+    + pi/2)}.  Both put the levels first, shape (dim,) + beta.shape.  rot is
+    the running product of i e^{i arg(beta)} over the levels.  spectral is
+    evaluated for lam >= 0 only; lam == -lam[::-1], so the other half is
+    its conjugate, mirrored.
     """
     beta = np.asarray(beta, dtype=complex)
     lam, v = eig
     dim = lam.size
-    spectral = _expi(-math.sqrt(2.0) * np.abs(beta)[..., None] * lam)
-    rot = np.empty(beta.shape + (dim,), dtype=complex)
-    rot[..., 0] = 1.0
-    rot[..., 1:] = _expi(np.angle(beta))[..., None]
-    np.cumprod(rot, axis=-1, out=rot)
+    k = dim // 2
+    spectral = np.empty((dim,) + beta.shape, dtype=complex)
+    spectral[k:] = _expi(np.multiply.outer(lam[k:], -math.sqrt(2.0) * np.abs(beta)))
+    np.conjugate(spectral[dim - k :][::-1], out=spectral[:k])
+    rot = np.empty((dim,) + beta.shape, dtype=complex)
+    rot[0] = 1.0
+    rot[1:] = 1j * _expi(np.angle(beta))
+    np.cumprod(rot, axis=0, out=rot)
     return v, spectral, rot
 
 
@@ -143,12 +172,13 @@ def displacement(beta: complex | np.ndarray, dim: int) -> np.ndarray:
     while |beta|^2 stays well below dim; beyond that the norm that should
     escape to higher levels is folded back in.
     """
-    return _displacement(beta, _momentum_eigh(dim))
+    return _displacement(beta, _position_eig(dim))
 
 
 def _displacement(beta: complex | np.ndarray, eig) -> np.ndarray:
     v, spectral, rot = _displacement_factors(beta, eig)
-    d = (v * spectral[..., None, :]) @ v.conj().T
+    spectral, rot = np.moveaxis(spectral, 0, -1), np.moveaxis(rot, 0, -1)
+    d = (v * spectral[..., None, :]) @ v.T
     d *= rot[..., :, None]
     d *= rot.conj()[..., None, :]
     return d
@@ -208,25 +238,30 @@ def _bell_inputs(alpha: complex, r: float, dim: int):
     return coherent_state(alpha, dim), two_mode_squeezed(r, dim).diagonal() / math.sqrt(math.pi)
 
 
-def _bell_rows(coherent: np.ndarray, schmidt: np.ndarray, beta: complex | np.ndarray, eig):
-    """(u, raw) of the coherent input at every outcome beta, each of shape beta.shape + (dim,).
+def _bell_rows(coherent: np.ndarray, schmidt: np.ndarray, beta: np.ndarray, eig):
+    """(u, raw) of the coherent input at every outcome of the 1-D array beta, each (dim, beta.size).
 
     coherent and schmidt come from _bell_inputs(alpha, r, dim), and eig from
-    _momentum_eigh(dim).  u = D(beta)^dag |alpha>, and raw = u @ tms / sqrt(pi)
-    is the receiver's unnormalized conditional state, whose squared norm is
-    the density p(beta).  tms is diagonal (its Schmidt form), so raw is u
-    times schmidt, elementwise.
+    _position_eig(dim).  Column k of u is D(beta_k)^dag |alpha>, and column k
+    of raw = tms^T u / sqrt(pi) is the receiver's unnormalized conditional
+    state, whose squared norm is the density p(beta_k).  tms is diagonal
+    (its Schmidt form), so raw is u times schmidt, elementwise.  The levels
+    come first so that each product with the real V is one real matmul on
+    the float view of a (dim, 2 beta.size) array.
     """
     v, spectral, rot = _displacement_factors(beta, eig)
-    # D^dag = R V diag(conj(spectral)) V^dag R^dag applied to |alpha>, one row per outcome
-    y = (rot.conj() * coherent) @ v.conj()
-    y *= spectral.conj()
-    u = y @ v.T
+    # D^dag = R V diag(conj(spectral)) V^T R^dag applied to |alpha>, one column per outcome
+    y = rot.conj()
+    y *= coherent[:, None]
+    y = (v.T @ y.view(float)).view(complex)
+    y *= np.conjugate(spectral, out=spectral)
+    # u and raw reuse the buffers of spectral and y, so a block holds four (dim, K) arrays at most
+    u = np.matmul(v, y.view(float), out=spectral.view(float)).view(complex)
     # in place, so the operand order is fixed: complex products are not
-    # bitwise commutative, and numpy swaps the operands of rot * (y @ v.T)
+    # bitwise commutative, and numpy swaps the operands of rot * (v @ y)
     # once the temporary reaches 256 KiB, which would tie the bits to the block size
     u *= rot
-    return u, u * schmidt
+    return u, np.multiply(u, schmidt[:, None], out=y)
 
 
 def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
@@ -279,7 +314,7 @@ def verify_eigen_relations(beta: complex, dim: int) -> np.ndarray:
     shrinks as |beta| grows).  Residuals decrease monotonically with dim;
     useful accuracy needs dim of at least 8 or so.
     """
-    return _eigen_residuals(beta, _momentum_eigh(dim))
+    return _eigen_residuals(beta, _position_eig(dim))
 
 
 def _eigen_residuals(beta: complex, eig) -> np.ndarray:
@@ -371,11 +406,11 @@ def _grid_sum(alpha: complex, r: float, n: int, eig, per_outcome) -> float:
     The grid holds n midpoints per axis on the square of half-width 5 cosh(r)
     around alpha, where the density lives, and skips outcomes whose integrand
     would be truncation junk, |beta - alpha|^2 > dim - 2 sqrt(dim).  The K
-    kept outcomes go through _bell_rows in K // _GRID_BLOCK near-equal
-    blocks (one block when K is smaller), so no block is a lone row unless
-    K is 1: a one-row matmul takes BLAS's matrix-vector path, whose last
-    bits differ.  per_outcome maps a block's (u, raw) to one value per row,
-    and rows are independent, so any block size gives the same sum.
+    kept outcomes go through _bell_rows in ceil(K dim 16 B / _GRID_BLOCK_BYTES)
+    near-equal blocks, but at most K // 2 of them, so no block is a lone
+    outcome unless K is 1.  per_outcome maps a block's (u, raw), levels
+    first, to one value per outcome, and outcomes are independent, so any
+    block size gives the same sum.
     """
     if n < 3:
         raise ValueError("grid needs at least 3 points per axis")
@@ -387,14 +422,14 @@ def _grid_sum(alpha: complex, r: float, n: int, eig, per_outcome) -> float:
     keep = dx * dx + dy * dy <= dim - 2.0 * math.sqrt(dim)
     betas = alpha + (dx[keep] + 1j * dy[keep])
     coherent, schmidt = _bell_inputs(alpha, r, dim)
-    blocks = np.array_split(betas, max(1, betas.size // _GRID_BLOCK))
+    blocks = np.array_split(betas, max(1, min(math.ceil(betas.size * dim * 16 / _GRID_BLOCK_BYTES), betas.size // 2)))
     terms = np.concatenate([per_outcome(*_bell_rows(coherent, schmidt, block, eig)) for block in blocks])
     return float(np.sum(terms)) * (step * step)
 
 
 def _fidelity_terms(u: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """|<u|raw>|^2 = |<alpha| D(beta) raw>|^2 per outcome row."""
-    return np.abs(np.sum(u.conj() * raw, axis=1)) ** 2
+    """|<u|raw>|^2 = |<alpha| D(beta) raw>|^2 per outcome column."""
+    return np.abs(np.sum(u.conj() * raw, axis=0)) ** 2
 
 
 def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> float:
@@ -407,7 +442,7 @@ def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> 
     beyond the truncation's reach, so small dim undershoots (at r = 2 the
     examples use dim around 90).
     """
-    return _grid_sum(alpha, r, n, _momentum_eigh(dim), _fidelity_terms)
+    return _grid_sum(alpha, r, n, _position_eig(dim), _fidelity_terms)
 
 
 class CheckResult(NamedTuple):
@@ -438,7 +473,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
 
     results: list[CheckResult] = []
     # the one eigendecomposition of the run, shared by every row that displaces
-    eig = _momentum_eigh(dim)
+    eig = _position_eig(dim)
 
     # Ladder commutator [a, a^dag] = 1 below the truncation edge.
     a = destroy(dim)
@@ -467,12 +502,12 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
 
     # Conditional state equals the coherent state tanh(r)(alpha - beta).
     zeta = math.tanh(r) * (alpha - beta)
-    ov = abs(np.vdot(coherent_state(zeta, dim), raw[0] / np.linalg.norm(raw[0]))) ** 2
+    ov = abs(np.vdot(coherent_state(zeta, dim), raw[:, 0] / np.linalg.norm(raw[:, 0]))) ** 2
     results.append(CheckResult("conditional_state_overlap", abs(1.0 - ov), 1e-6))
 
     # Outcome density against the centered Gaussian.
     dev = 0.0
-    for off, row in zip(offsets, raw[1:]):
+    for off, row in zip(offsets, raw[:, 1:].T):
         got = float(np.linalg.norm(row)) ** 2
         want = math.exp(-abs(off) ** 2 / math.cosh(r) ** 2) / (math.pi * math.cosh(r) ** 2)
         dev = max(dev, abs(got - want) / want)

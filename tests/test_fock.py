@@ -97,8 +97,9 @@ def test_displacement_unitary_and_generates_coherent():
     assert np.allclose(d @ vac, coherent_state(alpha, dim), atol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [10, 30, 48])
+@pytest.mark.parametrize("dim", [1, 2, 3, 10, 30, 31, 47, 48, 90])
 def test_displacement_matches_expm(dim):
+    # odd dims carry the zero mode, and at dim 90 LAPACK threads the SVD
     for beta in (0.0, 0.35j, -1.2j, 0.7 - 0.2j, -2.1 + 1.4j, 4.0 + 4.05j, -5.7):
         assert np.max(np.abs(displacement(beta, dim) - expm_displacement(beta, dim))) < 1e-12
 
@@ -114,14 +115,29 @@ def test_displacement_broadcasts_over_beta():
 
 @pytest.mark.parametrize("dim", [30, 160])
 def test_rotation_factors_match_per_level_exp(dim):
-    # rot[n] = e^{i n arg(beta)} is a running product; the reference takes one complex exp per level
+    # rot[n] = e^{i n (arg(beta) + pi/2)} is a running product; the reference takes one complex exp per level
     angles = np.concatenate([np.linspace(-math.pi, math.pi, 721)[1:], [0.5 * math.pi, -0.5 * math.pi, 1e-300]])
     beta = np.concatenate([np.geomspace(1e-3, 12.0, angles.size) * np.exp(1j * angles), [0.0, -2.0, -0.5 - 0.0j]])
-    _, _, rot = fock._displacement_factors(beta, fock._momentum_eigh(dim))
-    want = np.exp(1j * np.angle(beta)[:, None] * np.arange(dim))
-    assert rot.shape == (beta.size, dim)
+    _, _, rot = fock._displacement_factors(beta, fock._position_eig(dim))
+    levels = np.arange(dim)
+    want = np.exp(1j * (np.angle(beta)[None, :] + 0.5 * math.pi) * levels[:, None])
+    assert rot.shape == (dim, beta.size)
     assert np.max(np.abs(rot - want)) < 1e-13
-    assert np.all(rot[-3] == 1.0)
+    # at beta = 0 the factors are the powers of i, exactly
+    assert np.all(rot[:, -3] == np.array([1, 1j, -1, -1j])[levels % 4])
+
+
+@pytest.mark.parametrize("dim", range(1, MAX_DIM + 1))
+def test_position_eig_is_parity_symmetric(dim):
+    # q is odd under the parity (-1)^n, and the split SVD keeps that exact:
+    # the spectrum is symmetric and each -lam eigenvector is its +lam partner times the parity
+    lam, v = fock._position_eig(dim)
+    assert lam.shape == (dim,) and v.shape == (dim, dim) and v.dtype == float
+    assert np.array_equal(lam, -lam[::-1]) and np.all(np.diff(lam) > 0)
+    parity = (-1.0) ** np.arange(dim)
+    assert np.array_equal(v, parity[:, None] * v[:, ::-1])
+    assert np.max(np.abs((v * lam) @ v.T - position_op(dim))) < 1e-13
+    assert np.max(np.abs(v.T @ v - np.eye(dim))) < 1e-13
 
 
 def test_two_mode_squeezed_vacuum_limit():
@@ -202,9 +218,9 @@ BELL_OUTCOMES = np.array([0.0, 0.2, -0.7 + 0.4j, 1.5j, -2.0, 2.5 - 1.0j])
 def test_bell_batch_matches_per_outcome_expm_reference(dim):
     alpha, r = 0.3 - 0.2j, 0.8
     product = joint_state(alpha, r, dim)
-    u, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), BELL_OUTCOMES, fock._momentum_eigh(dim))
-    assert u.shape == raw.shape == (BELL_OUTCOMES.size, dim)
-    for beta, u_row, row in zip(BELL_OUTCOMES, u, raw):
+    u, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), BELL_OUTCOMES, fock._position_eig(dim))
+    assert u.shape == raw.shape == (dim, BELL_OUTCOMES.size)
+    for beta, u_row, row in zip(BELL_OUTCOMES, u.T, raw.T):
         want = per_outcome_bell(product, beta)
         assert np.max(np.abs(row - want)) < 1e-12
         assert np.max(np.abs(u_row - expm_displacement(beta, dim).conj().T @ coherent_state(alpha, dim))) < 1e-12
@@ -227,22 +243,26 @@ def test_bell_rows_match_the_dense_resource_product(dim):
     # the resource applied as its Schmidt diagonal against the dense matrix
     # product, on run_all_checks' four-outcome batch and on every block of the fidelity grid
     r = 1.0
-    eig = fock._momentum_eigh(dim)
+    eig = fock._position_eig(dim)
     blocks = [fock._bell_rows(*fock._bell_inputs(0.5, r, dim), np.array([0.2, 0.5, 1.0 + 0.5j, -0.5 + 0.3j]), eig)]
 
     def keep(u, raw):
         blocks.append((u, raw))
-        return np.zeros(len(u))
+        return np.zeros(u.shape[1])
 
     fock._grid_sum(0.4 + 0.2j, r, 41, eig, keep)
     for u, raw in blocks:
-        want = u @ two_mode_squeezed(r, dim) / math.sqrt(math.pi)
+        want = two_mode_squeezed(r, dim).T @ u / math.sqrt(math.pi)
         assert np.all(np.abs(raw - want) <= 1e-15 * np.abs(want))
-    # the grid blocks cover the kept outcomes (1 at dim 4, 421 at 30, 1485 at 90),
-    # each with _GRID_BLOCK to 2 _GRID_BLOCK - 1 rows unless one block holds them all
-    sizes = [len(u) for u, _ in blocks[1:]]
-    assert sum(sizes) == {4: 1, 30: 421, 90: 1485}[dim]
-    assert len(sizes) == 1 or fock._GRID_BLOCK <= min(sizes) <= max(sizes) < 2 * fock._GRID_BLOCK
+    # the grid blocks cover the K kept outcomes (1 at dim 4, 421 at 30, 1485 at 90)
+    # in ceil(K dim 16 B / _GRID_BLOCK_BYTES) near-equal blocks of at least two
+    # outcomes each, unless one block holds them all
+    sizes = [u.shape[1] for u, _ in blocks[1:]]
+    kept = sum(sizes)
+    assert kept == {4: 1, 30: 421, 90: 1485}[dim]
+    assert len(sizes) == min(math.ceil(kept * dim * 16 / fock._GRID_BLOCK_BYTES), max(1, kept // 2))
+    assert max(sizes) - min(sizes) <= 1
+    assert len(sizes) == 1 or min(sizes) >= 2
 
 
 def test_project_bell_rejects_wrong_mode_count():
@@ -453,12 +473,12 @@ def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("dim", [4, 30, 90])
 def test_grid_sums_do_not_depend_on_the_block_size(monkeypatch, dim):
-    # rows are independent, so two-row blocks, the default blocks and one
-    # block of every kept outcome give the same bits
+    # outcomes are independent, so blocks of two or three outcomes, the
+    # default blocks and one block of every kept outcome give the same bits
     args = (0.4 + 0.2j, 1.0, dim)
     results = set()
-    for block in (2, fock._GRID_BLOCK, 10**9):
-        monkeypatch.setattr(fock, "_GRID_BLOCK", block)
+    for budget in (1, fock._GRID_BLOCK_BYTES, 10**12):
+        monkeypatch.setattr(fock, "_GRID_BLOCK_BYTES", budget)
         results.add((oracle_average_fidelity(*args), bell_completeness(*args)))
     assert len(results) == 1
 
@@ -508,14 +528,15 @@ def test_run_all_checks_undersized_space_fails():
 
 
 def test_run_all_checks_makes_at_most_three_eigendecompositions(monkeypatch):
+    # an eigendecomposition is one SVD of the position operator's even-odd block
     calls = []
-    eigh = np.linalg.eigh
+    svd = np.linalg.svd
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     run_all_checks()
     first = len(calls)
     run_all_checks()
@@ -537,31 +558,37 @@ def traced_peak(call):
 
 def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
     # a 160^3 complex state alone is 65 MB, and the whole grid of 1681
-    # outcomes 4.3 MB per array; the run peaks near 6.2 MB, mostly the
+    # outcomes 4.3 MB per array; the run peaks near 6.0 MB, mostly the
     # eigen row's dense matrices
     assert traced_peak(lambda: run_all_checks(dim=MAX_DIM)) <= 8e6
 
 
 def test_average_fidelity_at_the_dim_cap_holds_one_block_at_a_time():
-    # the grid pass holds (block x dim) arrays, not (outcomes x dim): it peaks near 1.6 MB
+    # the grid pass holds (dim x block) arrays, not (dim x outcomes): it peaks near 1.4 MB
     assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, MAX_DIM)) <= 2.5e6
 
 
 @pytest.mark.parametrize("dim", [8, 30, 90])
 def test_run_all_checks_makes_one_eigendecomposition(monkeypatch, dim):
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+
+        return call
+
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_all_checks(dim)
-    # the Bell batch, the eigen-relation row and the grid share it
-    assert calls == [(dim, dim)]
+    # one SVD of the even-odd block of q, shared by the Bell batch, the
+    # eigen-relation row and the grid; no complex eigh
+    assert calls == [("svd", ((dim + 1) // 2, dim // 2))]
 
 
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])
