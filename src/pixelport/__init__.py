@@ -8,7 +8,7 @@ file/CLI plumbing (:mod:`pixelport.imagefile`, :mod:`pixelport.config`,
 :mod:`pixelport.cli`).
 """
 
-from .channel import FidelityMap, average_fidelity, teleport_image
+from .channel import average_fidelity, teleport_image
 from .grid import GridGeometry, ImageField, decompose, synthesize
 from .spdc import (
     RingParams,
@@ -32,7 +32,6 @@ __all__ = [
     "eta_at_radius",
     "ring_from_spdc",
     "profile_for_grid",
-    "FidelityMap",
     "average_fidelity",
     "teleport_image",
     "__version__",

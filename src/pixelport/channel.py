@@ -25,24 +25,23 @@ fidelity exp(-e^-2r |z|^2 / 2), with no cancellation at any r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridGeometry, ImageField
+from .grid import ImageField
 from .spdc import SqueezingProfile
 
 __all__ = [
     "MAX_R",
     "MAX_SHOTS",
-    "FidelityMap",
     "average_fidelity",
     "teleport_image",
 ]
 
-# Largest supported squeezing.  cosh(r) overflows float64 at r = 710.48;
-# stopping at 700 leaves a factor e^10 of headroom, so a measurement outcome
-# beta = alpha + cosh(r)/sqrt(2) * z stays finite for any normal draw z.
+# Largest supported squeezing: the tested range.  The channel never forms
+# cosh(r); up to 700 its noise scale e^-r/sqrt(2) stays a normal float64, and
+# the tests' per-outcome reference keeps beta = alpha + cosh(r)/sqrt(2) * z
+# finite for any normal draw z (cosh(r) overflows float64 at r = 710.48).
 MAX_R = 700.0
 
 # Normals drawn per block of whole pixels in teleport_image.  It bounds the
@@ -52,21 +51,6 @@ _BLOCK_NORMALS = 1 << 20
 # Largest supported n_shots: one pixel's 2 * n_shots normals still fit in one
 # block, so _BLOCK_NORMALS keeps bounding memory.
 MAX_SHOTS = _BLOCK_NORMALS // 2
-
-
-@dataclass
-class FidelityMap:
-    """Per-pixel fidelities plus their mean over the image."""
-
-    geometry: GridGeometry
-    per_pixel: np.ndarray
-    image_fidelity: float
-
-    def __post_init__(self):
-        per = np.asarray(self.per_pixel, dtype=float)
-        if per.shape != self.geometry.shape:
-            raise ValueError(f"fidelity shape {per.shape} does not match grid {self.geometry.shape}")
-        self.per_pixel = per
 
 
 def average_fidelity(r):
@@ -80,7 +64,7 @@ def teleport_image(
     seed: int = 0,
     n_shots: int = 0,
     raw_plane: bool = False,
-) -> tuple[ImageField, FidelityMap]:
+) -> tuple[ImageField, np.ndarray, float]:
     """Teleport a whole image, one independent channel per pixel.
 
     Parameters
@@ -88,7 +72,7 @@ def teleport_image(
     field : ImageField
         Input per-pixel amplitudes.
     profile : SqueezingProfile
-        Per-pixel squeezing magnitude; geometry must match the field.
+        Per-pixel squeezing magnitude; its geometry (shape, pitch and origin) must be the field's.
     seed : int
         Non-negative seed of the single generator ``default_rng(seed)``.
         Pixel (i, j), with row-major index k = j*width + i, uses normals
@@ -97,7 +81,7 @@ def teleport_image(
     n_shots : int
         0 runs the analytic channel (no sampling): the output is
         tanh(r)*alpha, which is the output at outcome beta = 0 and not the
-        shot mean (that tends to alpha), and the fidelity map holds the exact
+        shot mean (that tends to alpha), and the fidelity is the exact
         outcome average (1 + tanh r)/2.  1 draws a single stochastic
         realization per pixel.  Larger values report per-pixel Monte Carlo
         means over that many shots, at most MAX_SHOTS.
@@ -109,8 +93,8 @@ def teleport_image(
 
     Returns
     -------
-    (ImageField, FidelityMap)
-        Teleported image and per-pixel fidelities on the same plane.
+    (ImageField, fidelity, image_fidelity)
+        Teleported image, per-pixel fidelities on its plane, and their mean.
     """
     g = field.geometry
     if profile.geometry != g:
@@ -157,4 +141,4 @@ def teleport_image(
     if raw_plane:
         out = out[::-1, ::-1]
         fid = fid[::-1, ::-1]
-    return ImageField(g, out), FidelityMap(g, fid, mean)
+    return ImageField(g, out), fid, mean

@@ -95,22 +95,22 @@ def cmd_teleport(args) -> int:
     field = decompose(samples, geometry)
     del samples
     if cfg.mode == "ideal":
-        profile = spdc.SqueezingProfile.uniform(geometry, cfg.ideal_r)
+        profile = spdc.SqueezingProfile.uniform(geometry, cfg.squeezing)
     else:
-        ring = cfg.ring if cfg.ring is not None else spdc.ring_from_spdc(cfg.spdc)
+        ring = cfg.squeezing if isinstance(cfg.squeezing, spdc.RingParams) else spdc.ring_from_spdc(cfg.squeezing)
         profile = spdc.profile_for_grid(geometry, ring)
-    out_field, fmap = channel.teleport_image(
+    out_field, fid, image_fidelity = channel.teleport_image(
         field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane
     )
     del field, profile
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
-    fidelity = _fmt(fmap.image_fidelity)
+    fidelity = _fmt(image_fidelity)
     write_image(cfg.output_path, synthesize(out_field), comments=tuple(comments))
     del out_field
     header = ",".join(f"col{i}" for i in range(geometry.width))
-    _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fmap.per_pixel)
+    _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fid)
 
     summary = dict(params, image_fidelity=fidelity, output=cfg.output_path, fidelity_map=cfg.fidelity_map_path)
     if args.json:

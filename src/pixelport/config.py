@@ -9,11 +9,13 @@ The channel is configured either with a uniform squeezing (``mode = ideal``,
 ring parameters (``ring_r0``, ``ring_width``, ``ring_xi``) or as the full
 physical parameter set (``spdc_*``), but never both.  :func:`parse_config`
 checks the text, which keys are given and that numbers are finite.
-:class:`RunConfig` checks each value, also after :func:`dataclasses.replace`:
-the seed and ``n_shots`` non-negative integers, ``n_shots`` at most
-``MAX_SHOTS``, ``pitch`` positive, ``pitch`` and the origin finite,
-``ideal_r`` non-negative, and ``ideal_r``, ``ring_xi`` and ``spdc_xi`` at
-most ``MAX_R`` (both from :mod:`pixelport.channel`).
+:class:`RunConfig` keeps the one source, ``ideal_r`` or the parameters, as
+``squeezing``, and reads ``mode`` from its type.  It checks each value, also
+after :func:`dataclasses.replace`: the seed and ``n_shots`` non-negative
+integers, ``n_shots`` at most ``MAX_SHOTS``, ``pitch`` positive, ``pitch``
+and the origin finite, ``ideal_r`` non-negative, and ``ideal_r``,
+``ring_xi`` and ``spdc_xi`` at most ``MAX_R`` (both from
+:mod:`pixelport.channel`).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _KNOWN_KEYS = frozenset(
 class RunConfig:
     """Everything one teleportation run needs; ConfigError names the first value out of range."""
 
-    mode: str
+    squeezing: float | RingParams | SpdcParams  # ideal_r, or the ring_* or spdc_* parameters
     input_path: str
     output_path: str = "teleported.csv"
     fidelity_map_path: str = "fidelity_map.csv"
@@ -63,9 +65,6 @@ class RunConfig:
     n_shots: int = 0
     pitch: float = 1.0
     origin: tuple[float, float] | None = None  # None centers the grid on the axis
-    ideal_r: float | None = None
-    ring: RingParams | None = None
-    spdc: SpdcParams | None = None
 
     def __post_init__(self):
         for key, value in (("seed", self.seed), ("n_shots", self.n_shots)):
@@ -80,12 +79,17 @@ class RunConfig:
         for key, value in (("pitch", self.pitch), *zip(("origin_x", "origin_y"), self.origin or ())):
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-        if self.ideal_r is not None and self.ideal_r < 0:
+        if not isinstance(self.squeezing, (numbers.Real, RingParams, SpdcParams)):
+            raise ConfigError(f"squeezing must be a number, RingParams or SpdcParams, got {self.squeezing!r}")
+        if self.mode == "ideal" and self.squeezing < 0:
             raise ConfigError("ideal_r must be non-negative")
-        ring_xi, spdc_xi = getattr(self.ring, "Xi", None), getattr(self.spdc, "Xi", None)
-        for key, r in (("ideal_r", self.ideal_r), ("ring_xi", ring_xi), ("spdc_xi", spdc_xi)):
-            if r is not None and not r <= MAX_R:
-                raise ConfigError(f"{key} must be at most {MAX_R!r}, got {r!r}")
+        key, r = squeezing_settings(self)[-1]  # the squeezing scale: ideal_r, ring_xi or spdc_xi
+        if not r <= MAX_R:
+            raise ConfigError(f"{key} must be at most {MAX_R!r}, got {r!r}")
+
+    @property
+    def mode(self) -> str:
+        return "ideal" if isinstance(self.squeezing, numbers.Real) else "spdc"
 
 
 def _to_int(key: str, raw: str) -> int:
@@ -147,7 +151,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("mode=ideal requires ideal_r")
         if ring_given or spdc_given:
             raise ConfigError("mode=ideal takes no ring_*/spdc_* keys")
-        return RunConfig(mode=mode, ideal_r=_to_float("ideal_r", raw["ideal_r"]), **fields)
+        return RunConfig(squeezing=_to_float("ideal_r", raw["ideal_r"]), **fields)
     if "ideal_r" in raw:
         raise ConfigError("mode=spdc takes no ideal_r")
     if ring_given and spdc_given:
@@ -164,20 +168,20 @@ def parse_config(text: str) -> RunConfig:
         params = cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(mode=mode, **{"ring" if ring_given else "spdc": params}, **fields)
+    return RunConfig(squeezing=params, **fields)
 
 
 def squeezing_settings(cfg: RunConfig) -> list[tuple[str, float]]:
     """(config key, value) pairs that set the squeezing of ``cfg``: ``ideal_r``, or the ring_* or spdc_* keys."""
     if cfg.mode == "ideal":
-        return [("ideal_r", cfg.ideal_r)]
-    table, params = (_RING_KEYS, cfg.ring) if cfg.ring is not None else (_SPDC_KEYS, cfg.spdc)
-    return [(key, getattr(params, field)) for key, field in table]
+        return [("ideal_r", cfg.squeezing)]
+    table = _RING_KEYS if isinstance(cfg.squeezing, RingParams) else _SPDC_KEYS
+    return [(key, getattr(cfg.squeezing, field)) for key, field in table]
 
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading UTF-8 byte order mark is skipped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -14,8 +14,8 @@ basis when its mean photon number |beta|^2 is well below the cutoff, so
 residual windows and integration grids carry explicit guards, and the state
 builders warn when their truncated norm falls short.
 
-States are plain complex ndarrays with one axis per mode (matching the rest
-of the numeric code); operators are dense matrices.
+States are plain complex ndarrays with one axis per mode; operators are
+dense matrices, float64 for the real a and q, complex for p and D(beta).
 
 Every displacement comes from one eigendecomposition of the truncated
 position operator q.  q links even levels only to odd ones, so that is one
@@ -93,19 +93,19 @@ _GRID_BLOCK_BYTES = 96 * 1024
 
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator: <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
 
 
 def position_op(dim: int) -> np.ndarray:
     """q = (a + a^dag)/sqrt(2)."""
     a = destroy(dim)
-    return (a + a.conj().T) / math.sqrt(2.0)
+    return (a + a.T) * (1.0 / math.sqrt(2.0))  # as numpy's complex / sqrt(2) did; a real / moves last bits
 
 
 def momentum_op(dim: int) -> np.ndarray:
     """p = i(a^dag - a)/sqrt(2)."""
     a = destroy(dim)
-    return 1j * (a.conj().T - a) / math.sqrt(2.0)
+    return 1j * (a.T - a) / math.sqrt(2.0)
 
 
 def _expi(x) -> np.ndarray:
@@ -127,7 +127,7 @@ def _position_eig(dim: int):
     times the parity (-1)^n.  Both hold exactly, by construction.
     """
     k = dim // 2
-    u, sigma, wt = np.linalg.svd(position_op(dim).real[0::2, 1::2])
+    u, sigma, wt = np.linalg.svd(position_op(dim)[0::2, 1::2])
     pos = np.empty((dim, k))  # eigenvectors of +sigma, sigma descending
     pos[0::2] = u[:, :k]
     pos[1::2] = wt.T
@@ -327,7 +327,7 @@ def _eigen_residuals(beta: complex, eig) -> np.ndarray:
     psi[smax:, :] = 0.0
 
     a = destroy(dim)
-    adag = a.conj().T
+    adag = a.T
     q = position_op(dim)
     p = momentum_op(dim)
     rels = [
@@ -477,7 +477,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
 
     # Ladder commutator [a, a^dag] = 1 below the truncation edge.
     a = destroy(dim)
-    comm = a @ a.conj().T - a.conj().T @ a
+    comm = a @ a.T - a.T @ a
     dev = float(np.max(np.abs(comm[: dim - 1, : dim - 1] - np.eye(dim - 1))))
     results.append(CheckResult("ladder_commutator", dev, 1e-12))
 

@@ -71,7 +71,7 @@ def _data_rows(lines, path, width: int, height: int, comments: list[str], lineno
 
 def _cannot_read(path, exc: Exception) -> ImageFormatError:
     if isinstance(exc, UnicodeDecodeError):
-        try:  # a streamed decode error counts from its buffer; decoding the whole file names the file offset
+        try:  # a streamed error counts from its buffer; the whole file, BOM included, gives the file offset
             Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as whole:
             exc = whole
@@ -81,16 +81,16 @@ def _cannot_read(path, exc: Exception) -> ImageFormatError:
 def read_image(path) -> tuple[np.ndarray, str, list[str]]:
     """Read an image file; returns (samples, encoding, comments).
 
-    The file must be UTF-8.  The dimension line holds exactly two fields of
-    ASCII digits.  A cell must be a number that numpy's text reader
-    parses: ASCII decimal, ``inf`` or ``nan``, with optional surrounding
-    whitespace.  Underscore separators and non-ASCII digits are non-numeric
-    cells.  Non-finite values are rejected after parsing.  Lines are numbered
-    as ``str.splitlines`` numbers them, and the first fault in file order is
-    reported.
+    The file must be UTF-8; a leading byte order mark is skipped.  The
+    dimension line holds exactly two fields of ASCII digits.  A cell must be
+    a number that numpy's text reader parses: ASCII decimal, ``inf`` or
+    ``nan``, with optional surrounding whitespace.  Underscore separators
+    and non-ASCII digits are non-numeric cells.  Non-finite values are
+    rejected after parsing.  Lines are numbered as ``str.splitlines``
+    numbers them, and the first fault in file order is reported.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             # str.splitlines also breaks at \x0c, \u2028 and the like: rows and line numbers follow it
             lines = (part for line in fh for part in line.splitlines())
             header = list(itertools.islice(lines, 3))

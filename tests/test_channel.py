@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from outcomes import conditional_amplitude, conditional_fidelity, feedback_displace, sample_bell_outcomes
+import pixelport
 from pixelport import channel
 from pixelport.channel import average_fidelity, teleport_image
 from pixelport.grid import GridGeometry, ImageField, decompose
@@ -164,25 +165,25 @@ def _uniform_setup(n_side=8, r=1.0, pitch=0.5, seed=3):
 
 def test_teleport_image_analytic_mode():
     field, profile = _uniform_setup(r=1.5)
-    out, fmap = teleport_image(field, profile, seed=0, n_shots=0)
+    out, fid, image_fidelity = teleport_image(field, profile, seed=0, n_shots=0)
     assert np.array_equal(out.amplitudes, np.tanh(1.5) * field.amplitudes)
-    assert np.all(fmap.per_pixel == average_fidelity(1.5))
-    assert fmap.image_fidelity == pytest.approx(average_fidelity(1.5), rel=1e-15)
+    assert np.all(fid == average_fidelity(1.5))
+    assert image_fidelity == pytest.approx(average_fidelity(1.5), rel=1e-15)
 
 
 def test_teleport_image_analytic_classical_floor():
     field, profile = _uniform_setup(r=0.0)
-    _, fmap = teleport_image(field, profile, seed=0, n_shots=0)
-    assert fmap.image_fidelity == 0.5
+    _, _, image_fidelity = teleport_image(field, profile, seed=0, n_shots=0)
+    assert image_fidelity == 0.5
 
 
 def test_teleport_image_monte_carlo_mean():
     field, profile = _uniform_setup(n_side=16, r=1.0)
-    _, fmap = teleport_image(field, profile, seed=5, n_shots=200)
+    _, fid, image_fidelity = teleport_image(field, profile, seed=5, n_shots=200)
     want = average_fidelity(1.0)
     # 16*16*200 shots; per-shot std of F is below 0.2
-    assert fmap.image_fidelity == pytest.approx(want, abs=0.005)
-    assert fmap.image_fidelity == pytest.approx(fmap.per_pixel.mean(), rel=1e-15)
+    assert image_fidelity == pytest.approx(want, abs=0.005)
+    assert image_fidelity == pytest.approx(fid.mean(), rel=1e-15)
 
 
 @pytest.mark.parametrize("n_shots", [1, 7])
@@ -192,7 +193,7 @@ def test_teleport_image_single_shot_matches_pixel_streams(n_shots):
     g = GridGeometry(5, 3, pitch=0.5)
     amps = np.random.default_rng(3).normal(size=(3, 5)) + 1j * np.random.default_rng(4).normal(size=(3, 5))
     rs = np.linspace(0.0, 1.4, 15).reshape(3, 5)
-    out, fmap = teleport_image(ImageField(g, amps), SqueezingProfile(g, rs), seed=9, n_shots=n_shots)
+    out, fid, _ = teleport_image(ImageField(g, amps), SqueezingProfile(g, rs), seed=9, n_shots=n_shots)
     z = np.random.default_rng(9).standard_normal(g.n_pixels * 2 * n_shots)
     for j in range(g.height):
         for i in range(g.width):
@@ -205,7 +206,7 @@ def test_teleport_image_single_shot_matches_pixel_streams(n_shots):
             output = alpha.real + c * z_re + 1j * (alpha.imag + c * z_im)
             fidelity = np.exp(-(c * c) * (z_re * z_re + z_im * z_im))
             assert out.amplitudes[j, i] == output.mean()
-            assert fmap.per_pixel[j, i] == fidelity.mean()
+            assert fid[j, i] == fidelity.mean()
 
 
 def test_teleport_image_modes_on_a_ring_profile():
@@ -217,40 +218,40 @@ def test_teleport_image_modes_on_a_ring_profile():
     amps = np.random.default_rng(43).normal(size=g.shape) + 1j * np.random.default_rng(44).normal(size=g.shape)
     field = ImageField(g, amps)
     n_shots = 4000
-    out, _ = teleport_image(field, profile, seed=45, n_shots=n_shots)
+    out, _, _ = teleport_image(field, profile, seed=45, n_shots=n_shots)
     se = np.exp(-rs) / math.sqrt(2 * n_shots)  # per component
     assert np.all(np.abs(out.amplitudes.real - amps.real) <= 4 * se)
     assert np.all(np.abs(out.amplitudes.imag - amps.imag) <= 4 * se)
-    analytic, _ = teleport_image(field, profile, seed=45, n_shots=0)
+    analytic, _, _ = teleport_image(field, profile, seed=45, n_shots=0)
     assert np.array_equal(analytic.amplitudes, np.tanh(rs) * amps)
 
 
 def test_teleport_image_deterministic_and_block_invariant(monkeypatch):
     field, profile = _uniform_setup(n_side=8, r=0.9)
-    ref_out, ref_map = teleport_image(field, profile, seed=23, n_shots=7)
+    ref_out, ref_fid, _ = teleport_image(field, profile, seed=23, n_shots=7)
     # one pixel, three pixels, 10 pixels (no divisor of 64), and the default
     for pixels in (1, 3, 10, None):
         normals = channel._BLOCK_NORMALS if pixels is None else 2 * 7 * pixels
         monkeypatch.setattr(channel, "_BLOCK_NORMALS", normals)
-        out, fmap = teleport_image(field, profile, seed=23, n_shots=7)
+        out, fid, _ = teleport_image(field, profile, seed=23, n_shots=7)
         assert np.array_equal(out.amplitudes, ref_out.amplitudes)
-        assert np.array_equal(fmap.per_pixel, ref_map.per_pixel)
+        assert np.array_equal(fid, ref_fid)
 
 
 def test_teleport_image_single_shot_invariants():
     field, profile = _uniform_setup(n_side=8, r=0.7, seed=21)
-    out, fmap = teleport_image(field, profile, seed=21, n_shots=1)
+    out, fid, _ = teleport_image(field, profile, seed=21, n_shots=1)
     # one shot: output - alpha = (1 - tanh r)(beta - alpha), so the
     # fidelity of that same outcome is exp(-|output - alpha|^2)
     residual = np.abs(out.amplitudes - field.amplitudes) ** 2
-    assert np.allclose(fmap.per_pixel, np.exp(-residual), rtol=1e-12, atol=0)
-    assert np.all((fmap.per_pixel >= 0.0) & (fmap.per_pixel <= 1.0))
+    assert np.allclose(fid, np.exp(-residual), rtol=1e-12, atol=0)
+    assert np.all((fid >= 0.0) & (fid <= 1.0))
 
 
 def test_unsqueezed_vacuum_output_variance():
     g = GridGeometry(200, 100)
     field = ImageField(g, np.zeros(g.shape, dtype=complex))
-    out, _ = teleport_image(field, SqueezingProfile.uniform(g, 0.0), seed=17, n_shots=1)
+    out, _, _ = teleport_image(field, SqueezingProfile.uniform(g, 0.0), seed=17, n_shots=1)
     # output = beta at r = 0; total complex variance is cosh(0)^2 = 1
     total_var = out.amplitudes.real.var() + out.amplitudes.imag.var()
     assert total_var == pytest.approx(1.0, rel=0.05)
@@ -258,11 +259,11 @@ def test_unsqueezed_vacuum_output_variance():
 
 def test_teleport_image_raw_plane_is_point_reflection():
     field, profile = _uniform_setup(n_side=6, r=0.4)
-    up, up_map = teleport_image(field, profile, seed=2, n_shots=1)
-    raw, raw_map = teleport_image(field, profile, seed=2, n_shots=1, raw_plane=True)
+    up, up_fid, up_mean = teleport_image(field, profile, seed=2, n_shots=1)
+    raw, raw_fid, raw_mean = teleport_image(field, profile, seed=2, n_shots=1, raw_plane=True)
     assert np.array_equal(raw.amplitudes, up.amplitudes[::-1, ::-1])
-    assert np.array_equal(raw_map.per_pixel, up_map.per_pixel[::-1, ::-1])
-    assert raw_map.image_fidelity == up_map.image_fidelity
+    assert np.array_equal(raw_fid, up_fid[::-1, ::-1])
+    assert raw_mean == up_mean
 
 
 @pytest.mark.parametrize("width,height", [(4, 4), (5, 5), (6, 3)], ids=["even", "odd", "6x3"])
@@ -273,13 +274,13 @@ def test_teleport_image_raw_plane_sends_pixel_to_partner(width, height):
     g = GridGeometry(width, height, pitch=0.5)
     field = ImageField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
     profile = SqueezingProfile(g, rng.uniform(0.1, 2.0, size=g.shape))
-    up, up_map = teleport_image(field, profile, seed=4, n_shots=2)
-    raw, raw_map = teleport_image(field, profile, seed=4, n_shots=2, raw_plane=True)
+    up, up_fid, _ = teleport_image(field, profile, seed=4, n_shots=2)
+    raw, raw_fid, _ = teleport_image(field, profile, seed=4, n_shots=2, raw_plane=True)
     assert raw.amplitudes.shape == g.shape
     for j in range(height):
         for i in range(width):
             assert raw.amplitudes[height - 1 - j, width - 1 - i] == up.amplitudes[j, i]
-            assert raw_map.per_pixel[height - 1 - j, width - 1 - i] == up_map.per_pixel[j, i]
+            assert raw_fid[height - 1 - j, width - 1 - i] == up_fid[j, i]
 
 
 def test_teleport_image_geometry_mismatch():
@@ -303,8 +304,8 @@ def test_analytic_fidelity_never_below_floor():
     rs = np.abs(np.random.default_rng(31).normal(size=(5, 5)))
     profile = SqueezingProfile(g, rs)
     field = ImageField(g, np.zeros((5, 5), dtype=complex))
-    _, fmap = teleport_image(field, profile, seed=0, n_shots=0)
-    assert np.all(fmap.per_pixel >= 0.5)
+    _, fid, _ = teleport_image(field, profile, seed=0, n_shots=0)
+    assert np.all(fid >= 0.5)
 
 
 @pytest.mark.parametrize("r", [40.0, 100.0, channel.MAX_R])
@@ -312,8 +313,8 @@ def test_teleport_image_single_shot_keeps_the_input_at_large_r(r):
     g = GridGeometry(8, 8)
     rng = np.random.default_rng(41)
     amps = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    out, fmap = teleport_image(ImageField(g, amps), SqueezingProfile.uniform(g, r), seed=5, n_shots=1)
-    assert fmap.image_fidelity == 1.0
+    out, _, image_fidelity = teleport_image(ImageField(g, amps), SqueezingProfile.uniform(g, r), seed=5, n_shots=1)
+    assert image_fidelity == 1.0
     # the output is alpha plus noise of standard deviation e^-r / sqrt(2) per quadrature, and rounding
     assert np.all(np.abs(out.amplitudes - amps) <= 8.0 * math.exp(-r) + 4.0 * np.finfo(float).eps * np.abs(amps))
 
@@ -368,3 +369,47 @@ def test_random_stream_v2_is_pinned(seed):
         f"numpy's default_rng({seed}).standard_normal stream changed: random stream v2 no longer "
         "holds, so stochastic outputs need a new stream version"
     )
+
+
+def test_package_and_channel_exports():
+    assert sorted(channel.__all__) == sorted(["MAX_R", "MAX_SHOTS", "average_fidelity", "teleport_image"])
+    assert sorted(pixelport.__all__) == sorted(
+        [
+            "GridGeometry",
+            "ImageField",
+            "decompose",
+            "synthesize",
+            "SpdcParams",
+            "RingParams",
+            "SqueezingProfile",
+            "eta_at_radius",
+            "ring_from_spdc",
+            "profile_for_grid",
+            "average_fidelity",
+            "teleport_image",
+            "__version__",
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [GridGeometry(4, 4, pitch=0.25), GridGeometry(4, 4, pitch=0.5, origin=(0.0, 0.0))],
+    ids=["other-pitch", "other-origin"],
+)
+def test_teleport_image_rejects_a_same_shape_profile_of_another_grid(geometry):
+    field, _ = _uniform_setup(n_side=4)
+    assert geometry.shape == field.geometry.shape and geometry != field.geometry
+    with pytest.raises(ValueError, match="profile geometry does not match image geometry"):
+        teleport_image(field, SqueezingProfile.uniform(geometry, 1.0), seed=0, n_shots=0)
+
+
+@pytest.mark.parametrize("n_shots", [0, 3])
+@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw"])
+def test_teleport_image_returns_the_fidelity_array_and_its_fsum_mean(n_shots, raw_plane):
+    g = GridGeometry(5, 3, pitch=0.5)
+    field = ImageField(g, np.full(g.shape, 0.5 + 0.25j))
+    profile = SqueezingProfile(g, np.linspace(0.0, 1.4, 15).reshape(g.shape))
+    _, fid, image_fidelity = teleport_image(field, profile, seed=8, n_shots=n_shots, raw_plane=raw_plane)
+    assert isinstance(fid, np.ndarray) and fid.dtype == np.float64 and fid.shape == g.shape
+    assert image_fidelity == math.fsum(fid.ravel()) / fid.size

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pixelport.channel import MAX_R, MAX_SHOTS
-from pixelport.config import ConfigError, RunConfig, load_config, parse_config
+from pixelport import config
+from pixelport.config import ConfigError, RunConfig, load_config, parse_config, squeezing_settings
+from pixelport.spdc import RingParams, SpdcParams
 
 IDEAL = """
 # a comment
@@ -40,8 +42,7 @@ def test_ideal_defaults():
     cfg = parse_config(IDEAL)
     assert cfg.mode == "ideal"
     assert cfg.input_path == "in.csv"
-    assert cfg.ideal_r == 2.0
-    assert cfg.ring is None and cfg.spdc is None
+    assert cfg.squeezing == 2.0
     assert cfg.output_path == "teleported.csv"
     assert cfg.fidelity_map_path == "fidelity_map.csv"
     assert cfg.summary_path == "summary.txt"
@@ -74,18 +75,15 @@ origin_y 	=	 2.5
 def test_ring_mode():
     cfg = parse_config(RING)
     assert cfg.mode == "spdc"
-    assert cfg.ideal_r is None and cfg.spdc is None
-    assert cfg.ring.r0 == 1.0
-    assert cfg.ring.R == 0.5
-    assert cfg.ring.Xi == 1.5
+    assert cfg.squeezing == RingParams(r0=1.0, R=0.5, Xi=1.5)
 
 
 def test_spdc_mode():
     cfg = parse_config(SPDC)
-    assert cfg.ring is None and cfg.ideal_r is None
-    assert cfg.spdc.w_p == 200.0
-    assert cfg.spdc.k_d == 5.05
-    assert cfg.spdc.theta_d == 0.1
+    assert isinstance(cfg.squeezing, SpdcParams)
+    assert cfg.squeezing.w_p == 200.0
+    assert cfg.squeezing.k_d == 5.05
+    assert cfg.squeezing.theta_d == 0.1
 
 
 @pytest.mark.parametrize(
@@ -149,15 +147,15 @@ def test_ring_and_spdc_conflict_message_mentions_both():
 
 def test_largest_r_is_accepted():
     cfg = parse_config(IDEAL.replace("ideal_r = 2.0", f"ideal_r = {MAX_R!r}"))
-    assert cfg.ideal_r == MAX_R
-    assert parse_config(RING.replace("ring_xi = 1.5", f"ring_xi = {MAX_R!r}")).ring.Xi == MAX_R
+    assert cfg.squeezing == MAX_R
+    assert parse_config(RING.replace("ring_xi = 1.5", f"ring_xi = {MAX_R!r}")).squeezing.Xi == MAX_R
 
 
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(RING)
     cfg = load_config(path)
-    assert cfg.ring.r0 == 1.0
+    assert cfg.squeezing.r0 == 1.0
 
 
 def test_load_config_missing_file(tmp_path):
@@ -174,7 +172,7 @@ def test_load_config_undecodable_file(tmp_path):
 
 def test_run_config_checks_values_built_in_python():
     with pytest.raises(ConfigError, match="^seed must be non-negative$"):
-        RunConfig(mode="ideal", input_path="in.csv", ideal_r=1.0, seed=-1)
+        RunConfig(squeezing=1.0, input_path="in.csv", seed=-1)
     cfg = parse_config(IDEAL)
     with pytest.raises(ConfigError, match=f"^n_shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
         dataclasses.replace(cfg, n_shots=MAX_SHOTS + 1)
@@ -208,3 +206,83 @@ def test_run_config_is_frozen():
     cfg = parse_config(IDEAL)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 1
+
+
+def test_load_config_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + RING.lstrip().encode())
+    assert load_config(path) == parse_config(RING)
+
+
+def test_load_config_names_the_same_line_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmode = ideal\ninput = in.csv\nwavelength = 3\n")
+    with pytest.raises(ConfigError, match="^line 3: unknown key 'wavelength'$"):
+        load_config(path)
+
+
+def test_config_exports_and_fields():
+    assert sorted(config.__all__) == sorted(
+        ["ConfigError", "RunConfig", "parse_config", "load_config", "squeezing_settings"]
+    )
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "squeezing",
+        "input_path",
+        "output_path",
+        "fidelity_map_path",
+        "summary_path",
+        "seed",
+        "n_shots",
+        "pitch",
+        "origin",
+    ]
+
+
+@pytest.mark.parametrize(
+    "squeezing,mode,settings",
+    [
+        (2.0, "ideal", [("ideal_r", 2.0)]),
+        (RingParams(r0=1.0, R=0.5, Xi=1.5), "spdc", [("ring_r0", 1.0), ("ring_width", 0.5), ("ring_xi", 1.5)]),
+        (
+            SpdcParams(w_p=200.0, w_0=15.0, L=5.0, k_p=10.0, k_d=5.05, theta_d=0.1, f=100.0, Xi=1.0),
+            "spdc",
+            [
+                ("spdc_pump_waist", 200.0),
+                ("spdc_mode_waist", 15.0),
+                ("spdc_length", 5.0),
+                ("spdc_pump_k", 10.0),
+                ("spdc_signal_k", 5.05),
+                ("spdc_angle", 0.1),
+                ("spdc_focal", 100.0),
+                ("spdc_xi", 1.0),
+            ],
+        ),
+    ],
+    ids=["ideal", "ring", "spdc"],
+)
+def test_mode_and_settings_follow_the_squeezing(squeezing, mode, settings):
+    cfg = RunConfig(squeezing=squeezing, input_path="in.csv")
+    assert cfg.mode == mode
+    assert squeezing_settings(cfg) == settings
+    with pytest.raises(AttributeError):
+        cfg.mode = "ideal"
+
+
+@pytest.mark.parametrize(
+    "squeezing,message",
+    [
+        (-0.5, "^ideal_r must be non-negative$"),
+        (RingParams(r0=1.0, R=0.5, Xi=800.0), "^ring_xi must be at most 700.0, got 800.0$"),
+    ],
+    ids=["negative-r", "ring-xi-800"],
+)
+def test_replace_checks_the_squeezing_again(squeezing, message):
+    for text in (IDEAL, RING):
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(parse_config(text), squeezing=squeezing)
+
+
+@pytest.mark.parametrize("squeezing", [None, "1.0", {"ideal_r": 1.0}], ids=["none", "str", "dict"])
+def test_run_config_rejects_a_squeezing_of_another_type(squeezing):
+    with pytest.raises(ConfigError, match="^squeezing must be a number, RingParams or SpdcParams, got "):
+        RunConfig(squeezing=squeezing, input_path="in.csv")

@@ -62,6 +62,13 @@ def test_quadrature_operators_hermitian():
         assert np.allclose(op, op.conj().T)
 
 
+@pytest.mark.parametrize("dim", [2, 31, 90])
+def test_ladder_and_position_are_real(dim):
+    a, q = destroy(dim), position_op(dim)
+    assert a.dtype == np.float64 and q.dtype == np.float64
+    assert np.array_equal(q, q.T)
+
+
 def test_coherent_vacuum():
     c = coherent_state(0.0, 10)
     assert c[0] == 1.0

@@ -200,6 +200,36 @@ def test_read_names_the_first_bad_line(tmp_path):
         read_image(path)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_read_skips_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_image(plain, np.array([[0.5 - 0.25j, -0.0 + 1.0j]]), comments=("note",))
+    assert not plain.read_bytes().startswith(BOM)
+    marked.write_bytes(BOM + plain.read_bytes())
+    got, want = read_image(marked), read_image(plain)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1:] == want[1:] == ("re_im", ["note"])
+
+
+def test_read_names_the_same_bad_line_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "img.csv"
+    body = [MAGIC, "2 3", "re_im", "# note", "1.0,0.0,0.0,0.0", "", "0.5,0.5,0.5,0.5", "0.0,0.0,x,0.0"]
+    path.write_bytes(BOM + ("\n".join(body) + "\n").encode())
+    with pytest.raises(ImageFormatError, match=r"img\.csv:8: non-numeric cell"):
+        read_image(path)
+
+
+def test_read_names_the_file_offset_of_a_bad_byte_after_a_byte_order_mark(tmp_path):
+    # the offset counts the mark's three bytes, as a hex dump of the file does
+    data = BOM + f"{MAGIC}\n1 1\nre_im\n".encode()
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data + b"\xff,0.0\n")
+    with pytest.raises(ImageFormatError, match=f"byte 0xff in position {len(data)}: "):
+        read_image(path)
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
