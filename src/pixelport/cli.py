@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
 or unwritable files, 3 oracle check failure.  :func:`main` is the one place
 where errors become exit codes: any ``ValueError``, ``ConfigError``
 included, is an input error and exits 1, and ``ImageFormatError`` or
-``OSError`` exits 2, each with one ``error:`` line.  ``teleport`` only wires
+``OSError`` exits 2, each with one ``error:`` line.  A warning that the
+filters let through (``-W``) prints as one ``warning:`` line, without the
+source location of Python's default form.  ``teleport`` only wires
 the steps: each value is checked where it is built (see config and grid).
 It drops each array once no later step reads it: the input samples once
 decomposed, the field and squeezing profile once teleported, the teleported
@@ -37,6 +39,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,15 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except ValueError as exc:  # a ConfigError or any other invalid input
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ImageFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the hook on the way out
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except ValueError as exc:  # a ConfigError or any other invalid input
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ImageFormatError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

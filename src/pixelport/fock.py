@@ -22,9 +22,9 @@ position operator q.  q links even levels only to odd ones, so that is one
 real SVD of q's half-size even-odd block; at the default dim it stays on one
 BLAS thread, where the complex eigh it replaced woke a second.  The momentum
 operator is q rotated by diag(i^n), and that rotation joins the factors
-e^{i n arg(beta)}, which are running products over the levels.  A public
-function takes its own eigendecomposition, and run_all_checks takes one and
-hands it to the private cores of every row that displaces.
+e^{i n arg(beta)}, which are running products over the levels.  Every
+row takes the eigendecomposition it displaces with, position_eig(dim), as an
+argument; run_all_checks makes one and passes it to each.
 
 For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
@@ -60,6 +60,7 @@ __all__ = [
     "destroy",
     "position_op",
     "momentum_op",
+    "position_eig",
     "displacement",
     "coherent_state",
     "two_mode_squeezed",
@@ -116,7 +117,7 @@ def _expi(x) -> np.ndarray:
     return out
 
 
-def _position_eig(dim: int):
+def position_eig(dim: int):
     """(lam, V) with q = V diag(lam) V^T for the truncated position operator q, V real orthogonal.
 
     q links even levels only to odd ones, so one SVD of its ceil(dim/2) x
@@ -144,7 +145,7 @@ def _displacement_factors(beta: complex | np.ndarray, eig):
 
     The generator is -i sqrt(2) |beta| R p R^dag with R = diag(e^{i n arg(beta)}),
     and p = T q T^dag with T = diag(i^n), so one eigendecomposition eig =
-    (lam, V) of the truncated position operator (_position_eig) serves every
+    (lam, V) of the truncated position operator (position_eig) serves every
     beta: spectral = exp(-i sqrt(2) |beta| lam) and rot = e^{i n (arg(beta)
     + pi/2)}.  Both put the levels first, shape (dim,) + beta.shape.  rot is
     the running product of i e^{i arg(beta)} over the levels.  spectral is
@@ -165,17 +166,13 @@ def _displacement_factors(beta: complex | np.ndarray, eig):
     return v, spectral, rot
 
 
-def displacement(beta: complex | np.ndarray, dim: int) -> np.ndarray:
-    """exp(beta a^dag - beta* a), shape beta.shape + (dim, dim), from _displacement_factors.
+def displacement(beta: complex | np.ndarray, eig) -> np.ndarray:
+    """exp(beta a^dag - beta* a), shape beta.shape + (dim, dim), with eig = position_eig(dim).
 
     Exactly unitary on the truncated basis, and a faithful displacement only
     while |beta|^2 stays well below dim; beyond that the norm that should
     escape to higher levels is folded back in.
     """
-    return _displacement(beta, _position_eig(dim))
-
-
-def _displacement(beta: complex | np.ndarray, eig) -> np.ndarray:
     v, spectral, rot = _displacement_factors(beta, eig)
     spectral, rot = np.moveaxis(spectral, 0, -1), np.moveaxis(rot, 0, -1)
     d = (v * spectral[..., None, :]) @ v.T
@@ -242,7 +239,7 @@ def _bell_rows(coherent: np.ndarray, schmidt: np.ndarray, beta: np.ndarray, eig)
     """(u, raw) of the coherent input at every outcome of the 1-D array beta, each (dim, beta.size).
 
     coherent and schmidt come from _bell_inputs(alpha, r, dim), and eig from
-    _position_eig(dim).  Column k of u is D(beta_k)^dag |alpha>, and column k
+    position_eig(dim).  Column k of u is D(beta_k)^dag |alpha>, and column k
     of raw = tms^T u / sqrt(pi) is the receiver's unnormalized conditional
     state, whose squared norm is the density p(beta_k).  tms is diagonal
     (its Schmidt form), so raw is u times schmidt, elementwise.  The levels
@@ -278,7 +275,7 @@ def project_bell(joint: np.ndarray, beta: complex) -> BellProjection:
     dim = joint.shape[0]
     if joint.shape != (dim, dim, dim):
         raise ValueError(f"mode dimensions {joint.shape} are not uniform ({dim})")
-    d = displacement(beta, dim)
+    d = displacement(beta, position_eig(dim))
     raw = np.einsum("cs,sbc->b", d.conj(), joint) / math.sqrt(math.pi)
     norm = float(np.linalg.norm(raw))
     state = raw / norm if norm > 0.0 else raw
@@ -299,8 +296,8 @@ def _residual_window(beta: complex, dim: int, smax: int) -> int:
     return max(cut, 1)
 
 
-def verify_eigen_relations(beta: complex, dim: int) -> np.ndarray:
-    """Residuals of the four Bell-eigenstate relations in the truncated space.
+def verify_eigen_relations(beta: complex, eig) -> np.ndarray:
+    """Residuals of the four Bell-eigenstate relations in the space truncated by eig = position_eig(dim).
 
     The displaced Bell state |Psi(beta)> satisfies
 
@@ -314,14 +311,10 @@ def verify_eigen_relations(beta: complex, dim: int) -> np.ndarray:
     shrinks as |beta| grows).  Residuals decrease monotonically with dim;
     useful accuracy needs dim of at least 8 or so.
     """
-    return _eigen_residuals(beta, _position_eig(dim))
-
-
-def _eigen_residuals(beta: complex, eig) -> np.ndarray:
     dim = eig[0].size
     margin = math.ceil(dim / 5)
     smax = dim - margin
-    d = _displacement(beta, eig)
+    d = displacement(beta, eig)
     # Psi[na, nc] = <nc| D(beta) |na> / sqrt(pi) for na below the summation cap.
     psi = d.T.copy() / math.sqrt(math.pi)
     psi[smax:, :] = 0.0
@@ -432,8 +425,8 @@ def _fidelity_terms(u: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return np.abs(np.sum(u.conj() * raw, axis=0)) ** 2
 
 
-def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> float:
-    """Average fidelity integrated over measured outcomes, oracle-side.
+def oracle_average_fidelity(alpha: complex, r: float, eig, n: int = 41) -> float:
+    """Average fidelity integrated over measured outcomes, oracle-side, at eig = position_eig(dim).
 
     Sums, over the representable outcomes beta of the n x n grid, the
     weighted overlap |<alpha| D(beta) raw>|^2 = |<u|raw>|^2 of _bell_rows,
@@ -442,7 +435,7 @@ def oracle_average_fidelity(alpha: complex, r: float, dim: int, n: int = 41) -> 
     beyond the truncation's reach, so small dim undershoots (at r = 2 the
     examples use dim around 90).
     """
-    return _grid_sum(alpha, r, n, _position_eig(dim), _fidelity_terms)
+    return _grid_sum(alpha, r, n, eig, _fidelity_terms)
 
 
 class CheckResult(NamedTuple):
@@ -473,7 +466,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
 
     results: list[CheckResult] = []
     # the one eigendecomposition of the run, shared by every row that displaces
-    eig = _position_eig(dim)
+    eig = position_eig(dim)
 
     # Ladder commutator [a, a^dag] = 1 below the truncation edge.
     a = destroy(dim)
@@ -514,7 +507,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     results.append(CheckResult("outcome_density", dev, 1e-6))
 
     # Eigenvalue relations at a complex outcome.
-    res = _eigen_residuals(1.0 + 2.0j, eig)
+    res = verify_eigen_relations(1.0 + 2.0j, eig)
     for k in range(4):
         results.append(CheckResult(f"eigen_residual_{k + 1}", float(res[k]), 1e-8))
 
@@ -525,7 +518,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
         results.append(CheckResult(name, abs(lhs - rhs), 1e-8))
 
     # Outcome-averaged fidelity against (1 + tanh r)/2.
-    got = _grid_sum(0.4 + 0.2j, r, 41, eig, _fidelity_terms)
+    got = oracle_average_fidelity(0.4 + 0.2j, r, eig)
     dev = abs(got - (1.0 + math.tanh(r)) / 2.0)
     results.append(CheckResult("average_fidelity", dev, 5e-3))
 

@@ -33,10 +33,10 @@ def tail_population(state: np.ndarray) -> float:
 
 def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) -> float:
     """Measured density of outcome beta for a coherent input through the resource."""
-    _, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), np.array([beta]), fock._position_eig(dim))
+    _, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), np.array([beta]), fock.position_eig(dim))
     return float(np.linalg.norm(raw)) ** 2
 
 
 def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
     """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
-    return fock._grid_sum(alpha, r, n, fock._position_eig(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=0))
+    return fock._grid_sum(alpha, r, n, fock.position_eig(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=0))

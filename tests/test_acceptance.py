@@ -87,7 +87,7 @@ def test_acceptance_3_outcome_density():
 def test_acceptance_4_eigenvalue_relations():
     worst = 0.0
     for beta in (0.0, 1.0, 1.0 + 2.0j):
-        worst = max(worst, float(np.max(fock.verify_eigen_relations(beta, 30))))
+        worst = max(worst, float(np.max(fock.verify_eigen_relations(beta, fock.position_eig(30)))))
     ok = worst < 1e-8
     report(4, "measured-mode eigenvalue relations", ok, f"worst residual {worst:.2e}")
     assert worst < 1e-8

@@ -844,6 +844,22 @@ def test_oracle_verify_undersized_space_fails(capsys):
     assert captured.err.startswith("failing:")
 
 
+def test_oracle_verify_prints_each_warning_as_one_line(capsys):
+    # unfiltered, the truncation warnings reach stderr without a source path, line number or source line
+    assert main(["oracle-verify", "--dim", "4", "--photo-dim", "6"]) == 3
+    err = capsys.readouterr().err
+    *warned, last = err.splitlines()
+    assert warned and all(line.startswith("warning: ") for line in warned)
+    assert last.startswith("failing: ")
+    assert ".py:" not in err
+
+
+def test_teleport_narrow_waist_spdc_warns_in_one_line(tmp_path, capsys):
+    assert _run_teleport(tmp_path, "spdc", spdc_mode_waist=50.0) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: w_0/w_p = 0.25 is not small")
+
+
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--dim", "1", "dim"), ("--dim", "0", "dim"), ("--dim", "-3", "dim"), ("--photo-dim", "0", "photo_dim")],

@@ -20,6 +20,7 @@ from pixelport.fock import (
     momentum_op,
     oracle_average_fidelity,
     photocurrent_check,
+    position_eig,
     position_op,
     project_bell,
     run_all_checks,
@@ -97,7 +98,7 @@ def test_coherent_tail_warning():
 def test_displacement_unitary_and_generates_coherent():
     dim = 40
     alpha = 0.7 - 0.2j
-    d = displacement(alpha, dim)
+    d = displacement(alpha, position_eig(dim))
     assert np.allclose(d @ d.conj().T, np.eye(dim), atol=1e-12)
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
@@ -108,16 +109,16 @@ def test_displacement_unitary_and_generates_coherent():
 def test_displacement_matches_expm(dim):
     # odd dims carry the zero mode, and at dim 90 LAPACK threads the SVD
     for beta in (0.0, 0.35j, -1.2j, 0.7 - 0.2j, -2.1 + 1.4j, 4.0 + 4.05j, -5.7):
-        assert np.max(np.abs(displacement(beta, dim) - expm_displacement(beta, dim))) < 1e-12
+        assert np.max(np.abs(displacement(beta, position_eig(dim)) - expm_displacement(beta, dim))) < 1e-12
 
 
 def test_displacement_broadcasts_over_beta():
     betas = np.array([[0.0, 0.4 - 1.1j, 2.0j], [-0.3, 1.5 + 0.5j, 5.0 - 2.6j]])
-    d = displacement(betas, 16)
+    d = displacement(betas, position_eig(16))
     assert d.shape == (2, 3, 16, 16)
     for idx in np.ndindex(betas.shape):
-        assert np.allclose(d[idx], displacement(betas[idx], 16), rtol=0, atol=1e-14)
-    assert displacement(np.zeros(0), 7).shape == (0, 7, 7)
+        assert np.allclose(d[idx], displacement(betas[idx], position_eig(16)), rtol=0, atol=1e-14)
+    assert displacement(np.zeros(0), position_eig(7)).shape == (0, 7, 7)
 
 
 @pytest.mark.parametrize("dim", [30, 160])
@@ -125,7 +126,7 @@ def test_rotation_factors_match_per_level_exp(dim):
     # rot[n] = e^{i n (arg(beta) + pi/2)} is a running product; the reference takes one complex exp per level
     angles = np.concatenate([np.linspace(-math.pi, math.pi, 721)[1:], [0.5 * math.pi, -0.5 * math.pi, 1e-300]])
     beta = np.concatenate([np.geomspace(1e-3, 12.0, angles.size) * np.exp(1j * angles), [0.0, -2.0, -0.5 - 0.0j]])
-    _, _, rot = fock._displacement_factors(beta, fock._position_eig(dim))
+    _, _, rot = fock._displacement_factors(beta, fock.position_eig(dim))
     levels = np.arange(dim)
     want = np.exp(1j * (np.angle(beta)[None, :] + 0.5 * math.pi) * levels[:, None])
     assert rot.shape == (dim, beta.size)
@@ -138,7 +139,7 @@ def test_rotation_factors_match_per_level_exp(dim):
 def test_position_eig_is_parity_symmetric(dim):
     # q is odd under the parity (-1)^n, and the split SVD keeps that exact:
     # the spectrum is symmetric and each -lam eigenvector is its +lam partner times the parity
-    lam, v = fock._position_eig(dim)
+    lam, v = fock.position_eig(dim)
     assert lam.shape == (dim,) and v.shape == (dim, dim) and v.dtype == float
     assert np.array_equal(lam, -lam[::-1]) and np.all(np.diff(lam) > 0)
     parity = (-1.0) ** np.arange(dim)
@@ -225,7 +226,7 @@ BELL_OUTCOMES = np.array([0.0, 0.2, -0.7 + 0.4j, 1.5j, -2.0, 2.5 - 1.0j])
 def test_bell_batch_matches_per_outcome_expm_reference(dim):
     alpha, r = 0.3 - 0.2j, 0.8
     product = joint_state(alpha, r, dim)
-    u, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), BELL_OUTCOMES, fock._position_eig(dim))
+    u, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, dim), BELL_OUTCOMES, fock.position_eig(dim))
     assert u.shape == raw.shape == (dim, BELL_OUTCOMES.size)
     for beta, u_row, row in zip(BELL_OUTCOMES, u.T, raw.T):
         want = per_outcome_bell(product, beta)
@@ -250,7 +251,7 @@ def test_bell_rows_match_the_dense_resource_product(dim):
     # the resource applied as its Schmidt diagonal against the dense matrix
     # product, on run_all_checks' four-outcome batch and on every block of the fidelity grid
     r = 1.0
-    eig = fock._position_eig(dim)
+    eig = fock.position_eig(dim)
     blocks = [fock._bell_rows(*fock._bell_inputs(0.5, r, dim), np.array([0.2, 0.5, 1.0 + 0.5j, -0.5 + 0.3j]), eig)]
 
     def keep(u, raw):
@@ -310,19 +311,19 @@ def test_density_ratios_match_gaussian():
 
 
 def test_eigen_relations_zero_outcome():
-    res = verify_eigen_relations(0.0, 30)
+    res = verify_eigen_relations(0.0, position_eig(30))
     assert np.all(res < 1e-10)
 
 
 @pytest.mark.parametrize("beta", [1.0 + 0.0j, 1.0 + 2.0j])
 def test_eigen_residuals_shrink_with_dim(beta):
-    res = np.array([np.max(verify_eigen_relations(beta, dim)) for dim in (10, 20, 40)])
+    res = np.array([np.max(verify_eigen_relations(beta, position_eig(dim))) for dim in (10, 20, 40)])
     assert res[0] > res[1] > res[2]
 
 
 def test_eigen_relations_severely_truncated():
     # deliberately tiny space: the relations visibly fail
-    assert np.max(verify_eigen_relations(1.0 + 2.0j, 4)) > 1e-3
+    assert np.max(verify_eigen_relations(1.0 + 2.0j, position_eig(4))) > 1e-3
 
 
 def test_photocurrent_vacuum():
@@ -418,12 +419,12 @@ def test_photocurrent_rejects_wrong_shape():
 
 
 def test_oracle_average_fidelity_unsqueezed():
-    got = oracle_average_fidelity(0.4 + 0.2j, 0.0, 30, n=41)
+    got = oracle_average_fidelity(0.4 + 0.2j, 0.0, position_eig(30), n=41)
     assert got == pytest.approx(0.5, abs=0.005)
 
 
 def test_oracle_average_fidelity_r1():
-    got = oracle_average_fidelity(0.4 + 0.2j, 1.0, 30, n=41)
+    got = oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(30), n=41)
     assert got == pytest.approx((1 + math.tanh(1.0)) / 2, abs=0.005)
 
 
@@ -432,9 +433,9 @@ def test_oracle_average_fidelity_r2_needs_room():
     # mean photon number sinh(2)^2 ~ 13 per arm and outcomes out to
     # |beta|^2 ~ 70: dim = 60 visibly undershoots, dim = 90 is enough
     want = (1 + math.tanh(2.0)) / 2
-    low = oracle_average_fidelity(0.3 + 0.1j, 2.0, 60, n=41)
+    low = oracle_average_fidelity(0.3 + 0.1j, 2.0, position_eig(60), n=41)
     assert low < want - 0.01
-    got = oracle_average_fidelity(0.3 + 0.1j, 2.0, 90, n=41)
+    got = oracle_average_fidelity(0.3 + 0.1j, 2.0, position_eig(90), n=41)
     assert got == pytest.approx(want, abs=0.01)
 
 
@@ -474,7 +475,7 @@ def reference_grid_integrals(alpha, r, dim, n):
 def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
     density, fidelity = reference_grid_integrals(alpha, r, dim, 11)
     assert abs(bell_completeness(alpha, r, dim, n=11) - density) < 1e-12
-    assert abs(oracle_average_fidelity(alpha, r, dim, n=11) - fidelity) < 1e-12
+    assert abs(oracle_average_fidelity(alpha, r, position_eig(dim), n=11) - fidelity) < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -482,17 +483,17 @@ def test_grid_integrals_match_per_outcome_loop(alpha, r, dim):
 def test_grid_sums_do_not_depend_on_the_block_size(monkeypatch, dim):
     # outcomes are independent, so blocks of two or three outcomes, the
     # default blocks and one block of every kept outcome give the same bits
-    args = (0.4 + 0.2j, 1.0, dim)
+    args = (0.4 + 0.2j, 1.0)
     results = set()
     for budget in (1, fock._GRID_BLOCK_BYTES, 10**12):
         monkeypatch.setattr(fock, "_GRID_BLOCK_BYTES", budget)
-        results.add((oracle_average_fidelity(*args), bell_completeness(*args)))
+        results.add((oracle_average_fidelity(*args, position_eig(dim)), bell_completeness(*args, dim)))
     assert len(results) == 1
 
 
 @pytest.mark.parametrize(
     "call,count",
-    [(lambda: run_all_checks(8, 4), 7), (lambda: oracle_average_fidelity(0.4 + 0.2j, 2.0, 90), 1)],
+    [(lambda: run_all_checks(8, 4), 7), (lambda: oracle_average_fidelity(0.4 + 0.2j, 2.0, position_eig(90)), 1)],
     ids=["run_all_checks", "oracle_average_fidelity"],
 )
 def test_truncation_warnings_fire_once_per_pass_not_per_block(call, count):
@@ -506,7 +507,7 @@ def test_truncation_warnings_fire_once_per_pass_not_per_block(call, count):
 
 def test_beta_grid_validation():
     with pytest.raises(ValueError, match="at least 3 points"):
-        oracle_average_fidelity(0.0, 0.5, 10, n=2)
+        oracle_average_fidelity(0.0, 0.5, position_eig(10), n=2)
     with pytest.raises(ValueError, match="at least 3 points"):
         bell_completeness(0.0, 0.5, 10, n=2)
 
@@ -572,7 +573,7 @@ def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
 
 def test_average_fidelity_at_the_dim_cap_holds_one_block_at_a_time():
     # the grid pass holds (dim x block) arrays, not (dim x outcomes): it peaks near 1.4 MB
-    assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, MAX_DIM)) <= 2.5e6
+    assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(MAX_DIM))) <= 2.5e6
 
 
 @pytest.mark.parametrize("dim", [8, 30, 90])
@@ -598,6 +599,33 @@ def test_run_all_checks_makes_one_eigendecomposition(monkeypatch, dim):
     assert calls == [("svd", ((dim + 1) // 2, dim // 2))]
 
 
+def test_run_all_checks_runs_the_public_rows(monkeypatch):
+    # the rows resolve each other through the module, where the benchmark's tracer wraps them
+    want = {
+        "displacement": 1,
+        "verify_eigen_relations": 1,
+        "oracle_average_fidelity": 1,
+        "photocurrent_check": 2,
+        "project_bell": 0,
+    }
+    calls = dict.fromkeys(want, 0)
+    for name in want:
+
+        def counting(*args, _name=name, _original=getattr(fock, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fock, name, counting)
+    results = {r.name: r.value for r in run_all_checks(30)}
+    assert calls == want
+    eig = position_eig(30)
+    res = verify_eigen_relations(1.0 + 2.0j, eig)
+    for k in range(1, 5):
+        assert results[f"eigen_residual_{k}"] == float(res[k - 1])
+    got = oracle_average_fidelity(0.4 + 0.2j, 1.0, eig)
+    assert results["average_fidelity"] == abs(got - (1.0 + math.tanh(1.0)) / 2.0)
+
+
 @pytest.mark.parametrize("dims", [(1, 10), (0, 10), (-3, 10), (30, 1), (30, 0)])
 def test_run_all_checks_rejects_tiny_dims(dims):
     with pytest.raises(ValueError, match="must be at least 2"):
@@ -620,6 +648,7 @@ def test_fock_ships_only_what_run_all_checks_and_the_tracer_reach():
             "destroy",
             "position_op",
             "momentum_op",
+            "position_eig",
             "displacement",
             "coherent_state",
             "two_mode_squeezed",
