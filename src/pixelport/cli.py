@@ -198,16 +198,22 @@ def cmd_oracle_verify(args) -> int:
     results = fock.run_all_checks(dim=args.dim, photo_dim=args.photo_dim)
     failing = [r.name for r in results if not r.passed]
     if args.json:
-        payload = {
-            "dim": args.dim,
-            "photo_dim": args.photo_dim,
-            "checks": [
-                {"name": r.name, "value": r.value, "tolerance": r.tolerance, "passed": r.passed}
-                for r in results
-            ],
-            "passed": not failing,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # The text of json.dumps(payload, indent=2, sort_keys=True), written directly: with an
+        # indent, json.dumps skips its C encoder.  Numbers are float.__repr__ or json's NaN/Infinity.
+        def num(x: float) -> str:
+            text = float.__repr__(x)
+            return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+        checks = ",\n".join(
+            f'    {{\n      "name": {json.encoder.encode_basestring_ascii(r.name)},\n'
+            f'      "passed": {str(r.passed).lower()},\n      "tolerance": {num(r.tolerance)},\n'
+            f'      "value": {num(r.value)}\n    }}'
+            for r in results
+        )
+        print(
+            f'{{\n  "checks": [\n{checks}\n  ],\n  "dim": {args.dim},\n'
+            f'  "passed": {str(not failing).lower()},\n  "photo_dim": {args.photo_dim}\n}}'
+        )
     else:
         name_w = max(len(r.name) for r in results)
         print(f"{'check':<{name_w}}  {'value':>12}  {'tolerance':>12}  status")

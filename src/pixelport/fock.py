@@ -44,8 +44,8 @@ once per pass, not once per block.  project_bell is the generic projection
 of an arbitrary three-mode state, one outcome and one dense displacement at
 a time; no check runs it, and it stays public because the benchmark's
 tracer (perfbench/spans.py) wraps it by name.  The eigen-relation row takes
-one displacement.  So a run makes one eigendecomposition and keeps nothing
-between runs.
+one displacement, D's top-left block on the cut + 1 levels its window
+reads.  So a run makes one eigendecomposition and keeps nothing between runs.
 """
 
 from __future__ import annotations
@@ -78,11 +78,12 @@ __all__ = [
 COHERENT_TAIL_WARN = 1e-8
 SQUEEZED_TAIL_WARN = 1e-6
 
-# run_all_checks truncation caps.  dim bounds the eigen-relation row's dense
-# dim x dim matrices; a grid block's arrays stay near _GRID_BLOCK_BYTES at
-# any dim.  run_all_checks at MAX_DIM peaks near 6 MB traced (tracemalloc)
-# with the default photo_dim.  photocurrent_check holds about three
-# photo_dim^3 arrays: 25 MB traced at MAX_PHOTO_DIM.
+# run_all_checks truncation caps.  dim bounds the eigendecomposition, the
+# resource and the eigen-relation row's (cut + 1) x dim displacement; a grid
+# block's arrays stay near _GRID_BLOCK_BYTES at any dim.  run_all_checks at
+# MAX_DIM peaks near 2.2 MB traced (tracemalloc) with the default photo_dim.
+# photocurrent_check holds about three photo_dim^3 arrays: 25 MB traced at
+# MAX_PHOTO_DIM.
 MAX_DIM = 160
 MAX_PHOTO_DIM = 80
 
@@ -167,15 +168,18 @@ def _displacement_factors(beta: complex | np.ndarray, eig):
 
 
 def displacement(beta: complex | np.ndarray, eig) -> np.ndarray:
-    """exp(beta a^dag - beta* a), shape beta.shape + (dim, dim), with eig = position_eig(dim).
+    """exp(beta a^dag - beta* a), shape beta.shape + (m, m), with eig = position_eig(dim).
 
-    Exactly unitary on the truncated basis, and a faithful displacement only
-    while |beta|^2 stays well below dim; beyond that the norm that should
-    escape to higher levels is folded back in.
+    m is dim; with eig = (lam, V[:m]), V's first m rows, it is D's top-left
+    m x m block.  Exactly unitary on the truncated basis, and a faithful
+    displacement only while |beta|^2 stays well below dim; beyond that the
+    norm that should escape to higher levels is folded back in.
     """
     v, spectral, rot = _displacement_factors(beta, eig)
-    spectral, rot = np.moveaxis(spectral, 0, -1), np.moveaxis(rot, 0, -1)
-    d = (v * spectral[..., None, :]) @ v.T
+    rot = np.moveaxis(rot[: v.shape[0]], 0, -1)
+    # V diag(spectral) V^T as one real matmul on the float view of diag(spectral) V^T
+    w = np.multiply(np.moveaxis(spectral, 0, -1)[..., :, None], v.T, order="C")
+    d = (v @ w.view(float)).view(complex)
     d *= rot[..., :, None]
     d *= rot.conj()[..., None, :]
     return d
@@ -309,28 +313,28 @@ def verify_eigen_relations(beta: complex, eig) -> np.ndarray:
     Returns the four relative residual norms, evaluated on the low-level
     window where truncation has not corrupted the displacement (the window
     shrinks as |beta| grows).  Residuals decrease monotonically with dim;
-    useful accuracy needs dim of at least 8 or so.
+    useful accuracy needs dim of at least 8 or so.  The cut x cut window
+    reads levels 0..cut only, so D, a, q and p are built on those levels.
     """
     dim = eig[0].size
-    margin = math.ceil(dim / 5)
-    smax = dim - margin
-    d = displacement(beta, eig)
+    smax = dim - math.ceil(dim / 5)
+    cut = _residual_window(beta, dim, smax)
     # Psi[na, nc] = <nc| D(beta) |na> / sqrt(pi) for na below the summation cap.
-    psi = d.T.copy() / math.sqrt(math.pi)
+    psi = displacement(beta, (eig[0], eig[1][: cut + 1])).T / math.sqrt(math.pi)
     psi[smax:, :] = 0.0
 
-    a = destroy(dim)
+    a = destroy(cut + 1)
     adag = a.T
-    q = position_op(dim)
-    p = momentum_op(dim)
+    q = position_op(cut + 1)
+    p = momentum_op(cut + 1)
     rels = [
         psi @ a.T - adag @ psi - beta * psi,
         a @ psi - psi @ adag.T + np.conjugate(beta) * psi,
         (psi @ q.T - q @ psi) / math.sqrt(2.0) - beta.real * psi,
         (p @ psi + psi @ p.T) / math.sqrt(2.0) - beta.imag * psi,
     ]
-    cut = _residual_window(beta, dim, smax)
-    ref = float(np.linalg.norm(psi))
+    # the truncated D(beta) is exactly unitary, so ||Psi|| over its dim columns is sqrt(smax / pi)
+    ref = math.sqrt(smax / math.pi)
     return np.array([float(np.linalg.norm(rel[:cut, :cut])) / ref for rel in rels])
 
 
@@ -478,7 +482,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     al, alp = 0.3 + 0.1j, -0.2 + 0.4j
     ov = abs(np.vdot(coherent_state(al, dim), coherent_state(alp, dim))) ** 2
     dev = abs(ov - math.exp(-abs(al - alp) ** 2))
-    results.append(CheckResult("coherent_overlap", dev, 1e-10))
+    results.append(CheckResult("coherent_overlap", float(dev), 1e-10))
 
     # Truncated two-mode squeezed norm deficit = tanh(r)^(2 dim).
     r = 1.0
@@ -496,7 +500,7 @@ def run_all_checks(dim: int = 30, photo_dim: int = 10) -> list[CheckResult]:
     # Conditional state equals the coherent state tanh(r)(alpha - beta).
     zeta = math.tanh(r) * (alpha - beta)
     ov = abs(np.vdot(coherent_state(zeta, dim), raw[:, 0] / np.linalg.norm(raw[:, 0]))) ** 2
-    results.append(CheckResult("conditional_state_overlap", abs(1.0 - ov), 1e-6))
+    results.append(CheckResult("conditional_state_overlap", float(abs(1.0 - ov)), 1e-6))
 
     # Outcome density against the centered Gaussian.
     dev = 0.0

@@ -837,6 +837,29 @@ def test_oracle_verify_json_passes(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("argv,code", [([], 0), (["--dim", "4"], 3)])
+def test_oracle_verify_json_is_the_text_json_dumps_writes(capsys, argv, code):
+    assert main(["oracle-verify", "--json", *argv]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_oracle_verify_json_writes_edge_values_as_json_dumps(monkeypatch, capsys):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+    rows = [fock.CheckResult(f"row_{k}", v, 1e-8) for k, v in enumerate(values)]
+    rows.append(fock.CheckResult('quote " and é', 0.0, 1e-8))
+    monkeypatch.setattr(fock, "run_all_checks", lambda dim, photo_dim: rows)
+    assert main(["oracle-verify", "--json"]) == 3
+    payload = {
+        "dim": 30,
+        "photo_dim": 10,
+        "checks": [{"name": r.name, "value": r.value, "tolerance": r.tolerance, "passed": r.passed} for r in rows],
+        "passed": False,
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_oracle_verify_undersized_space_fails(capsys):
     assert main(["oracle-verify", "--dim", "4", "--photo-dim", "6"]) == 3
     captured = capsys.readouterr()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fockref import bell_completeness, bell_probability_density, joint_state, tail_population
+from fockref import bell_completeness, bell_probability_density, dense_eigen_residuals, joint_state, tail_population
 from pixelport import fock
 from pixelport.fock import (
     MAX_DIM,
@@ -326,6 +326,18 @@ def test_eigen_relations_severely_truncated():
     assert np.max(verify_eigen_relations(1.0 + 2.0j, position_eig(4))) > 1e-3
 
 
+def test_eigen_relations_on_the_window_match_the_dense_row():
+    # the row builds D, a, q and p on the window's cut + 1 levels and takes ||Psi|| = sqrt(smax / pi);
+    # the dense dim x dim row it replaced measured the norm, and both agree to round-off
+    worst = 0.0
+    for dim in range(2, MAX_DIM + 1):
+        eig = position_eig(dim)
+        for beta in (0.0, 1.0 + 2.0j, 0.3 - 0.7j, 2.5):
+            diff = np.abs(verify_eigen_relations(beta, eig) - dense_eigen_residuals(beta, eig))
+            worst = max(worst, float(np.max(diff)))
+    assert worst <= 1e-15
+
+
 def test_photocurrent_vacuum():
     dim = 8
     vac = np.zeros((dim, dim), dtype=complex)
@@ -566,13 +578,13 @@ def traced_peak(call):
 
 def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
     # a 160^3 complex state alone is 65 MB, and the whole grid of 1681
-    # outcomes 4.3 MB per array; the run peaks near 6.0 MB, mostly the
-    # eigen row's dense matrices
+    # outcomes 4.3 MB per array; the run peaks near 2.2 MB, about half of
+    # it the eigen row's window arrays
     assert traced_peak(lambda: run_all_checks(dim=MAX_DIM)) <= 8e6
 
 
 def test_average_fidelity_at_the_dim_cap_holds_one_block_at_a_time():
-    # the grid pass holds (dim x block) arrays, not (dim x outcomes): it peaks near 1.4 MB
+    # the grid pass holds (dim x block) arrays, not (dim x outcomes): with its eigendecomposition it peaks near 0.7 MB
     assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(MAX_DIM))) <= 2.5e6
 
 
@@ -599,6 +611,16 @@ def test_run_all_checks_makes_one_eigendecomposition(monkeypatch, dim):
     assert calls == [("svd", ((dim + 1) // 2, dim // 2))]
 
 
+@pytest.mark.parametrize("dim", [4, 30])
+def test_every_row_value_is_a_plain_float(dim):
+    # a numpy scalar would repr as np.float64(...) and fail CheckResult's annotation
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = run_all_checks(dim)
+    for r in results:
+        assert type(r.value) is float and type(r.tolerance) is float, r
+
+
 def test_run_all_checks_runs_the_public_rows(monkeypatch):
     # the rows resolve each other through the module, where the benchmark's tracer wraps them
     want = {
@@ -609,15 +631,21 @@ def test_run_all_checks_runs_the_public_rows(monkeypatch):
         "project_bell": 0,
     }
     calls = dict.fromkeys(want, 0)
+    shapes = []
     for name in want:
 
         def counting(*args, _name=name, _original=getattr(fock, name), **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            if _name == "displacement":
+                shapes.append(out.shape)
+            return out
 
         monkeypatch.setattr(fock, name, counting)
     results = {r.name: r.value for r in run_all_checks(30)}
     assert calls == want
+    # the eigen row displaces on its window's cut + 1 = 8 levels: no dim x dim complex matrix
+    assert shapes == [(8, 8)]
     eig = position_eig(30)
     res = verify_eigen_relations(1.0 + 2.0j, eig)
     for k in range(1, 5):
