@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
 or unwritable files, 3 oracle check failure.  :func:`main` is the one place
 where errors become exit codes: any ``ValueError``, ``ConfigError``
 included, is an input error and exits 1, and ``ImageFormatError`` or
-``OSError`` exits 2, each with one ``error:`` line.  A warning that the
-filters let through (``-W``) prints as one ``warning:`` line, without the
-source location of Python's default form.  ``teleport`` only wires
-the steps: each value is checked where it is built (see config and grid).
+``OSError`` exits 2, each with one ``error:`` line and nothing else on
+stderr.  A warning that the filters let through (``-W``) prints as one
+``warning:`` line, without the source location of Python's default form,
+once the command has returned: a run that ends in an error drops it.
+``teleport`` only wires the steps: each value is checked where it is built
+(see config and grid).
 It drops each array once no later step reads it: the input samples once
 decomposed, the field and squeezing profile once teleported, the teleported
 field once written.  So it holds at most one complex image and one real map
@@ -34,8 +36,10 @@ statistics the tests check.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -276,17 +280,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    with warnings.catch_warnings():  # restores the hook on the way out
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-        try:
+    held = io.StringIO()  # the command's stderr, dropped if it ends in an error so that line stands alone
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stderr(held):  # both restored on the way out
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             args = build_parser().parse_args(argv)
-            return args.func(args)
-        except ValueError as exc:  # a ConfigError or any other invalid input
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ImageFormatError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            code = args.func(args)
+    except ValueError as exc:  # a ConfigError or any other invalid input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ImageFormatError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    sys.stderr.write(held.getvalue())
+    return code
 
 
 if __name__ == "__main__":

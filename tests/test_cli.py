@@ -883,6 +883,12 @@ def test_teleport_narrow_waist_spdc_warns_in_one_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: w_0/w_p = 0.25 is not small")
 
 
+def test_teleport_error_drops_the_warnings_before_it(tmp_path, capsys):
+    # the narrow-waist warning fires while the config is parsed, before its bad pitch is seen
+    assert _run_teleport(tmp_path, "spdc", spdc_mode_waist=50.0, pitch=0) == 1
+    assert capsys.readouterr().err == "error: pitch must be positive\n"
+
+
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--dim", "1", "dim"), ("--dim", "0", "dim"), ("--dim", "-3", "dim"), ("--photo-dim", "0", "photo_dim")],

@@ -175,6 +175,7 @@ IMAGE = np.array([[1.0 + 0.5j, -0.25j], [2.0, 0.0]])
 @example(settings=_config("ring", **RADIUS_OVERFLOWS), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_focal="1e300", spdc_angle="1.5707963267948"), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_length="1e-300", spdc_pump_k="1e-300"), image=IMAGE, flags=[])
+@example(settings=_config("spdc", spdc_pump_waist="1e-320", pitch="0"), image=IMAGE, flags=[])
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=[])
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=["--shots", "1"])
 @example(settings=_config("ideal", n_shots=str(MAX_SHOTS + 1)), image=IMAGE, flags=[])
