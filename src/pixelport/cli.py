@@ -19,9 +19,9 @@ once the command has returned: a run that ends in an error drops it.
 (see config and grid).
 It drops each array once no later step reads it: the input samples once
 decomposed, the field and squeezing profile once teleported, the teleported
-field once written.  So it holds at most one complex image and one real map
-besides the running step's own arrays, and only the fidelity map while its
-CSV is written.
+field once written.  So an analytic run peaks at the channel's own arrays,
+the complex image in and out, the squeezing map and the fidelity map: about
+3x the complex image's bytes.
 
 :func:`main` parses with one parser per process, built on first use.
 ``parse_args`` keeps nothing in it: each call gets a fresh namespace from
@@ -56,7 +56,7 @@ from .imagefile import ImageFormatError, _fmt, read_image, write_image
 FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
 # Largest --samples for profile and fidelity-curve.  With three columns a run
-# holds about 500 bytes per radial sample, so it peaks near 85 MB at the cap.
+# holds about 500 bytes per radial sample, so it peaks near 82 MB at the cap.
 # Each further fidelity-curve column adds about 150 bytes per sample, so that
 # command also caps its cells: (1 + number of --xi values) * --samples may be
 # at most MAX_CELLS, the three columns of a run at the cap.
@@ -68,8 +68,17 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
     # A fidelity map repeats most of its values, so each distinct bit pattern
     # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
     rows = np.asarray(rows, dtype=float)
-    patterns, inverse = np.unique(rows.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in patterns.view(float).tolist()], dtype=object)
+    bits = rows.view(np.int64).ravel()
+    order = np.argsort(bits)  # groups equal patterns; each map-sized array is dropped once used
+    bits = bits[order]
+    first = np.concatenate(([True], bits[1:] != bits[:-1]))
+    patterns = bits[first].view(float)
+    del bits
+    first[0] = False  # a cell's index into patterns is then the running count of first-of-runs
+    inverse = np.empty(first.size, dtype=np.int32 if first.size < 2**31 else np.intp)
+    inverse[order] = np.cumsum(first, dtype=inverse.dtype)
+    del order, first
+    text = np.array([repr(v) for v in patterns.tolist()], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(header + "\n")

@@ -30,7 +30,7 @@ For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
 sqrt(pi), one dim-vector per outcome, with no three-mode array and no dense
 D(beta).  The resource tms is built in its Schmidt form, a diagonal matrix,
-so that product is u times the diagonal of tms, elementwise.  That one
+so that product is u times tms' diagonal, built without the matrix.  That one
 contraction serves run_all_checks' conditional-state and outcome-density
 rows (one batch of four outcomes) and the average-fidelity grid.  Its
 arrays put the levels first, (dim x outcomes), so each product with the
@@ -211,6 +211,11 @@ def two_mode_squeezed(r: float, dim: int) -> np.ndarray:
     Returned as a (dim, dim) array over (mode A, mode B).  The truncated
     norm deficit is tanh(r)^(2 dim); a warning fires when it is not small.
     """
+    return np.diag(_schmidt(r, dim, 3))
+
+
+def _schmidt(r: float, dim: int, stacklevel: int) -> np.ndarray:
+    """Diagonal of two_mode_squeezed(r, dim), with its checks and its warning at stacklevel."""
     if r < 0:
         raise ValueError("squeezing magnitude must be non-negative")
     t = math.tanh(r)
@@ -219,12 +224,9 @@ def two_mode_squeezed(r: float, dim: int) -> np.ndarray:
         warnings.warn(
             f"two-mode squeezed state at r = {r:.3g} loses {deficit:.2e} of its "
             f"norm at dim = {dim}",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    m = np.zeros((dim, dim), dtype=complex)
-    idx = np.arange(dim)
-    m[idx, idx] = (1.0 / math.cosh(r)) * t**idx
-    return m
+    return ((1.0 / math.cosh(r)) * t ** np.arange(dim)).astype(complex)
 
 
 class BellProjection(NamedTuple):
@@ -236,7 +238,7 @@ class BellProjection(NamedTuple):
 
 def _bell_inputs(alpha: complex, r: float, dim: int):
     """(|alpha>, diagonal of tms / sqrt(pi)): the two vectors _bell_rows contracts, with their truncation warnings."""
-    return coherent_state(alpha, dim), two_mode_squeezed(r, dim).diagonal() / math.sqrt(math.pi)
+    return coherent_state(alpha, dim), _schmidt(r, dim, 2) / math.sqrt(math.pi)
 
 
 def _bell_rows(coherent: np.ndarray, schmidt: np.ndarray, beta: np.ndarray, eig):
@@ -424,11 +426,6 @@ def _grid_sum(alpha: complex, r: float, n: int, eig, per_outcome) -> float:
     return float(np.sum(terms)) * (step * step)
 
 
-def _fidelity_terms(u: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """|<u|raw>|^2 = |<alpha| D(beta) raw>|^2 per outcome column."""
-    return np.abs(np.sum(u.conj() * raw, axis=0)) ** 2
-
-
 def oracle_average_fidelity(alpha: complex, r: float, eig, n: int = 41) -> float:
     """Average fidelity integrated over measured outcomes, oracle-side, at eig = position_eig(dim).
 
@@ -439,7 +436,7 @@ def oracle_average_fidelity(alpha: complex, r: float, eig, n: int = 41) -> float
     beyond the truncation's reach, so small dim undershoots (at r = 2 the
     examples use dim around 90).
     """
-    return _grid_sum(alpha, r, n, eig, _fidelity_terms)
+    return _grid_sum(alpha, r, n, eig, lambda u, raw: np.abs(np.sum(u.conj() * raw, axis=0)) ** 2)
 
 
 class CheckResult(NamedTuple):

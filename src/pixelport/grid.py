@@ -128,8 +128,8 @@ def synthesize(fieldarr: ImageField) -> np.ndarray:
     return samples
 
 
-def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width); ValueError past float64."""
+def _center_axes(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-center coordinates along each axis, as 1-D arrays (xs, ys); ValueError past float64."""
     ox, oy = geometry.origin
     for axis, origin, n in (("x", ox, geometry.width), ("y", oy, geometry.height)):
         last = origin + (n - 0.5) * geometry.pitch  # Python floats: an overflow gives inf, not a warning
@@ -137,4 +137,9 @@ def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"pixel centers must be finite, got origin_{axis} + ({n} - 0.5) * pitch = {last!r}")
     xs = ox + (np.arange(geometry.width) + 0.5) * geometry.pitch
     ys = oy + (np.arange(geometry.height) + 0.5) * geometry.pitch
-    return np.meshgrid(xs, ys)
+    return xs, ys
+
+
+def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width); ValueError past float64."""
+    return np.meshgrid(*_center_axes(geometry))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .grid import GridGeometry, pixel_centers
+from .grid import GridGeometry, _center_axes
 
 __all__ = [
     "SpdcParams",
@@ -142,21 +142,29 @@ class SqueezingProfile:
 def eta_at_radius(rho, ring: RingParams):
     """Ring profile as a function of radial distance alone; signed (sinc side lobes).
 
-    Where a square in u = (rho^2 - r0^2) / R^2 leaves float64, u is taken as
-    ((rho - r0) / R) (rho / R + r0 / R) instead; where even that overflows,
-    sinc is taken at its limit 0 (|sinc u| <= 1/|u| < 1e-307 there).
+    The bits of np.sinc(u / pi), u = (rho^2 - r0^2) / R^2, or u = ((rho - r0) / R) (rho / R + r0 / R)
+    where a square leaves float64; 0 where even that overflows (|sinc u| <= 1/|u| < 1e-307 there).
     """
-    rho = np.asarray(rho, dtype=float)
+    return _eta_over(np.array(rho, dtype=float), ring)[()]
+
+
+def _eta_over(rho: np.ndarray, ring: RingParams) -> np.ndarray:
+    """eta_at_radius(rho, ring) written over the float64 array rho, through np.sinc's steps in one scratch array."""
     r0, R = np.float64(ring.r0), np.float64(ring.R)
     with np.errstate(all="ignore"):
-        # sin(x)/x with sinc(0) = 1; np.sinc is the normalized sin(pi x)/(pi x).
-        eta = np.asarray(np.sinc((rho * rho - r0**2) / R**2 / np.pi))
-        lost = ~np.isfinite(eta)
-        if np.any(lost):
-            d = rho[lost] - r0
-            eta[lost] = np.sinc(np.where(d == 0.0, 0.0, (d / R) * (rho[lost] / R + r0 / R)) / np.pi)
-            eta[np.isnan(eta)] = 0.0
-    return ring.Xi * eta
+        y = np.multiply(rho, rho, out=np.empty_like(rho))  # an array also where rho is 0-d
+        y -= r0**2
+        y /= R**2
+        y /= np.pi
+        y *= np.pi  # np.sinc(x) takes y = pi * x, sets y's zeros to eps and returns sin(y) / y
+        y[y == 0.0] = np.finfo(float).eps
+        lost = ~np.isfinite(y)  # sin(y) / y is finite wherever y is
+        far = rho[lost]
+        np.divide(np.sin(y, out=rho), y, out=rho)
+        d = far - r0
+        rho[lost] = np.nan_to_num(np.sinc(np.where(d == 0.0, 0.0, (d / R) * (far / R + r0 / R)) / np.pi), nan=0.0)
+    rho *= ring.Xi
+    return rho
 
 
 def ring_from_spdc(params: SpdcParams) -> RingParams:
@@ -171,9 +179,10 @@ def ring_from_spdc(params: SpdcParams) -> RingParams:
 
 def profile_for_grid(geometry: GridGeometry, ring: RingParams) -> SqueezingProfile:
     """Per-pixel squeezing magnitudes |eta| at the pixel centers."""
+    xs, ys = _center_axes(geometry)
     with np.errstate(over="ignore"):  # an infinite radius is sinc's limit 0 in eta_at_radius
-        rho = np.hypot(*pixel_centers(geometry))
-    return SqueezingProfile(geometry, np.abs(eta_at_radius(rho, ring)))
+        eta = _eta_over(np.hypot(xs[None, :], ys[:, None]), ring)
+    return SqueezingProfile(geometry, np.abs(eta, out=eta))
 
 
 def radial_profile(ring: RingParams, n_samples: int = 512) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,6 +40,12 @@ def bell_probability_density(alpha: complex, r: float, beta: complex, dim: int) 
     return float(np.linalg.norm(raw)) ** 2
 
 
+def conditional_state(alpha: complex, r: float, beta: complex, eig) -> np.ndarray:
+    """The receiver's normalized conditional state after outcome beta, for a coherent input; eig = position_eig(dim)."""
+    _, raw = fock._bell_rows(*fock._bell_inputs(alpha, r, eig[0].size), np.array([complex(beta)]), eig)
+    return raw[:, 0] / np.linalg.norm(raw[:, 0])
+
+
 def bell_completeness(alpha: complex, r: float, dim: int, n: int = 41) -> float:
     """Integral of the measured density over the n x n outcome grid, sum_k |raw[k]|^2 darea; 1 when complete."""
     return fock._grid_sum(alpha, r, n, fock.position_eig(dim), lambda u, raw: np.sum(np.abs(raw) ** 2, axis=0))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from fockref import conditional_state
 from outcomes import conditional_amplitude, conditional_fidelity, feedback_displace, sample_bell_outcomes
 import pixelport
-from pixelport import channel
+from pixelport import channel, fock
 from pixelport.channel import average_fidelity, teleport_image
 from pixelport.grid import GridGeometry, ImageField, decompose
 from pixelport.spdc import RingParams, SqueezingProfile, profile_for_grid
@@ -224,6 +225,38 @@ def test_teleport_image_modes_on_a_ring_profile():
     assert np.all(np.abs(out.amplitudes.imag - amps.imag) <= 4 * se)
     analytic, _, _ = teleport_image(field, profile, seed=45, n_shots=0)
     assert np.array_equal(analytic.amplitudes, np.tanh(rs) * amps)
+
+
+@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw-plane"])
+def test_analytic_channel_matches_the_fock_oracle(raw_plane):
+    # Each pixel's r comes from the shipped ring profile, up to Xi = 1.5 on the
+    # pixels the ring passes through.  The oracle side is the Fock contraction
+    # alone: <a> of the conditional state at outcome beta = 0, and the
+    # outcome-averaged fidelity on its grid.  It never calls the channel.
+    dim = 90
+    g = GridGeometry(8, 8)
+    profile = profile_for_grid(g, RingParams(r0=math.hypot(2.5, 0.5), R=1.0, Xi=1.5))
+    assert profile.r.max() == 1.5 and profile.r.min() < 0.1
+    rng = np.random.default_rng(21)
+    field = ImageField(g, rng.uniform(-0.7, 0.7, g.shape) + 1j * rng.uniform(-0.7, 0.7, g.shape))
+
+    eig = fock.position_eig(dim)
+    a = fock.destroy(dim)
+    mean_a = np.empty(g.shape, dtype=complex)
+    fidelity = {}
+    for (j, i), alpha in np.ndenumerate(field.amplitudes):
+        r = float(profile.r[j, i])
+        psi = conditional_state(alpha, r, 0.0, eig)
+        mean_a[j, i] = np.vdot(psi, a @ psi)
+        if r not in fidelity:
+            fidelity[r] = fock.oracle_average_fidelity(alpha, r, eig)
+    want_fid = np.vectorize(fidelity.__getitem__)(profile.r)
+    if raw_plane:
+        mean_a, want_fid = mean_a[::-1, ::-1], want_fid[::-1, ::-1]
+
+    out, fid, _ = teleport_image(field, profile, n_shots=0, raw_plane=raw_plane)
+    assert np.max(np.abs(out.amplitudes - mean_a)) <= 1e-12
+    assert np.max(np.abs(fid - want_fid)) <= 1e-3
 
 
 def test_teleport_image_deterministic_and_block_invariant(monkeypatch):

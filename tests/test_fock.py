@@ -175,6 +175,13 @@ def test_two_mode_squeezed_warns_when_truncated():
         two_mode_squeezed(2.0, 20)
 
 
+def test_bell_inputs_take_the_resource_diagonal_without_the_matrix(monkeypatch):
+    want = two_mode_squeezed(1.2, 40).diagonal() / math.sqrt(math.pi)
+    monkeypatch.setattr(fock, "two_mode_squeezed", None)  # the contraction builds no dim x dim resource
+    _, schmidt = fock._bell_inputs(0.3, 1.2, 40)
+    assert schmidt.dtype == want.dtype and np.array_equal(schmidt, want)
+
+
 def test_two_mode_squeezed_rejects_negative():
     with pytest.raises(ValueError):
         two_mode_squeezed(-0.1, 10)

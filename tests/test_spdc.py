@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kspace import chi, eta_k, eta_quadrature, pixel_center
-from pixelport.grid import GridGeometry
+from pixelport.grid import GridGeometry, pixel_centers
 from pixelport.spdc import (
     RingParams,
     SpdcParams,
@@ -258,6 +259,66 @@ def test_profile_uses_pixel_centers():
     prof = profile_for_grid(g, ring)
     x, y = pixel_center(1, 0, g)
     assert prof.r[0, 1] == abs(eta_at_radius(np.hypot(x, y), ring))
+
+
+def reference_eta(rho, ring):
+    """The ring profile as one np.sinc expression, with its overflow fallback: the bits eta_at_radius must keep."""
+    rho = np.asarray(rho, dtype=float)
+    r0, R = np.float64(ring.r0), np.float64(ring.R)
+    with np.errstate(all="ignore"):
+        eta = np.asarray(np.sinc((rho * rho - r0**2) / R**2 / np.pi))
+        lost = ~np.isfinite(eta)
+        if np.any(lost):
+            d = rho[lost] - r0
+            eta[lost] = np.sinc(np.where(d == 0.0, 0.0, (d / R) * (rho[lost] / R + r0 / R)) / np.pi)
+            eta[np.isnan(eta)] = 0.0
+    return ring.Xi * eta
+
+
+@pytest.mark.parametrize(
+    "geometry,ring",
+    [
+        (GridGeometry(512, 512), RingParams(r0=128.0, R=32.0, Xi=1.5)),  # the benchmark's ring
+        (GridGeometry(33, 17, pitch=0.37, origin=(-3.1, -1.7)), RingParams(r0=2.0, R=0.8, Xi=1.2)),
+        (GridGeometry(16, 16), RingParams(r0=0.0, R=3.0, Xi=0.9)),
+        (GridGeometry(16, 16), RingParams(r0=math.hypot(0.5, 2.5), R=1.0, Xi=2.0)),  # u == 0 on a pixel centre
+        (GridGeometry(8, 8, pitch=1e154), RingParams(r0=1e155, R=1e150, Xi=1.5)),  # squares overflow
+        (GridGeometry(4, 4, pitch=1e300), RingParams(r0=1.0, R=0.5, Xi=1.5)),  # the radius itself overflows
+        (GridGeometry(8, 8), RingParams(r0=2.0, R=1e-200, Xi=1.5)),  # R^2 underflows to zero
+    ],
+    ids=["benchmark-ring", "off-centre", "r0-zero", "r0-on-centre", "squares-overflow", "pitch-1e300", "tiny-R"],
+)
+def test_profile_for_grid_keeps_the_sinc_expression_bits(geometry, ring):
+    with np.errstate(over="ignore"):
+        want = np.abs(reference_eta(np.hypot(*pixel_centers(geometry)), ring))
+    assert np.array_equal(profile_for_grid(geometry, ring).r.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("rho", [1.3, np.float64(1.0), np.array(0.0), np.array(1.6), np.linspace(0.0, 3.0, 513)])
+def test_eta_at_radius_keeps_the_sinc_expression_bits(rho):
+    ring = RingParams(r0=1.0, R=0.5, Xi=1.5)
+    got, want = eta_at_radius(rho, ring), reference_eta(rho, ring)
+    assert type(got) is type(want)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def test_eta_at_radius_leaves_its_input_alone():
+    rho = np.linspace(0.0, 3.0, 9)
+    kept = rho.copy()
+    eta_at_radius(rho, RingParams(r0=1.0, R=0.5, Xi=1.5))
+    assert np.array_equal(rho, kept)
+
+
+def test_profile_for_grid_holds_two_maps():
+    # the radius array and one scratch buffer: no meshgrid images, no sinc temporaries
+    g, ring = GridGeometry(256, 256), RingParams(r0=64.0, R=16.0, Xi=1.5)
+    tracemalloc.start()
+    try:
+        r = profile_for_grid(g, ring).r
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * r.nbytes
 
 
 def test_radial_profile_peak_normalization():
