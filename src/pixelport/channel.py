@@ -45,7 +45,8 @@ __all__ = [
 MAX_R = 700.0
 
 # Normals drawn per block of whole pixels in teleport_image.  It bounds the
-# block's temporaries (a few arrays of this many doubles) and nothing else.
+# block's temporaries and nothing else: with the noise scale they hold about
+# 2.5x the normals' bytes at most (at one shot, where the scale is per pixel).
 _BLOCK_NORMALS = 1 << 20
 
 # Largest supported n_shots: one pixel's 2 * n_shots normals still fit in one
@@ -127,8 +128,22 @@ def teleport_image(
                 c = np.exp(-flat_r[lo : lo + step, None]) / math.sqrt(2.0)
                 z = rng.standard_normal((a.shape[0], 2, n_shots))
                 z_re, z_im = z[:, 0, :], z[:, 1, :]
-                out[lo : lo + step] = (a.real + c * z_re + 1j * (a.imag + c * z_im)).mean(axis=-1)
-                fid[lo : lo + step] = np.exp(-(c * c) * (z_re * z_re + z_im * z_im)).mean(axis=-1)
+                # Each value takes the offset form's steps in their order, but in
+                # one fidelity buffer, then in z itself, and the means are written
+                # straight into out and fid.
+                f = z_re * z_re
+                f += z_im * z_im
+                cc = c * c
+                f *= np.negative(cc, out=cc)
+                np.mean(np.exp(f, out=f), axis=-1, out=fid[lo : lo + step])
+                del f, cc
+                z *= c[:, None]
+                z_re += a.real
+                z_im += a.imag
+                x = np.multiply(1j, z_im)
+                x += z_re
+                np.mean(x, axis=-1, out=out[lo : lo + step])
+                del z, z_re, z_im, x  # before the next block draws
         if not np.all(np.isfinite(out)):
             raise ValueError("the teleported amplitudes overflow float64; use a smaller pitch or input")
         out = out.reshape(g.shape)

@@ -55,11 +55,11 @@ from .imagefile import ImageFormatError, _fmt, read_image, write_image
 
 FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
-# Largest --samples for profile and fidelity-curve.  With three columns a run
-# holds about 500 bytes per radial sample, so it peaks near 82 MB at the cap.
-# Each further fidelity-curve column adds about 150 bytes per sample, so that
-# command also caps its cells: (1 + number of --xi values) * --samples may be
-# at most MAX_CELLS, the three columns of a run at the cap.
+# Largest --samples for profile and fidelity-curve.  Curve columns are written
+# row by row (see _write_csv), so a run holds a few dozen bytes per cell and
+# stays under 64 MB resident at the cap.  fidelity-curve also caps its cells:
+# (1 + number of --xi values) * --samples may be at most MAX_CELLS, the three
+# columns of a run at the cap, so more --xi values keep that bound.
 MAX_SAMPLES = 100_000
 MAX_CELLS = 3 * MAX_SAMPLES
 
@@ -67,23 +67,33 @@ MAX_CELLS = 3 * MAX_SAMPLES
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
     # A fidelity map repeats most of its values, so each distinct bit pattern
     # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
+    # When more than half the cells are distinct (shot maps, curve columns),
+    # each row is formatted as it is written instead: a string per distinct
+    # value would hold over 7x the map's bytes, while formatting the repeats
+    # too takes at most 1.5x the table's time (at half distinct, and none
+    # extra from about 80% on).
     rows = np.asarray(rows, dtype=float)
     bits = rows.view(np.int64).ravel()
     order = np.argsort(bits)  # groups equal patterns; each map-sized array is dropped once used
     bits = bits[order]
     first = np.concatenate(([True], bits[1:] != bits[:-1]))
-    patterns = bits[first].view(float)
-    del bits
-    first[0] = False  # a cell's index into patterns is then the running count of first-of-runs
-    inverse = np.empty(first.size, dtype=np.int32 if first.size < 2**31 else np.intp)
-    inverse[order] = np.cumsum(first, dtype=inverse.dtype)
-    del order, first
-    text = np.array([repr(v) for v in patterns.tolist()], dtype=object)
+    if 2 * np.count_nonzero(first) > first.size:
+        del bits, order, first
+        lines = (",".join(map(repr, row.tolist())) for row in rows)
+    else:
+        patterns = bits[first].view(float)
+        del bits
+        first[0] = False  # a cell's index into patterns is then the running count of first-of-runs
+        inverse = np.empty(first.size, dtype=np.int32 if first.size < 2**31 else np.intp)
+        inverse[order] = np.cumsum(first, dtype=inverse.dtype)
+        del order, first
+        text = np.array([repr(v) for v in patterns.tolist()], dtype=object)
+        lines = (",".join(text[row].tolist()) for row in inverse.reshape(rows.shape))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(header + "\n")
-        for row in inverse.reshape(rows.shape):
-            fh.write(",".join(text[row].tolist()) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list[tuple[str, str]]:

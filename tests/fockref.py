@@ -74,3 +74,30 @@ def dense_eigen_residuals(beta: complex, eig) -> np.ndarray:
     cut = fock._residual_window(beta, dim, smax)
     ref = float(np.linalg.norm(psi))
     return np.array([float(np.linalg.norm(rel[:cut, :cut])) / ref for rel in rels])
+
+
+def output_moments(alpha: complex, r: float, eig, n: int = 41) -> tuple[complex, float]:
+    """Outcome-averaged <a> and <n> of the feedback-displaced output w = D(beta) raw; eig = position_eig(dim).
+
+    The outcomes are oracle_average_fidelity's: the n x n grid of fock._grid_sum
+    with its truncation guard.  raw is the receiver's unnormalized conditional
+    state from fock._bell_rows, so the density rides in |w|^2, and each
+    outcome's <w|a|w> and ||a w||^2 times the cell area sum to the averages.
+    """
+    dim = eig[0].size
+    half = 5.0 * math.cosh(r)
+    step = 2.0 * half / n
+    xs = -half + (np.arange(n) + 0.5) * step
+    dx, dy = np.meshgrid(xs, xs, indexing="ij")
+    keep = dx * dx + dy * dy <= dim - 2.0 * math.sqrt(dim)
+    betas = alpha + (dx[keep] + 1j * dy[keep])
+    inputs = fock._bell_inputs(alpha, r, dim)
+    a = fock.destroy(dim)
+    mean_a, mean_n = 0j, 0.0
+    for block in np.array_split(betas, math.ceil(betas.size / 64)):
+        _, raw = fock._bell_rows(*inputs, block, eig)
+        w = np.einsum("kij,jk->ki", fock.displacement(block, eig), raw)  # one output state per row
+        aw = w @ a.T
+        mean_a += np.vdot(w, aw)
+        mean_n += float(np.vdot(aw, aw).real)
+    return mean_a * (step * step), mean_n * (step * step)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fockref import conditional_state
+from fockref import conditional_state, output_moments
 from outcomes import conditional_amplitude, conditional_fidelity, feedback_displace, sample_bell_outcomes
 import pixelport
 from pixelport import channel, fock
@@ -259,6 +260,31 @@ def test_analytic_channel_matches_the_fock_oracle(raw_plane):
     assert np.max(np.abs(fid - want_fid)) <= 1e-3
 
 
+def test_single_shot_moments_match_the_fock_oracle():
+    # Each pixel's r comes from the shipped ring profile, up to Xi = 1.2, and
+    # the oracle side is the Fock contraction alone: the outcome-averaged <a>
+    # and <n> of the feedback-displaced output D(beta) raw.  One shot per
+    # pixel, so the pixel-averaged residuals out - <a> and |out|^2 - <n> must
+    # lie within 4 standard errors, each taken from the residuals themselves.
+    # A 21 x 21 grid (about 1.5 cells per standard deviation of the outcome
+    # density) at dim 60 puts the oracle's moments within 1e-5 of their
+    # limits, far inside the shots' standard errors.
+    dim = 60
+    g = GridGeometry(16, 16)
+    profile = profile_for_grid(g, RingParams(r0=5.0, R=1.5, Xi=1.2))
+    assert profile.r.max() <= 1.2 and np.mean(profile.r < 0.1) > 0.5
+    alpha = 0.4 + 0.2j
+    eig = fock.position_eig(dim)
+    moments = {r: output_moments(alpha, r, eig, n=21) for r in np.unique(profile.r).tolist()}
+    mean_a = np.array([moments[r][0] for r in profile.r.ravel().tolist()]).reshape(g.shape)
+    mean_n = np.array([moments[r][1] for r in profile.r.ravel().tolist()]).reshape(g.shape)
+
+    out, _, _ = teleport_image(ImageField(g, np.full(g.shape, alpha)), profile, seed=31, n_shots=1)
+    d = out.amplitudes - mean_a
+    for residual in (d.real, d.imag, np.abs(out.amplitudes) ** 2 - mean_n):
+        assert abs(residual.mean()) <= 4 * residual.std(ddof=1) / math.sqrt(residual.size)
+
+
 def test_teleport_image_deterministic_and_block_invariant(monkeypatch):
     field, profile = _uniform_setup(n_side=8, r=0.9)
     ref_out, ref_fid, _ = teleport_image(field, profile, seed=23, n_shots=7)
@@ -269,6 +295,35 @@ def test_teleport_image_deterministic_and_block_invariant(monkeypatch):
         out, fid, _ = teleport_image(field, profile, seed=23, n_shots=7)
         assert np.array_equal(out.amplitudes, ref_out.amplitudes)
         assert np.array_equal(fid, ref_fid)
+
+
+def traced_peak(call):
+    """The largest traced allocation total while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shot_block_works_in_its_normals_buffer():
+    # 100 shots on 256^2 pixels take several blocks of _BLOCK_NORMALS normals.
+    # A block holds its normals and a fidelity buffer half their size plus one
+    # square, then its normals and one complex output buffer: about twice the
+    # normals' bytes, and no block's arrays outlive it.
+    field, profile = _uniform_setup(n_side=256, r=1.0)
+    peak = traced_peak(lambda: teleport_image(field, profile, seed=3, n_shots=100))
+    assert peak <= 2.5 * 8 * channel._BLOCK_NORMALS
+
+
+def test_single_shot_image_holds_few_image_sized_arrays():
+    # At one shot a 256^2 image is one block, so the per-pixel arrays count
+    # too: out and fid, the noise scale, the normals and then one buffer at a
+    # time, with the means written straight into out and fid.
+    field, profile = _uniform_setup(n_side=256, r=1.0)
+    peak = traced_peak(lambda: teleport_image(field, profile, seed=3, n_shots=1))
+    assert peak <= 4.5 * field.amplitudes.nbytes
 
 
 def test_teleport_image_single_shot_invariants():

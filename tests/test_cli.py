@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pixelport import channel, fock, spdc
-from pixelport.cli import MAX_CELLS, MAX_SAMPLES, _write_csv, build_parser, main
+from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, _write_csv, build_parser, main
 from pixelport.config import parse_config
 from pixelport.grid import GridGeometry
 from pixelport.imagefile import read_image, write_image
@@ -657,17 +657,61 @@ def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
     assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
 
 
+def traced_peak(call):
+    """The largest traced allocation total while call() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_csv_holds_few_map_sized_arrays(tmp_path):
     # the dedupe holds an argsort, the sorted patterns and int32 indices, not np.unique's int64 copies
     ring = spdc.RingParams(r0=64.0, R=16.0, Xi=1.5)  # the ring of write_ring_config(tmp_path, 256)
     fid = channel.average_fidelity(spdc.profile_for_grid(GridGeometry(256, 256), ring).r)
-    tracemalloc.start()
-    try:
-        _write_csv(tmp_path / "again.csv", [], "h", fid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * fid.nbytes
+    assert traced_peak(lambda: _write_csv(tmp_path / "again.csv", [], "h", fid)) <= 3 * fid.nbytes
+
+
+def test_write_csv_holds_no_string_per_value_of_a_distinct_map(tmp_path):
+    # a shot map repeats no value, so its rows are formatted as they come: the
+    # call holds the sort's arrays and one row's text, not a string per value
+    fid = np.random.default_rng(5).random((256, 256))
+    assert traced_peak(lambda: _write_csv(tmp_path / "shots.csv", [], "h", fid)) <= 3 * fid.nbytes
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["half-distinct-table", "over-half-distinct-rows"])
+def test_write_csv_matches_reference_on_both_sides_of_the_row_rule(tmp_path, extra):
+    # Half the cells distinct keeps the table of distinct values; one more
+    # distinct cell writes rows.  Both maps hold -0.0 apart from 0.0.  The peak
+    # tells the paths apart: the table holds a string per distinct value.
+    rng = np.random.default_rng(11)
+    size = 256 * 256
+    distinct = size // 2 + extra
+    values = np.concatenate(([-0.0, 0.0], rng.random(distinct - 2)))
+    cells = np.concatenate((values, values[rng.integers(0, distinct, size - distinct)]))
+    rows = rng.permutation(cells).reshape(256, 256)
+    assert np.unique(rows.view(np.int64)).size == distinct
+    path = tmp_path / "map.csv"
+    peak = traced_peak(lambda: _write_csv(path, ["a=1"], "h", rows))
+    assert path.read_bytes() == _reference_csv(["a=1"], "h", rows)
+    assert {"-0.0", "0.0"} <= set(path.read_text().replace("\n", ",").split(","))
+    assert (peak <= 3 * rows.nbytes) == bool(extra)
+
+
+def test_write_csv_matches_reference_on_curve_preset_at_the_cap(tmp_path, capsys):
+    # every curve column is distinct valued, so the preset files take the row path
+    assert main(["fidelity-curve", "--preset", "fig4", "--samples", str(MAX_SAMPLES), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert len(paths) == len(FIG3_PAIRS)
+    for path in paths:
+        lines = path.read_text().splitlines()
+        comments = [line[2:] for line in lines[:4]]
+        values = np.loadtxt(path, delimiter=",", skiprows=5)
+        assert values.shape[0] >= MAX_SAMPLES
+        assert path.read_bytes() == _reference_csv(comments, lines[4], values)
 
 
 @pytest.mark.parametrize("flags", [[], ["--raw-plane"]], ids=["upright", "raw-plane"])
