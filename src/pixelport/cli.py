@@ -1,36 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: pixelport <command> [options].
 
-Subcommands:
+teleport runs an image through the channel per a key=value config; profile
+and fidelity-curve write the squeezing ring's radial profile and fidelity
+curves as CSV; oracle-verify runs the Fock-space oracle checks and prints
+their table.  Run pixelport <command> --help for the options of one.
 
-* ``teleport``: run a whole image through the channel per a config file.
-* ``profile``: emit the squeezing-ring radial cut as CSV.
-* ``fidelity-curve``: emit radial fidelity curves for one or more Xi.
-* ``oracle-verify``: run the Fock-space oracle suite and print a table.
-
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 unreadable
-or unwritable files, 3 oracle check failure.  :func:`main` is the one place
-where errors become exit codes: any ``ValueError``, ``ConfigError``
-included, is an input error and exits 1, and ``ImageFormatError`` or
-``OSError`` exits 2, each with one ``error:`` line and nothing else on
-stderr.  A warning that the filters let through (``-W``) prints as one
-``warning:`` line, without the source location of Python's default form,
-once the command has returned: a run that ends in an error drops it.
-``teleport`` only wires the steps: each value is checked where it is built
-(see config and grid).
-It drops each array once no later step reads it: the input samples once
-decomposed, the field and squeezing profile once teleported, the teleported
-field once written.  So an analytic run peaks at the channel's own arrays,
-the complex image in and out, the squeezing map and the fidelity map: about
-3x the complex image's bytes.
-
-:func:`main` parses with one parser per process, built on first use.
-``parse_args`` keeps nothing in it: each call gets a fresh namespace from
-the declared defaults, so one call's flags never reach the next.
-
-With the numpy version and its SIMD dispatch fixed, a ``teleport`` run is
-reproducible: its output bytes depend only on the seed, the shot count and
-the input.  Another numpy or CPU may change the last bits, but not the
-statistics the tests check.
+Exit codes: 0 success, 1 invalid configuration or arguments (an unreadable
+config included), 2 unreadable or unwritable image or output files, 3 oracle
+check failure.  An error prints one "error: <message>" line and nothing else
+on stderr.  A warning prints as one "warning: <message>" line once the
+command returns; a run that ends in an error drops it.
 """
 
 from __future__ import annotations
@@ -113,6 +92,14 @@ def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list
 
 
 def cmd_teleport(args) -> int:
+    """Wire the steps of a run; each value is checked where it is built (see config and grid).
+
+    Each array is dropped once no later step reads it: the input samples once
+    decomposed, the field and squeezing profile once teleported, the teleported
+    field once written.  So an analytic run peaks at the channel's own arrays,
+    the complex image in and out, the squeezing map and the fidelity map: about
+    3x the complex image's bytes.
+    """
     cfg = load_config(args.config)
     overrides = {"seed": args.seed, "n_shots": args.shots}
     cfg = dataclasses.replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
@@ -299,6 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the one place where errors become exit codes.
+
+    Any ValueError, ConfigError included, is an input error and exits 1, and
+    ImageFormatError or OSError exits 2, each with one "error:" line and
+    nothing else on stderr.  A warning that the filters let through (-W) prints
+    as one "warning:" line, without the source location of Python's default
+    form, once the command has returned.  The parser is built once per process
+    (build_parser); parse_args keeps nothing in it, so each call gets a fresh
+    namespace from the declared defaults and one call's flags never reach the next.
+    """
     held = io.StringIO()  # the command's stderr, dropped if it ends in an error so that line stands alone
     try:
         with warnings.catch_warnings(), contextlib.redirect_stderr(held):  # both restored on the way out

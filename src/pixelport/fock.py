@@ -19,12 +19,13 @@ dense matrices, float64 for the real a and q, complex for p and D(beta).
 
 Every displacement comes from one eigendecomposition of the truncated
 position operator q.  q links even levels only to odd ones, so that is one
-real SVD of q's half-size even-odd block; at the default dim it stays on one
-BLAS thread, where the complex eigh it replaced woke a second.  The momentum
-operator is q rotated by diag(i^n), and that rotation joins the factors
-e^{i n arg(beta)}, which are running products over the levels.  Every
-row takes the eigendecomposition it displaces with, position_eig(dim), as an
-argument; run_all_checks makes one and passes it to each.
+real SVD of q's half-size even-odd block, which stays on one BLAS thread at
+the default dim.  The momentum operator is q rotated by diag(i^n), and that
+rotation joins the factors e^{i n arg(beta)}, which are running products over
+the levels.  Every row takes the eigendecomposition it displaces with,
+position_eig(dim), as an argument; run_all_checks makes one and passes it to
+each.  From dim 90 the SVD and the grid's real matmuls may start a second
+OpenBLAS thread; no row moves by more than 1e-12 with it.
 
 For a coherent input the joint state is the resource times |alpha>, so its
 Bell contraction factors into u = D(beta)^dag |alpha> and raw = u @ tms /
@@ -40,12 +41,14 @@ other.  A grid pass walks its kept outcomes in blocks whose (dim x block)
 complex arrays stay within _GRID_BLOCK_BYTES, and reduces each block to
 one number per outcome, so its temporaries are not (dim x outcomes).  The
 input state, the resource diagonal and the eigendecomposition are built
-once per pass, not once per block.  project_bell is the generic projection
-of an arbitrary three-mode state, one outcome and one dense displacement at
-a time; no check runs it, and it stays public because the benchmark's
-tracer (perfbench/spans.py) wraps it by name.  The eigen-relation row takes
-one displacement, D's top-left block on the cut + 1 levels its window
-reads.  So a run makes one eigendecomposition and keeps nothing between runs.
+once per pass, not once per block.  Outcomes are independent and every
+complex product has a fixed operand order, so the block size changes no bit
+of a row.  project_bell is the generic projection of an arbitrary three-mode
+state, one outcome and one dense displacement at a time; no check runs it,
+and it stays public because the benchmark's tracer (perfbench/spans.py)
+wraps it by name.  The eigen-relation row takes one displacement, D's
+top-left block on the cut + 1 levels its window reads.  So a run makes one
+eigendecomposition and keeps nothing between runs.
 """
 
 from __future__ import annotations

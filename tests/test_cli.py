@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -1036,3 +1037,39 @@ def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
     argv = shlex.split(line)[1:]
     assert main(argv) == (3 if argv[-2:] == ["--dim", "4"] else 0)  # the undersized oracle fails
     capsys.readouterr()
+
+
+def test_help_states_the_commands_and_exit_codes_in_plain_text():
+    text = build_parser().format_help()
+    flat = " ".join(text.split())
+    for command in ("teleport", "profile", "fidelity-curve", "oracle-verify"):
+        assert command in text
+    for code in ("0 success", "1 invalid", "2 unreadable", "3 oracle"):
+        assert code in flat
+    assert "``" not in text and ":func:" not in text
+
+
+README_LIMITS = re.findall(r"([0-9]+)\s+\(`pixelport\.(\w+)\.([A-Z_]+)`\)", README)
+
+
+def test_readme_limits_match_the_code():
+    # each limit is written as <value> (`pixelport.<module>.<NAME>`), so a changed constant fails here
+    assert {(module, name) for _, module, name in README_LIMITS} >= {
+        ("channel", "MAX_SHOTS"),
+        ("channel", "MAX_R"),
+        ("cli", "MAX_SAMPLES"),
+        ("cli", "MAX_CELLS"),
+        ("fock", "MAX_DIM"),
+        ("fock", "MAX_PHOTO_DIM"),
+    }
+    for value, module, name in README_LIMITS:
+        assert float(value) == pkgutil.resolve_name(f"pixelport.{module}.{name}"), (module, name)
+
+
+README_NAMES = sorted(set(re.findall(r"`(pixelport(?:\.\w+)+)", README)))
+
+
+def test_readme_names_resolve():
+    assert len(README_NAMES) > 10
+    for dotted in README_NAMES:
+        pkgutil.resolve_name(dotted)  # imports each submodule on the way, then getattr
