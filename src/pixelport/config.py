@@ -92,16 +92,27 @@ class RunConfig:
         return "ideal" if isinstance(self.squeezing, numbers.Real) else "spdc"
 
 
+def _number(kind: type, raw: str):
+    """kind(raw), for ASCII text without underscores: the numbers an image cell may hold.
+
+    int() and float() alone would also read 1_0 as 10 and non-ASCII digits
+    such as U+0663 as 3.
+    """
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"not an ASCII number: {raw!r}")
+    return kind(raw)
+
+
 def _to_int(key: str, raw: str) -> int:
     try:
-        return int(raw)
+        return _number(int, raw)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        value = _number(float, raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
     if not math.isfinite(value):

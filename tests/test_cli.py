@@ -188,6 +188,45 @@ def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "settings,flags,message",
+    [
+        ({"seed": "1_0"}, [], "seed must be an integer, got '1_0'"),
+        ({"seed": "\u0663"}, [], "seed must be an integer, got '\u0663'"),
+        ({"ideal_r": "1_0.5"}, [], "ideal_r must be a number, got '1_0.5'"),
+        ({"ideal_r": "\u0661.\u0665"}, [], "ideal_r must be a number, got '\u0661.\u0665'"),
+        ({"pitch": "\uff11"}, [], "pitch must be a number, got '\uff11'"),
+        ({}, ["--seed", "1_0"], "argument --seed: invalid int value: '1_0'"),
+        ({}, ["--shots", "\u0662"], "argument --shots: invalid int value: '\u0662'"),
+    ],
+    ids=["seed-underscore", "seed-arabic-indic", "r-underscore", "r-arabic-indic", "pitch-fullwidth", "flag-seed", "flag-shots"],
+)
+def test_teleport_numbers_are_ascii_without_underscores(tmp_path, capsys, settings, flags, message):
+    # the image reader's rule for a cell: int() and float() would read these as 10, 3, 10.5, 1.5, 1, 10 and 2
+    write_image(tmp_path / "in.csv", sample_image())
+    cfg = write_ideal_config(tmp_path, settings.pop("ideal_r", 1.0), **settings)
+    assert main(["teleport", "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--r0", "1", "--ring-width", "\u0661"],
+        ["profile", "--r0", "1", "--ring-width", "1", "--samples", "1_000"],
+        ["fidelity-curve", "--r0", "1_0", "--ring-width", "1"],
+        ["fidelity-curve", "--r0", "1", "--ring-width", "1", "--xi", "1,\u0662"],
+        ["oracle-verify", "--dim", "3_0"],
+    ],
+)
+def test_curve_and_oracle_flags_are_ascii_without_underscores(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "c.csv")] if argv[0] != "oracle-verify" else argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.csv").exists()
+
+
 BASE_SETTINGS = {
     "ideal": {"mode": "ideal", "ideal_r": 1.0},
     "ring": {"mode": "spdc", "ring_r0": 1.0, "ring_width": 0.5, "ring_xi": 1.5},
@@ -1010,6 +1049,20 @@ def test_cli_import_does_not_load_scipy():
     code = (
         "import sys, pixelport.cli; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_builds_no_format_table():
+    # the number formatter's tables are built on its first call, from Python
+    # integers, so a plain import pays for none of them and loads no number module
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, pixelport.cli, pixelport.imagefile as f; "
+        "assert f._tables.cache_info().currsize == 0; "
+        "assert not {'decimal', 'fractions'} & set(sys.modules), sorted({'decimal', 'fractions'} & set(sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

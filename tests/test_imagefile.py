@@ -1,12 +1,15 @@
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pixelport.imagefile import ImageFormatError, MAGIC, read_image, write_image
+from pixelport import imagefile
+from pixelport.imagefile import ImageFormatError, MAGIC, _format_rows, read_image, write_image
 
 
 def random_image(rng, shape=(5, 7)):
@@ -321,4 +324,88 @@ def test_read_image_holds_one_row_of_text(tmp_path):
 
 def test_write_image_holds_one_row_of_text(tmp_path):
     img = _image_256()
+    imagefile._tables.cache_clear()  # the first call builds the formatter's tables under the bound too
     assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
+
+
+def repr_rows(values):
+    """The reference text of _format_rows: repr per value, commas, a newline per row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist()).encode()
+
+
+def formatted(values):
+    return b"".join(_format_rows(values))
+
+
+def _sweep():
+    """Edge values of float64: signed zeros, extremes, non-finite values, powers of two and ten, decade edges."""
+    values = [0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, math.inf, math.nan]
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [1e-5, 1e-4, 1e15, 1e16]  # where repr switches between the fixed and the exponent form
+    rng = np.random.default_rng(36)
+    # values of 1 to 17 significant digits at every decimal point position repr's fixed form has, and around it
+    for digits in range(1, 18):
+        for x in rng.uniform(1.0, 10.0, size=8).tolist():
+            values += [float(f"{x:.{digits - 1}f}e{k}") for k in range(-7, 19)]
+    values = np.array(values)
+    finite = values[np.isfinite(values)]
+    with np.errstate(over="ignore"):  # the neighbour above the largest double is inf
+        values = np.concatenate((values, np.nextafter(finite, -np.inf), np.nextafter(finite, np.inf)))
+    return np.concatenate((values, -values))
+
+
+def test_format_rows_is_repr_on_the_sweep():
+    values = _sweep()
+    assert values.size > 10_000
+    for shape in ((1, -1), (-1, 1), (-1, 4)):
+        rows = values[: values.size // 4 * 4].reshape(shape)
+        assert formatted(rows) == repr_rows(rows)
+
+
+def test_format_rows_is_repr_on_workload_shaped_values():
+    # a million seeded values of the benchmark's kinds: an analytic ring run's
+    # teleported image and fidelity map on 512x512, and one-shot outputs
+    rng = np.random.default_rng(37)
+    alpha = (rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))) / math.sqrt(2.0)
+    c = np.arange(512) + 0.5 - 256
+    t = np.tanh(1.5 * np.abs(np.sinc(((c[None, :] ** 2 + c[:, None] ** 2) - 128.0**2) / (32.0**2 * math.pi))))
+    shots = alpha + (1.0 - t) * (rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512)))
+    for rows in ((t * alpha).view(float), (1.0 + t) / 2.0, shots.real):
+        assert formatted(rows) == repr_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, 5e-324, 1e300, 1e-300, 0.5, 1e15 + 0.25, 1e15 + 0.5, 18014398509481988.0],
+    ids=["nan", "inf", "subnormal", "above-decades", "below-decades", "power-of-two", "tie-of-17-digits",
+         "tie-of-16-digits", "interval-edge"],
+)
+def test_format_rows_hands_each_uncertified_class_to_repr(monkeypatch, value):
+    # On the scaled grid 1e15 + 0.25 is 10000000000000002.5, halfway between
+    # two 17-digit integers, and 1e15 + 0.5 is 10000000000000005, halfway
+    # between two multiples of 10; 18014398509481988's interval ends exactly on one
+    calls = []
+    monkeypatch.setattr(imagefile, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    rows = np.array([[1.5, value, -0.0], [0.1, -value, 0.0]])
+    assert formatted(rows) == repr_rows(rows)
+    assert len(calls) == 2  # the kernel certifies 1.5, 0.1 and both zeros
+
+
+@pytest.mark.parametrize("block", [1, 5, 2048])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (7, 9), (2, 11)])
+def test_format_rows_blocks_cut_anywhere(monkeypatch, block, shape):
+    monkeypatch.setattr(imagefile, "_BLOCK", block)
+    rows = np.random.default_rng(38).normal(size=shape)
+    assert formatted(rows) == repr_rows(rows)
+
+
+def test_power_table_holds_every_decade_as_a_double_double():
+    # column i is 10**(16 - e) for e = _E_MIN - 1 + i: hi + lo to 2**-104 relative, hi split exactly in halves
+    pows = imagefile._tables()[0]
+    assert pows.shape == (4, imagefile._E_MAX - imagefile._E_MIN + 3)
+    for i, (hi, lo, high_half, low_half) in enumerate(pows.T.tolist()):
+        exact = Fraction(10) ** (16 - (imagefile._E_MIN - 1 + i))
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**104)
+        assert high_half + low_half == hi
+        assert math.frexp(high_half)[0] * 2**26 % 1 == 0  # at most 26 significant bits

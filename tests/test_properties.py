@@ -10,13 +10,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pixelport import fock
+from pixelport import fock, imagefile
 from pixelport.channel import MAX_SHOTS
 from pixelport.cli import MAX_SAMPLES, main
 from pixelport.config import parse_config
 from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
 from test_cli import CENTERS_PAST_FLOAT64, HUGE_PITCH, QUARTER_IMAGE, RADIUS_OVERFLOWS, ROW_IMAGE, replay_config
+from test_imagefile import repr_rows
 
 # the example files are rewritten on every example, so one tmp_path serves all
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -251,3 +253,14 @@ def test_any_argv_exits_cleanly(tmp_path, argv):
     for path in written:
         # four comment lines and the header precede the rows
         assert np.all(np.isfinite(np.loadtxt(path, delimiter=",", skiprows=5, ndmin=2)))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    bits=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=24)),
+    block=st.sampled_from([3, 64, imagefile._BLOCK]),
+)
+def test_format_rows_is_repr_on_any_bit_pattern(monkeypatch, bits, block):
+    monkeypatch.setattr(imagefile, "_BLOCK", block)
+    values = bits.view(np.float64)
+    assert b"".join(imagefile._format_rows(values)) == repr_rows(values)
