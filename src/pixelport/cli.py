@@ -30,49 +30,17 @@ import numpy as np
 from . import channel, fock, spdc
 from .config import ConfigError, RunConfig, _number, load_config, squeezing_settings
 from .grid import GridGeometry, decompose, synthesize
-from .imagefile import ImageFormatError, _fmt, _format_rows, read_image, write_image
+from .imagefile import ImageFormatError, _fmt, _write_csv, read_image, write_image
 
 FIG3_PAIRS = ((1.0, 0.5), (1.0, 0.7), (0.7, 0.5))
 FIG4_XIS = (1.0, 10.0)
 # Largest --samples for profile and fidelity-curve.  Curve columns are written
-# row by row (see _write_csv), so a run holds a few dozen bytes per cell and
-# stays under 64 MB resident at the cap.  fidelity-curve also caps its cells:
-# (1 + number of --xi values) * --samples may be at most MAX_CELLS, the three
-# columns of a run at the cap, so more --xi values keep that bound.
+# row by row (see imagefile._write_csv), so a run holds a few dozen bytes per
+# cell and stays under 64 MB resident at the cap.  fidelity-curve also caps
+# its cells: (1 + number of --xi values) * --samples may be at most MAX_CELLS,
+# the three columns of a run at the cap, so more --xi values keep that bound.
 MAX_SAMPLES = 100_000
 MAX_CELLS = 3 * MAX_SAMPLES
-
-
-def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
-    # A fidelity map repeats most of its values, so each distinct bit pattern
-    # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
-    # When more than half the cells are distinct (shot maps, curve columns),
-    # the rows are formatted as they are written instead: a string per distinct
-    # value would hold over 7x the map's bytes, and formatting the repeats too
-    # is no slower from half distinct on.  On 512x512 maps, CPU time of rows
-    # over table: 2.4 at 8% distinct (a ring's map), 1.2 at 35%, 0.98 at 50%,
-    # 0.65 at 80% and 0.53 with no repeat.
-    rows = np.asarray(rows, dtype=float)
-    bits = rows.view(np.int64).ravel()
-    order = np.argsort(bits)  # groups equal patterns; each map-sized array is dropped once used
-    bits = bits[order]
-    first = np.concatenate(([True], bits[1:] != bits[:-1]))
-    if 2 * np.count_nonzero(first) > first.size:
-        del bits, order, first
-        lines = _format_rows(rows)
-    else:
-        patterns = bits[first].view(float)
-        del bits
-        first[0] = False  # a cell's index into patterns is then the running count of first-of-runs
-        inverse = np.empty(first.size, dtype=np.int32 if first.size < 2**31 else np.intp)
-        inverse[order] = np.cumsum(first, dtype=inverse.dtype)
-        del order, first
-        text = np.array(b"".join(_format_rows(patterns[:, None])).decode().split("\n")[:-1], dtype=object)
-        lines = ((",".join(text[row].tolist()) + "\n").encode() for row in inverse.reshape(rows.shape))
-    with open(path, "wb") as fh:
-        fh.writelines(f"# {c}\n".encode() for c in comments)
-        fh.write(f"{header}\n".encode())
-        fh.writelines(lines)
 
 
 def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list[tuple[str, str]]:

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from pixelport import channel, fock, spdc
-from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, _write_csv, build_parser, main
+from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, build_parser, main
 from pixelport.config import parse_config
 from pixelport.grid import GridGeometry
-from pixelport.imagefile import read_image, write_image
+from pixelport.imagefile import _write_csv, read_image, write_image
 
 RING_CFG = """
 mode = spdc
