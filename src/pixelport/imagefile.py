@@ -1,4 +1,4 @@
-"""Plain-text complex image files.
+"""Plain-text complex image files, and the CSV files the commands write.
 
 The format is a CSV payload under a three-line header:
 
@@ -11,8 +11,8 @@ with encoding either ``re_im`` (each pixel as real,imag) or ``amp_phase``
 ``re_im`` is written.  Every data row holds one image row as 2*width
 comma-separated numbers.  Lines starting with ``#`` after the header carry
 run parameters and are ignored on read.  Reading and writing hold one block
-of text at a time: each block is written as soon as it is formatted, and read
-rows go straight into numpy's text reader.
+of text at a time: each block is written as soon as it is formatted, and
+read as soon as a block of whole lines is in.
 
 Each value's text is ``repr``'s: the shortest digits that round-trip, laid
 out as ``repr`` lays them out, so write -> read -> write is byte-stable.
@@ -28,6 +28,24 @@ rounding decision within a fixed margin of a tie or an interval edge.  A
 block of ``_BLOCK`` values holds about 100 bytes of temporaries per value,
 whatever the row length, and the tables take about 25 kB, so writing a
 256x256 image peaks under a quarter of its array's bytes.
+
+Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  The
+comment lines under the header are read one by one; the rest is read in
+blocks of ``_READ_BLOCK`` bytes of whole lines.  :func:`_parse_block` takes
+a block whose lines are all rows of canonical cells, ``-?\\d+\\.\\d+`` as
+``repr`` writes them.  It finds the cells' separators, dots and signs from
+the block's non-digit bytes, reads each cell's digits as one integer D,
+eight per unaligned 8-byte word (SWAR), and rounds D * 10**-k once, with the
+writer's double-double powers of ten and Dekker's product, using only
+integer and IEEE + - * operations.  ``np.loadtxt`` reads every cell the
+kernel cannot certify: a cell outside that grammar (an exponent, a ``+``,
+a missing digit), over 24 digits or with D of 10**19 or more, a power of
+two, and any value within ``_TIE`` of half an ulp from its rounding.  A
+block holding anything else (``#`` or blank lines, ``\\r``, ``\\x0c``,
+whitespace, a non-ASCII byte, a wrong cell count, a cell numpy does not
+take) goes through numpy's text reader a row at a time instead, which
+names each fault's line.  A block holds about 7 bytes of temporaries per
+byte of text, and the values go into one array.
 """
 
 from __future__ import annotations

@@ -409,3 +409,119 @@ def test_power_table_holds_every_decade_as_a_double_double():
         assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**104)
         assert high_half + low_half == hi
         assert math.frexp(high_half)[0] * 2**26 % 1 == 0  # at most 26 significant bits
+
+
+def loadtxt_cells(cells):
+    """The reference values of the reader: numpy's text reader, one cell per line."""
+    return np.loadtxt(cells, delimiter=",", comments=None, dtype=float, ndmin=1)
+
+
+def kernel_cells(cells, ncols):
+    """The reader's values of rows of ncols cells, from the kernel and its hand-offs."""
+    text = "".join(",".join(cells[i : i + ncols]) + "\n" for i in range(0, len(cells), ncols))
+    buf = bytearray(imagefile._PAD) + text.encode()
+    return imagefile._parse_block(buf, len(buf), ncols)
+
+
+def test_read_kernel_is_loadtxt_on_the_sweep():
+    values = _sweep()
+    cells = [repr(x) for x in values[np.isfinite(values)].tolist()]
+    cells = cells[: len(cells) // 8 * 8]
+    assert len(cells) > 10_000
+    got = kernel_cells(cells, 8)
+    assert got is not None
+    assert np.array_equal(got.view(np.int64), loadtxt_cells(cells).view(np.int64))
+
+
+def test_read_kernel_is_loadtxt_on_workload_shaped_text(tmp_path):
+    # the benchmark's inputs: repr of complex normals over sqrt(2), 99.99% of them certified
+    rng = np.random.default_rng(39)
+    img = (rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))) / math.sqrt(2.0)
+    path = tmp_path / "img.csv"
+    rows = [",".join(map(repr, row)) for row in img.view(float).tolist()]
+    path.write_text("\n".join([MAGIC, "256 256", "re_im", *rows]) + "\n")
+    want = np.loadtxt(rows, delimiter=",", comments=None, dtype=float)
+    assert np.array_equal(read_image(path)[0].view(np.int64), want.view(np.int64).reshape(256, 512))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    ["1.5e-05", "1e+16", "+1.5", "5.", ".5", "12345678901234567890.5", "0.0000000000000000000000001",
+     "9007199254740993.0", "4503599627370496.5", "0.5", "1024.0"],
+    ids=["exponent", "exponent-plus", "plus-sign", "no-fraction", "no-integer", "D-over-19-digits",
+         "over-24-digits", "tie", "tie-with-fraction", "power-of-two", "power-of-two-integer"],
+)
+def test_read_kernel_hands_each_uncertified_class_to_loadtxt(monkeypatch, cell):
+    # 2**53 + 1 and 2**52 + 1/2 lie halfway between two doubles; a power of
+    # two has a narrower ulp below it
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: calls.append(list(lines)) or loadtxt(calls[-1], **kw))
+    negated = cell if cell.startswith("+") else "-" + cell
+    cells = ["1.5", cell, "-0.0", "0.1", negated, "0.0"]
+    got = kernel_cells(cells, 3)
+    assert calls == [[cell, negated]]  # the kernel certifies 1.5, 0.1 and both zeros
+    assert np.array_equal(got.view(np.int64), loadtxt_cells(cells).view(np.int64))
+
+
+def _fixed_rows(n):
+    """n rows of four cells, every row the same number of bytes."""
+    rng = np.random.default_rng(40)
+    return [",".join(f"{x:.15f}" for x in row) for row in rng.uniform(0.0, 1.0, size=(n, 4)).tolist()]
+
+
+def _bad_cell(row):
+    return row.rsplit(",", 1)[0] + ",x"
+
+
+FAULTS = {
+    # fault: (the row's text, lines it adds, the error it raises on its own)
+    "bad-cell": (_bad_cell, 0, "{lineno}: non-numeric cell"),
+    "short-row": (lambda row: row.rsplit(",", 1)[0], 0, "{lineno}: expected 4 values per row, got 3"),
+    "comment": (lambda row: "# mid\n" + row, 1, None),
+    "blank-line": (lambda row: "\n" + row, 1, None),
+    "crlf": (lambda row: row + "\r", 0, None),
+    # a line separator for the second comma: a row of two cells, then one of two more
+    "line-separator": (lambda row: row.replace(",", "\u2028", 2).replace("\u2028", ",", 1), 0,
+                       "{lineno}: expected 4 values per row, got 2"),
+}
+
+
+@pytest.mark.parametrize("block", ["one-line", "few-lines", "default"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", [*FAULTS, "late-0xff"])
+def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fault):
+    rows = _fixed_rows(3000 if block == "default" else 30)
+    if block != "default":  # whole lines, so one or three per block
+        monkeypatch.setattr(imagefile, "_READ_BLOCK", (len(rows[0]) + 1) * (1 if block == "one-line" else 3))
+    at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+    head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
+    path = tmp_path / "img.csv"
+
+    def write(rows):
+        path.write_text(head + "".join(row + "\n" for row in rows), encoding="utf-8", newline="")
+
+    if fault == "late-0xff":
+        write(rows)
+        data = path.read_bytes()
+        offset = len((head + "".join(row + "\n" for row in rows[:at])).encode()) + 5
+        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        with pytest.raises(ImageFormatError, match=rf"^cannot read .*img\.csv: .* byte 0xff in position {offset}: "):
+            read_image(path)
+        return
+    change, extra, error = FAULTS[fault]
+    write(rows[:at] + [change(rows[at])] + rows[at + 1 :])
+    if error:
+        lineno = at + 5  # under the header and the comment
+        with pytest.raises(ImageFormatError, match=rf"img\.csv:{error.format(lineno=lineno)}$"):
+            read_image(path)
+        return
+    got, _, comments = read_image(path)
+    want = np.loadtxt(rows, delimiter=",", comments=None, dtype=float)
+    assert np.array_equal(got.view(float).view(np.int64), want.view(np.int64))
+    assert comments == (["note", "mid"] if fault == "comment" else ["note"])
+    # a bad cell on the last row is numbered after the lines the fault adds
+    rows[-1] = _bad_cell(rows[-1])
+    write(rows[:at] + [change(rows[at])] + rows[at + 1 :])
+    with pytest.raises(ImageFormatError, match=rf"img\.csv:{len(rows) + 4 + extra}: non-numeric cell$"):
+        read_image(path)

@@ -264,3 +264,41 @@ def test_format_rows_is_repr_on_any_bit_pattern(monkeypatch, bits, block):
     monkeypatch.setattr(imagefile, "_BLOCK", block)
     values = bits.view(np.float64)
     assert b"".join(imagefile._format_rows(values)) == repr_rows(values)
+
+
+@st.composite
+def number_cells(draw):
+    """Cells numpy's text reader takes: 1 to 25 digits with a dot anywhere, signs, exponents, spaces, ties."""
+    kind = draw(st.sampled_from(["decimal", "decimal", "decimal", "tie", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from(["-0.0", "0.0", "+.5", "5.", "1E5", "-1e-05", " 2.5", "-1.25\t"]))
+    if kind == "tie":
+        # an odd 54-bit significand times 2**s lies halfway between two doubles: up to 21 digits
+        shift = draw(st.integers(-3, 13))
+        value = 2 * draw(st.integers(2**52, 2**53 - 1)) + 1
+        digits = str(value << shift if shift >= 0 else value * 5**-shift)
+        point = len(digits) - max(0, -shift)
+        return draw(st.sampled_from(["", "-"])) + digits[:point] + "." + (digits[point:] or "0")
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    exponent = draw(st.sampled_from(["", "", "", "", "e5", "E-3", "e+2"]))
+    pad = draw(st.sampled_from(["", "", "", "", "", "", "", "", " ", "\t"]))
+    return pad + sign + digits[:point] + "." + digits[point:] + exponent + pad
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    width=st.integers(1, 3),
+    cells=st.lists(number_cells(), min_size=6, max_size=6 * 8),
+    block=st.sampled_from([8, 64, imagefile._READ_BLOCK]),
+)
+def test_read_image_values_are_loadtxt_values(monkeypatch, tmp_path, width, cells, block):
+    monkeypatch.setattr(imagefile, "_READ_BLOCK", block)
+    ncols = 2 * width
+    rows = [",".join(cells[i : i + ncols]) for i in range(0, len(cells) // ncols * ncols, ncols)]
+    path = tmp_path / "in.csv"
+    path.write_text(_header(width, len(rows)) + "\n".join(rows) + "\n", encoding="utf-8")
+    want = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+    got, _, _ = read_image(path)
+    assert np.array_equal(got.view(float).view(np.int64), want.view(np.int64))
