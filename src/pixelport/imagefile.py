@@ -343,6 +343,7 @@ def _cannot_read(path, exc: Exception) -> ImageFormatError:
 
 
 _READ_BLOCK = 1 << 16  # bytes of whole lines parsed per block
+_MAX_LINE = 1 << 20  # bytes of a line the kernel reads; a longer one, and all after it, is read as text
 _MAX_DIGITS = 24  # digits a cell may have, three words of them; D itself must stay under 10**19 < 2**64
 _PAD = _MAX_DIGITS  # bytes before a block, where the words of its first cell may start
 _TIE = 2.0**-20  # in half-ulps of the value; the kernel's value is good to about 2**-49 of one
@@ -536,7 +537,12 @@ class _Payload:
         self.cells += values.size
 
     def text(self, lines) -> None:
-        """Read text lines the way numpy's text reader reads them, one row at a time."""
+        """Read text lines the way numpy's text reader reads them, one row at a time.
+
+        np.loadtxt takes the rows in batches of about _READ_BLOCK bytes of
+        values, pulled as it parses them, so a fault is still the first in
+        line order and the text route holds one batch beside the values.
+        """
 
         def numbered():
             for line in lines:
@@ -545,18 +551,19 @@ class _Payload:
 
         linenos: list[int] = []
         rows = _data_rows(numbered(), self.path, self.ncols, self.comments, linenos)
-        first = next(rows, None)
-        if first is None:  # np.loadtxt warns on an empty input
-            return
-        try:
-            self._keep(
-                np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, dtype=float, ndmin=2)
-            )
-        except UnicodeDecodeError:  # a ValueError too, but of the file, not of a cell
-            raise
-        except ValueError as exc:
-            # numpy's C text reader pulls one row at a time, so the bad cell is on the last row pulled
-            raise ImageFormatError(f"{self.path}:{linenos[-1]}: non-numeric cell") from exc
+        batch = max(1, _READ_BLOCK // (8 * self.ncols))
+        for first in rows:  # pulled before np.loadtxt runs, which warns on an empty input
+            try:
+                values = np.loadtxt(
+                    itertools.chain([first], itertools.islice(rows, batch - 1)),
+                    delimiter=",", comments=None, dtype=float, ndmin=2,
+                )
+            except UnicodeDecodeError:  # a ValueError too, but of the file, not of a cell
+                raise
+            except ValueError as exc:
+                # numpy's C text reader pulls one row at a time, so the bad cell is on the last row pulled
+                raise ImageFormatError(f"{self.path}:{linenos[-1]}: non-numeric cell") from exc
+            self._keep(values)
 
     def block(self, buf: bytearray, end: int, newline_added: bool) -> None:
         """Read buf[_PAD:end], whole lines, with the kernel if it is canonical rows, else as text."""
@@ -573,37 +580,79 @@ def _is_note(text: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
+def _text_lines(fh, encoding: str = "utf-8"):
+    """The rest of a binary file's lines as a text file gives them, split as ``str.splitlines`` splits them.
+
+    The text wrapper closes the file when it is dropped: read nothing from it after these lines.
+    """
+    return (part for line in io.TextIOWrapper(fh, encoding=encoding) for part in line.splitlines())
+
+
 def _read_payload(fh, payload: _Payload) -> None:
-    """Read the rest of the file into payload: comment lines one by one, then blocks of whole lines."""
+    """Read the rest of the file into payload: comment lines one by one, then blocks of whole lines.
+
+    A line of _MAX_LINE bytes or more, and all after it, is read as text.
+    """
+    start = fh.tell()  # the file offset of the first byte not yet read into payload
     while True:  # the comment lines write_image puts right under the header
-        line = fh.readline()
-        texts = line.decode("utf-8").splitlines()
-        if not all(map(_is_note, texts)):
+        line = fh.readline(_MAX_LINE)
+        texts = line.decode("utf-8", errors="replace").splitlines()  # decoded strictly where it is read
+        if len(line) == _MAX_LINE or not all(map(_is_note, texts)):
             break
         if not line:
             return
-        payload.text(texts)
+        payload.text(_decoded([line]))
+        start += len(line)
     buf = bytearray(_PAD + max(_READ_BLOCK, len(line)) + 1)  # + 1: room for the newline a last line may lack
     buf[_PAD : _PAD + len(line)] = line
-    held = _PAD + len(line)  # the end of the bytes read but not yet parsed
+    end = _PAD + len(line)  # the end of the bytes read but not yet parsed
     while True:
-        with memoryview(buf) as view:
-            got = fh.readinto(view[held:-1])
-        end = held + got
-        if not got and end == _PAD:
-            return
+        got = None
+        if end < len(buf) - 1:
+            with memoryview(buf) as view:
+                got = fh.readinto(view[end:-1])
+            end += got
         cut = buf.rfind(b"\n", _PAD, end) + 1
-        if not got and cut < end:  # the last line, without a newline
-            buf[end] = 10
-            payload.block(buf, end + 1, newline_added=True)
-            return
         if cut:
             payload.block(buf, cut, newline_added=False)
+            start += cut - _PAD
             buf[_PAD : _PAD + end - cut] = buf[cut:end]
-            held = _PAD + end - cut
-        else:  # a line longer than the buffer
+            end = _PAD + end - cut
+        elif got == 0:  # the end of the file
+            if end > _PAD:  # a last line without a newline
+                buf[end] = 10
+                payload.block(buf, end + 1, newline_added=True)
+            return
+        elif end == len(buf) - 1:  # one line fills the buffer
+            if end - _PAD >= _MAX_LINE:
+                fh.seek(start)
+                payload.text(_text_lines(fh))
+                return
             buf.extend(bytes(len(buf)))
-            held = end
+
+
+def _header(path, lines, size: int) -> tuple[str, int, int, _Payload]:
+    """Check the next three lines as the header; returns the encoding, width, height and the payload to read."""
+    header = list(itertools.islice(lines, 3))
+    if len(header) < 3:
+        raise ImageFormatError(f"{path}: truncated header")
+    if header[0].strip() != MAGIC:
+        raise ImageFormatError(f"{path}: bad magic line {header[0]!r}")
+    dims = header[1].split()
+    bad_dims = f"{path}: bad dimension line {header[1]!r}"
+    # two fields of ASCII digits only: int() would also take 1_0, +1 and non-ASCII digits
+    if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
+        raise ImageFormatError(bad_dims)
+    try:
+        width, height = int(dims[0]), int(dims[1])
+    except ValueError as exc:  # more digits than int() converts
+        raise ImageFormatError(bad_dims) from exc
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
+    encoding = header[2].strip()
+    if encoding not in ENCODINGS:
+        raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
+    return encoding, width, height, _Payload(path, 2 * width, min(2 * width * height, (size + 1) // 2), lineno=4)
 
 
 def read_image(path) -> tuple[np.ndarray, str, list[str]]:
@@ -619,41 +668,31 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
     """
     try:
         with open(path, "rb") as fh:
-            line = fh.readline().removeprefix(codecs.BOM_UTF8)
-            header: list[str] = []
-            while len(header) < 3 and line:
-                header += line.decode("utf-8").splitlines()  # a line may hold several, split at \r or \x0c
-                if len(header) < 3:
-                    line = fh.readline()
-            if len(header) < 3:
-                raise ImageFormatError(f"{path}: truncated header")
-            if header[0].strip() != MAGIC:
-                raise ImageFormatError(f"{path}: bad magic line {header[0]!r}")
-            dims = header[1].split()
-            bad_dims = f"{path}: bad dimension line {header[1]!r}"
-            # two fields of ASCII digits only: int() would also take 1_0, +1 and non-ASCII digits
-            if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
-                raise ImageFormatError(bad_dims)
-            try:
-                width, height = int(dims[0]), int(dims[1])
-            except ValueError as exc:  # more digits than int() converts
-                raise ImageFormatError(bad_dims) from exc
-            if width < 1 or height < 1:
-                raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
-            encoding = header[2].strip()
-            if encoding not in ENCODINGS:
-                raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
             size = os.fstat(fh.fileno()).st_size
-            payload = _Payload(path, 2 * width, min(2 * width * height, (size + 1) // 2), lineno=4)
-            payload.text(header[3:])  # lines that shared a line of bytes with the header's last
-            _read_payload(fh, payload)
+            line = fh.readline(_READ_BLOCK)
+            text = line.removeprefix(codecs.BOM_UTF8)
+            header: list[str] = []
+            while text and len(line) < _READ_BLOCK:
+                header += text.decode("utf-8").splitlines()  # a line may hold several, split at \r or \x0c
+                if len(header) >= 3:
+                    break
+                line = text = fh.readline(_READ_BLOCK)
+            if len(line) == _READ_BLOCK:  # a long header line, or lines split at \r only: all is read as text
+                del line, text
+                fh.seek(0)
+                lines = _text_lines(fh, "utf-8-sig")
+                encoding, width, height, payload = _header(path, lines, size)
+                payload.text(lines)
+            else:
+                encoding, width, height, payload = _header(path, iter(header), size)
+                payload.text(header[3:])  # lines that shared a line of bytes with the header's last
+                _read_payload(fh, payload)
     except (OSError, UnicodeDecodeError) as exc:
         raise _cannot_read(path, exc) from exc
     rows = payload.cells // payload.ncols
     if rows != height:
         raise ImageFormatError(f"{path}: expected {height} data rows, found {rows}")
     data = payload.values.reshape(height, width, 2)
-    comments = payload.comments
     if not np.all(np.isfinite(data)):
         raise ImageFormatError(f"{path}: non-finite values")
     if encoding == "re_im":
@@ -664,4 +703,4 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         if np.any(amp < 0):
             raise ImageFormatError(f"{path}: negative amplitude in amp_phase payload")
         samples = amp * np.exp(1j * ph)
-    return samples, encoding, comments
+    return samples, encoding, payload.comments

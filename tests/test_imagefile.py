@@ -487,13 +487,21 @@ FAULTS = {
 }
 
 
-@pytest.mark.parametrize("block", ["one-line", "few-lines", "default"])
+@pytest.mark.parametrize("block", ["one-line", "few-lines", "default", "long-lines", "long-header"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("fault", [*FAULTS, "late-0xff"])
 def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fault):
     rows = _fixed_rows(3000 if block == "default" else 30)
-    if block != "default":  # whole lines, so one or three per block
-        monkeypatch.setattr(imagefile, "_READ_BLOCK", (len(rows[0]) + 1) * (1 if block == "one-line" else 3))
+    line = len(rows[0]) + 1
+    # bytes per block and most bytes in a line the kernel reads: whole lines, one or three per
+    # block; rows longer than a line may be, read as text; a header line longer than a block,
+    # so that the whole file is read as text
+    sizes = {"one-line": (line, None), "few-lines": (3 * line, None), "long-lines": (64, 64), "long-header": (16, None)}
+    read_block, max_line = sizes.get(block, (None, None))
+    if read_block:
+        monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
+    if max_line:
+        monkeypatch.setattr(imagefile, "_MAX_LINE", max_line)
     at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
     head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
     path = tmp_path / "img.csv"
@@ -525,3 +533,14 @@ def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fa
     write(rows[:at] + [change(rows[at])] + rows[at + 1 :])
     with pytest.raises(ImageFormatError, match=rf"img\.csv:{len(rows) + 4 + extra}: non-numeric cell$"):
         read_image(path)
+
+
+def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
+    # a file whose lines end in \r alone is one line of bytes: it is read as text, as it streams
+    img = _image_256()
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    got, _, _ = read_image(path)
+    assert np.array_equal(got, img)
+    assert _traced_peak(read_image, path) <= 2 * img.nbytes
