@@ -44,8 +44,12 @@ two, and any value within ``_TIE`` of half an ulp from its rounding.  A
 block holding anything else (``#`` or blank lines, ``\\r``, ``\\x0c``,
 whitespace, a non-ASCII byte, a wrong cell count, a cell numpy does not
 take) goes through numpy's text reader a row at a time instead, which
-names each fault's line.  A block holds about 7 bytes of temporaries per
-byte of text, and the values go into one array.
+names each fault's line.  So does a payload line of ``_MAX_LINE`` bytes
+or more, and all after it, and a whole file with a header line of
+``_READ_BLOCK`` bytes or more, so a file whose lines end in a bare ``\\r``
+is read as a stream of text lines.
+A block holds about 7 bytes of temporaries per byte of text, and the values
+go into one array.
 """
 
 from __future__ import annotations
@@ -400,10 +404,11 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     buf[_PAD:end] holds whole lines, each ending in a newline.  A cell is
     canonical when it reads ``-?\\d+\\.\\d+`` with at most _MAX_DIGITS digits,
     and its digits read as one integer D are under 10**19.  With k fraction
-    digits, its value is D * 10**-k, computed with a double-double power of ten and Dekker's exact
-    product, rounded once.  A cell that is not canonical, or whose value lies
-    within _TIE of a tie between two doubles, or is a power of two, is read by
-    np.loadtxt; if that fails, or a byte is not one it takes, so does the block.
+    digits, its value is D * 10**-k, computed with a double-double power of
+    ten and Dekker's exact product, rounded once.  A cell that is not
+    canonical, or whose value lies within _TIE of a tie between two doubles,
+    or is a power of two, is read by np.loadtxt.  The block is None if that
+    fails, or if such a cell holds a byte other than the _HANDOFF_BYTES.
     """
     text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
     nd = np.flatnonzero((text - np.uint8(48)) > 9)  # every byte that is not a digit
