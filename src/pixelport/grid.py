@@ -24,7 +24,6 @@ __all__ = [
     "ImageField",
     "decompose",
     "synthesize",
-    "pixel_centers",
     "centered_origin",
 ]
 
@@ -138,8 +137,3 @@ def _center_axes(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     xs = ox + (np.arange(geometry.width) + 0.5) * geometry.pitch
     ys = oy + (np.arange(geometry.height) + 0.5) * geometry.pitch
     return xs, ys
-
-
-def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width); ValueError past float64."""
-    return np.meshgrid(*_center_axes(geometry))

@@ -29,27 +29,31 @@ block of ``_BLOCK`` values holds about 100 bytes of temporaries per value,
 whatever the row length, and the tables take about 25 kB, so writing a
 256x256 image peaks under a quarter of its array's bytes.
 
-Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  The
-comment lines under the header are read one by one; the rest is read in
-blocks of ``_READ_BLOCK`` bytes of whole lines.  :func:`_parse_block` takes
-a block whose lines are all rows of canonical cells, ``-?\\d+\\.\\d+`` as
-``repr`` writes them.  It finds the cells' separators, dots and signs from
-the block's non-digit bytes, reads each cell's digits as one integer D,
-eight per unaligned 8-byte word (SWAR), and rounds D * 10**-k once, with the
-writer's double-double powers of ten and Dekker's product, using only
-integer and IEEE + - * operations.  ``np.loadtxt`` reads every cell the
-kernel cannot certify: a cell outside that grammar (an exponent, a ``+``,
-a missing digit), over 24 digits or with D of 10**19 or more, a power of
-two, and any value within ``_TIE`` of half an ulp from its rounding.  A
-block holding anything else (``#`` or blank lines, ``\\r``, ``\\x0c``,
-whitespace, a non-ASCII byte, a wrong cell count, a cell numpy does not
-take) goes through numpy's text reader a row at a time instead, which
-names each fault's line.  So does a payload line of ``_MAX_LINE`` bytes
-or more, and all after it, and a whole file with a header line of
-``_READ_BLOCK`` bytes or more, so a file whose lines end in a bare ``\\r``
-is read as a stream of text lines.
-A block holds about 7 bytes of temporaries per byte of text, and the values
-go into one array.
+Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  One loop
+reads the file, past a byte order mark, in blocks of whole lines.  The
+header's three lines and a run of ``#`` or blank lines under them are one
+block; the rest is cut at the last newline in ``_READ_BLOCK`` bytes.
+:func:`_parse_block` takes a block whose lines are all rows of canonical
+cells, ``-?\\d+\\.\\d+`` as ``repr`` writes them.  It finds the cells'
+separators, dots and signs from the block's non-digit bytes, reads each
+cell's digits as one integer D, eight per unaligned 8-byte word (SWAR), and
+rounds D * 10**-k once, with the writer's double-double powers of ten and
+Dekker's product, using only integer and IEEE + - * operations.
+``np.loadtxt`` reads every cell the kernel cannot certify: a cell outside
+that grammar (an exponent, a ``+``, a missing digit), over 24 digits or with
+D of 10**19 or more, a power of two, and any value within ``_TIE`` of half
+an ulp from its rounding.  Every other block (the header, ``#`` or blank
+lines, ``\\r``, ``\\x0c``, whitespace, a non-ASCII byte, a wrong cell
+count, a cell numpy does not take) goes to the one text route,
+:meth:`_Payload.text`.  It numbers lines as ``str.splitlines`` does, takes
+the file's first three as the header and reads rows with numpy's text
+reader a row at a time, so it names each fault's line.  A byte that is not
+UTF-8 is a fault of its line, so the first fault in file order is the one
+reported, whatever the lines end in.  A line of bytes that fills
+``_READ_BLOCK`` bytes before the header is read, or ``_MAX_LINE`` bytes
+after, streams with all after it through the text route; a file whose
+lines end in a bare ``\\r`` is one line of bytes.  A block holds about 7
+bytes of temporaries per byte of text, and the values go into one array.
 """
 
 from __future__ import annotations
@@ -116,18 +120,20 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pows, digits, suffixes
 
 
-def _scaled(ax: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D + r = ax * 10**(16 - e) with D an integer and |r| <= 1/2, and h, half of ax's ulp on that scale."""
+def _times_pow10(x: np.ndarray, idx: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p + err = x * 10**(16 - e), e the decade of table column idx, to about 2**-104 of it; y *= hi in place.
+
+    p is x * hi rounded, and err Dekker's exact x * hi - p plus x * lo, for
+    the double-double power hi + lo.
+    """
     pows = _tables()[0]
     ph = np.take(pows[0], idx)
-    p = ax * ph
-    h = np.spacing(ax)
-    h *= ph
-    h *= 0.5
-    # Dekker's exact product: ax * hi = p + err, from the 26-bit halves of each factor
-    xh = np.multiply(ax, _SPLIT, out=ph)
-    xh -= xh - ax
-    xl = ax - xh
+    p = x * ph
+    y *= ph
+    # Dekker's exact product: x * hi = p + err, from the 26-bit halves of each factor
+    xh = np.multiply(x, _SPLIT, out=ph)
+    xh -= xh - x
+    xl = x - xh
     hh = np.take(pows[2], idx)
     hl = np.take(pows[3], idx)
     err = xh * hh
@@ -138,8 +144,16 @@ def _scaled(ax: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     err += hh
     hl *= xl
     err += hl
-    err += np.multiply(ax, np.take(pows[1], idx, out=xl), out=xl)
-    whole = np.rint(p, out=hh)
+    err += np.multiply(x, np.take(pows[1], idx, out=xl), out=xl)
+    return p, err
+
+
+def _scaled(ax: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D + r = ax * 10**(16 - e) with D an integer and |r| <= 1/2, and h, half of ax's ulp on that scale."""
+    h = np.spacing(ax)
+    p, err = _times_pow10(ax, idx, h)
+    h *= 0.5
+    whole = np.rint(p)
     p -= whole
     p += err
     D = whole.astype(np.int64)
@@ -321,22 +335,6 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
         fh.writelines(lines)
 
 
-def _data_rows(lines, path, ncols: int, comments: list[str], linenos: list[int]):
-    """Yield the data rows of numbered text lines; collect comments and line numbers; check each row's count."""
-    for lineno, line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comments.append(stripped.lstrip("#").strip())
-            continue
-        count = stripped.count(",") + 1
-        if count != ncols:
-            raise ImageFormatError(f"{path}:{lineno}: expected {ncols} values per row, got {count}")
-        linenos.append(lineno)
-        yield stripped
-
-
 def _cannot_read(path, exc: Exception) -> ImageFormatError:
     if isinstance(exc, UnicodeDecodeError):
         try:  # a line's error counts from the line; the whole file, BOM included, gives the file offset
@@ -463,29 +461,12 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     dl = dh - a
     np.subtract(b, dl, out=dl)
     del a, b
-    # x = dh * hi + (err + dh * lo + dl * hi), with p + err = dh * hi exactly (Dekker)
+    # x = p + (err + dl * hi), with p + err = dh * (hi + lo)
     idx = k + (16 - _E_MIN + 1)  # the table's column of 10**-k
     del k
-    pows = _tables()[0]
-    ph = np.take(pows[0], idx)
-    p = dh * ph
-    dl *= ph
-    xh = np.multiply(dh, _SPLIT, out=ph)
-    xh -= xh - dh
-    xl = dh - xh
-    hh = np.take(pows[2], idx)
-    hl = np.take(pows[3], idx)
-    err = xh * hh
-    err -= p
-    xh *= hl
-    err += xh
-    hh *= xl
-    err += hh
-    hl *= xl
-    err += hl
+    p, err = _times_pow10(dh, idx, dl)
     err += dl
-    err += np.multiply(dh, np.take(pows[1], idx, out=xl), out=xl)
-    del dh, dl, xh, xl, hh, hl, idx
+    del dh, dl, idx
     x = p + err
     # r = what rounding to x dropped; a value within _TIE of a half-ulp may round either way
     r = np.subtract(p, x, out=p)
@@ -514,32 +495,72 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     return x
 
 
-def _decoded(lines):
-    """The text lines of lines of bytes, decoded one at a time and split as ``str.splitlines`` splits them."""
-    for line in lines:
-        yield from line.decode("utf-8").splitlines()
-
-
 class _Payload:
-    """The data rows of an image file as they are read: their values, the comments and the next line number.
+    """An image file's text as it is read: its header, its rows' values and comments, and the lines read.
 
-    Values go into one array of the header's cell count, capped by the cells
-    the file's bytes can hold (a cell takes at least two), so a header that
-    claims more rows than the file has sizes nothing; cells past it are read
-    and counted but not kept.
+    The first three lines are the header.  Values go into one array of the
+    header's cell count, capped by the cells the file's bytes can hold (a cell
+    takes at least two), so a header that claims more rows than the file has
+    sizes nothing; cells past it are read and counted but not kept.
     """
 
-    def __init__(self, path, ncols: int, cells: int, lineno: int):
-        self.path, self.ncols, self.lineno = path, ncols, lineno
-        self.values = np.empty(cells)
+    def __init__(self, path, size: int):
+        self.path, self.size = path, size
+        self.header: list[str] = []
+        self.ncols = 0  # cells per row, from the header once it is read
+        self.lineno = 0  # lines read
         self.cells = 0
         self.comments: list[str] = []
 
-    def _keep(self, values: np.ndarray) -> None:
+    def _start(self) -> None:
+        """Check the three header lines; size the values from them and the file."""
+        magic, dims, encoding = self.header
+        if magic.strip() != MAGIC:
+            raise ImageFormatError(f"{self.path}: bad magic line {magic!r}")
+        fields = dims.split()
+        bad_dims = f"{self.path}: bad dimension line {dims!r}"
+        # two fields of ASCII digits only: int() would also take 1_0, +1 and non-ASCII digits
+        if len(fields) != 2 or not all(d.isascii() and d.isdigit() for d in fields):
+            raise ImageFormatError(bad_dims)
+        try:
+            self.width, self.height = int(fields[0]), int(fields[1])
+        except ValueError as exc:  # more digits than int() converts
+            raise ImageFormatError(bad_dims) from exc
+        if self.width < 1 or self.height < 1:
+            raise ImageFormatError(f"{self.path}: non-positive dimensions {self.width}x{self.height}")
+        self.encoding = encoding.strip()
+        if self.encoding not in ENCODINGS:
+            raise ImageFormatError(f"{self.path}: unknown encoding {self.encoding!r}")
+        self.ncols = 2 * self.width
+        self.values = np.empty(min(self.ncols * self.height, (self.size + 1) // 2))
+
+    def keep(self, values: np.ndarray) -> None:
         room = self.values.size - self.cells
         if room > 0:
             self.values[self.cells : self.cells + values.size] = values.ravel()[:room]
         self.cells += values.size
+
+    def _rows(self, lines):
+        """Yield the data rows of text lines, stripped; read the header, collect comments, check each row's count."""
+        for line in lines:
+            self.lineno += 1
+            if not line.isascii():  # a byte that is not UTF-8 was decoded to a lone surrogate: raise its error
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            if not self.ncols:
+                self.header.append(line)
+                if len(self.header) == 3:
+                    self._start()
+                continue
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                self.comments.append(stripped.lstrip("#").strip())
+                continue
+            count = stripped.count(",") + 1
+            if count != self.ncols:
+                raise ImageFormatError(f"{self.path}:{self.lineno}: expected {self.ncols} values per row, got {count}")
+            yield stripped
 
     def text(self, lines) -> None:
         """Read text lines the way numpy's text reader reads them, one row at a time.
@@ -548,116 +569,67 @@ class _Payload:
         values, pulled as it parses them, so a fault is still the first in
         line order and the text route holds one batch beside the values.
         """
-
-        def numbered():
-            for line in lines:
-                yield self.lineno, line
-                self.lineno += 1
-
-        linenos: list[int] = []
-        rows = _data_rows(numbered(), self.path, self.ncols, self.comments, linenos)
-        batch = max(1, _READ_BLOCK // (8 * self.ncols))
+        rows = self._rows(lines)
         for first in rows:  # pulled before np.loadtxt runs, which warns on an empty input
+            more = itertools.islice(rows, max(1, _READ_BLOCK // (8 * self.ncols)) - 1)
             try:
                 values = np.loadtxt(
-                    itertools.chain([first], itertools.islice(rows, batch - 1)),
-                    delimiter=",", comments=None, dtype=float, ndmin=2,
+                    itertools.chain([first], more), delimiter=",", comments=None, dtype=float, ndmin=2
                 )
             except UnicodeDecodeError:  # a ValueError too, but of the file, not of a cell
                 raise
             except ValueError as exc:
-                # numpy's C text reader pulls one row at a time, so the bad cell is on the last row pulled
-                raise ImageFormatError(f"{self.path}:{linenos[-1]}: non-numeric cell") from exc
-            self._keep(values)
-
-    def block(self, buf: bytearray, end: int, newline_added: bool) -> None:
-        """Read buf[_PAD:end], whole lines, with the kernel if it is canonical rows, else as text."""
-        values = _parse_block(buf, end, self.ncols)
-        if values is None:
-            self.text(_decoded(io.BytesIO(buf[_PAD : end - newline_added])))
-        else:
-            self._keep(values)
-            self.lineno += values.size // self.ncols
-
-
-def _is_note(text: str) -> bool:
-    stripped = text.strip()
-    return not stripped or stripped.startswith("#")
-
-
-def _text_lines(fh, encoding: str = "utf-8"):
-    """The rest of a binary file's lines as a text file gives them, split as ``str.splitlines`` splits them.
-
-    The text wrapper closes the file when it is dropped: read nothing from it after these lines.
-    """
-    return (part for line in io.TextIOWrapper(fh, encoding=encoding) for part in line.splitlines())
+                # numpy's C text reader pulls one row at a time, so the bad cell is on the last line pulled
+                raise ImageFormatError(f"{self.path}:{self.lineno}: non-numeric cell") from exc
+            self.keep(values)
 
 
 def _read_payload(fh, payload: _Payload) -> None:
-    """Read the rest of the file into payload: comment lines one by one, then blocks of whole lines.
+    """Read a file from its start, past a byte order mark, into payload, a block of whole lines at a time.
 
-    A line of _MAX_LINE bytes or more, and all after it, is read as text.
+    The header's lines and a run of ``#`` or blank lines are one block of
+    text; the rest is cut at the last newline in _READ_BLOCK bytes, for the
+    kernel.  A line that fills _READ_BLOCK bytes before the header is read,
+    or _MAX_LINE bytes after, is read with all after it as a stream of text.
     """
-    start = fh.tell()  # the file offset of the first byte not yet read into payload
-    while True:  # the comment lines write_image puts right under the header
-        line = fh.readline(_MAX_LINE)
-        texts = line.decode("utf-8", errors="replace").splitlines()  # decoded strictly where it is read
-        if len(line) == _MAX_LINE or not all(map(_is_note, texts)):
-            break
-        if not line:
+    start = len(codecs.BOM_UTF8) if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+    fh.seek(start)  # the file offset of the first byte not yet read into payload
+    buf = bytearray(_PAD + _READ_BLOCK)
+    end = _PAD  # the end of the bytes read but not yet parsed
+    while True:  # a cut or a larger buffer leaves room to read into
+        with memoryview(buf) as view:
+            got = fh.readinto(view[end:])
+        end += got
+        if not got and buf.find(b"\n", _PAD, end) < 0:
+            # the end of the file, and a last line without a newline if there is one
+            payload.text(buf[_PAD:end].decode("utf-8", "surrogateescape").splitlines())
             return
-        payload.text(_decoded([line]))
-        start += len(line)
-    buf = bytearray(_PAD + max(_READ_BLOCK, len(line)) + 1)  # + 1: room for the newline a last line may lack
-    buf[_PAD : _PAD + len(line)] = line
-    end = _PAD + len(line)  # the end of the bytes read but not yet parsed
-    while True:
-        got = None
-        if end < len(buf) - 1:
-            with memoryview(buf) as view:
-                got = fh.readinto(view[end:-1])
-            end += got
-        cut = buf.rfind(b"\n", _PAD, end) + 1
+        # the header's lines of bytes and a run of "#" or blank lines under them go to the text route as one block
+        cut, lines = _PAD, 0 if payload.ncols else 3
+        while cut < end and (lines > 0 or buf[cut] in b"#\n") and (nl := buf.find(b"\n", cut, end)) >= 0:
+            cut, lines = nl + 1, lines - 1
+        values = None
+        if cut == _PAD:  # the whole lines in the buffer, for the kernel
+            cut = buf.rfind(b"\n", _PAD, end) + 1
+            if cut:
+                values = _parse_block(buf, cut, payload.ncols)
         if cut:
-            payload.block(buf, cut, newline_added=False)
+            if values is None:
+                payload.text(buf[_PAD:cut].decode("utf-8", "surrogateescape").splitlines())
+            else:
+                payload.keep(values)
+                payload.lineno += values.size // payload.ncols
             start += cut - _PAD
             buf[_PAD : _PAD + end - cut] = buf[cut:end]
             end = _PAD + end - cut
-        elif got == 0:  # the end of the file
-            if end > _PAD:  # a last line without a newline
-                buf[end] = 10
-                payload.block(buf, end + 1, newline_added=True)
-            return
-        elif end == len(buf) - 1:  # one line fills the buffer
-            if end - _PAD >= _MAX_LINE:
+        elif end == len(buf):  # one line fills the buffer
+            if not payload.ncols or end - _PAD >= _MAX_LINE:
                 fh.seek(start)
-                payload.text(_text_lines(fh))
+                # the text wrapper closes the file when it is dropped: nothing is read from it after
+                stream = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
+                payload.text(part for line in stream for part in line.splitlines())
                 return
             buf.extend(bytes(len(buf)))
-
-
-def _header(path, lines, size: int) -> tuple[str, int, int, _Payload]:
-    """Check the next three lines as the header; returns the encoding, width, height and the payload to read."""
-    header = list(itertools.islice(lines, 3))
-    if len(header) < 3:
-        raise ImageFormatError(f"{path}: truncated header")
-    if header[0].strip() != MAGIC:
-        raise ImageFormatError(f"{path}: bad magic line {header[0]!r}")
-    dims = header[1].split()
-    bad_dims = f"{path}: bad dimension line {header[1]!r}"
-    # two fields of ASCII digits only: int() would also take 1_0, +1 and non-ASCII digits
-    if len(dims) != 2 or not all(d.isascii() and d.isdigit() for d in dims):
-        raise ImageFormatError(bad_dims)
-    try:
-        width, height = int(dims[0]), int(dims[1])
-    except ValueError as exc:  # more digits than int() converts
-        raise ImageFormatError(bad_dims) from exc
-    if width < 1 or height < 1:
-        raise ImageFormatError(f"{path}: non-positive dimensions {width}x{height}")
-    encoding = header[2].strip()
-    if encoding not in ENCODINGS:
-        raise ImageFormatError(f"{path}: unknown encoding {encoding!r}")
-    return encoding, width, height, _Payload(path, 2 * width, min(2 * width * height, (size + 1) // 2), lineno=4)
 
 
 def read_image(path) -> tuple[np.ndarray, str, list[str]]:
@@ -673,34 +645,20 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
     """
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            line = fh.readline(_READ_BLOCK)
-            text = line.removeprefix(codecs.BOM_UTF8)
-            header: list[str] = []
-            while text and len(line) < _READ_BLOCK:
-                header += text.decode("utf-8").splitlines()  # a line may hold several, split at \r or \x0c
-                if len(header) >= 3:
-                    break
-                line = text = fh.readline(_READ_BLOCK)
-            if len(line) == _READ_BLOCK:  # a long header line, or lines split at \r only: all is read as text
-                del line, text
-                fh.seek(0)
-                lines = _text_lines(fh, "utf-8-sig")
-                encoding, width, height, payload = _header(path, lines, size)
-                payload.text(lines)
-            else:
-                encoding, width, height, payload = _header(path, iter(header), size)
-                payload.text(header[3:])  # lines that shared a line of bytes with the header's last
-                _read_payload(fh, payload)
+            payload = _Payload(path, os.fstat(fh.fileno()).st_size)
+            _read_payload(fh, payload)
     except (OSError, UnicodeDecodeError) as exc:
         raise _cannot_read(path, exc) from exc
+    if not payload.ncols:
+        raise ImageFormatError(f"{path}: truncated header")
+    height, width = payload.height, payload.width
     rows = payload.cells // payload.ncols
     if rows != height:
         raise ImageFormatError(f"{path}: expected {height} data rows, found {rows}")
     data = payload.values.reshape(height, width, 2)
     if not np.all(np.isfinite(data)):
         raise ImageFormatError(f"{path}: non-finite values")
-    if encoding == "re_im":
+    if payload.encoding == "re_im":
         # reinterpret the (re, im) pairs in place: arithmetic would lose a -0.0 sign
         samples = data.view(complex).reshape(height, width)
     else:
@@ -708,4 +666,4 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         if np.any(amp < 0):
             raise ImageFormatError(f"{path}: negative amplitude in amp_phase payload")
         samples = amp * np.exp(1j * ph)
-    return samples, encoding, payload.comments
+    return samples, payload.encoding, payload.comments

@@ -2,10 +2,11 @@
 
 The package evaluates the down-conversion ring only in its far-field closed
 form (:func:`pixelport.spdc.ring_from_spdc`, :func:`pixelport.spdc.eta_at_radius`)
-and the pixel centres only as arrays (:func:`pixelport.grid.pixel_centers`).
+and the pixel centres only along each axis (:func:`pixelport.grid._center_axes`).
 This module keeps the k-space derivation the ring comes from, a composite
-Simpson quadrature of its crystal integral, and a scalar pixel centre, so the
-tests can check the shipped code against them.
+Simpson quadrature of its crystal integral, a scalar pixel centre and the
+grid of centres the shipped axes span, so the tests can check the shipped
+code against them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from pixelport.grid import GridGeometry
+from pixelport.grid import GridGeometry, _center_axes
 from pixelport.spdc import SpdcParams
 
 
@@ -52,3 +53,8 @@ def pixel_center(i: int, j: int, geometry: GridGeometry) -> tuple[float, float]:
     """Transverse position of the center of pixel (i, j)."""
     ox, oy = geometry.origin
     return (ox + (i + 0.5) * geometry.pitch, oy + (j + 0.5) * geometry.pitch)
+
+
+def pixel_centers(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Center coordinates for every pixel, as (x, y) arrays of shape (height, width); ValueError past float64."""
+    return np.meshgrid(*_center_axes(geometry))

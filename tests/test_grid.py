@@ -3,13 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from kspace import pixel_center
+from kspace import pixel_center, pixel_centers
 from pixelport.grid import (
     GridGeometry,
     ImageField,
     centered_origin,
     decompose,
-    pixel_centers,
     synthesize,
 )
 

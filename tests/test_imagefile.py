@@ -548,3 +548,25 @@ def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
     got, _, _ = read_image(path)
     assert np.array_equal(got, img)
     assert _traced_peak(read_image, path) <= 2 * img.nbytes
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("height,bad_line", [(20, 7), (4000, 7), (4000, 3004)], ids=["small", "large", "large-late"])
+def test_read_reports_the_first_fault_for_every_line_ending(tmp_path, sep, height, bad_line):
+    # a bad cell on line 5, then a byte that is not UTF-8 on line 7, in the same 8 KiB of the
+    # file, or on line 3004; a file whose lines end in a bare \r is one line of bytes
+    rows = _payload(np.random.default_rng(41), height, 4)
+    lines = [MAGIC, f"4 {height}", "re_im", *rows]
+    lines[bad_line - 1] = "\udcff" + lines[bad_line - 1][1:]  # the byte 0xff, by surrogateescape
+    good = (sep.join(lines) + sep).encode("utf-8", "surrogateescape")
+    lines[4] = "x" + lines[4][lines[4].index(",") :]
+    bad = (sep.join(lines) + sep).encode("utf-8", "surrogateescape")
+    assert (len(bad) > 64 * 1024) == (height > 20)
+    path = tmp_path / "img.csv"
+    path.write_bytes(bad)
+    with pytest.raises(ImageFormatError, match=r"img\.csv:5: non-numeric cell$"):
+        read_image(path)
+    # without the bad cell, the byte is the first fault
+    path.write_bytes(good)
+    with pytest.raises(ImageFormatError, match=rf"^cannot read .*img\.csv: .* byte 0xff in position {good.index(0xFF)}: "):
+        read_image(path)

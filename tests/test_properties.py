@@ -17,6 +17,7 @@ from pixelport.channel import MAX_SHOTS
 from pixelport.cli import MAX_SAMPLES, main
 from pixelport.config import parse_config
 from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
+from pixelport.spdc import WAIST_RATIO_WARN, SpdcParams
 from test_cli import CENTERS_PAST_FLOAT64, HUGE_PITCH, QUARTER_IMAGE, RADIUS_OVERFLOWS, ROW_IMAGE, replay_config
 from test_imagefile import repr_rows
 
@@ -178,6 +179,7 @@ IMAGE = np.array([[1.0 + 0.5j, -0.25j], [2.0, 0.0]])
 @example(settings=_config("spdc", spdc_focal="1e300", spdc_angle="1.5707963267948"), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_length="1e-300", spdc_pump_k="1e-300"), image=IMAGE, flags=[])
 @example(settings=_config("spdc", spdc_pump_waist="1e-320", pitch="0"), image=IMAGE, flags=[])
+@example(settings=_config("spdc", spdc_mode_waist="50"), image=IMAGE, flags=[])  # w_0/w_p = 0.25 warns
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=[])
 @example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=["--shots", "1"])
 @example(settings=_config("ideal", n_shots=str(MAX_SHOTS + 1)), image=IMAGE, flags=[])
@@ -196,8 +198,14 @@ def test_teleport_any_config_exits_cleanly(tmp_path, settings, image, flags):
         rows = [line for line in outputs[1].read_text().splitlines() if not line.startswith("#")][1:]
         assert np.all(np.isfinite(np.loadtxt(rows, delimiter=",", ndmin=2)))
         if "--json" not in flags:
-            # the key=value summary configures the same run again
-            parse_config(replay_config(outputs[2]))
+            # the key=value summary configures the same run again, with the narrow-waist warning
+            # exactly when the replayed waists' ratio calls for it
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cfg = parse_config(replay_config(outputs[2]))
+            ratio = cfg.squeezing.w_0 / cfg.squeezing.w_p if isinstance(cfg.squeezing, SpdcParams) else 0.0
+            want = [(UserWarning, f"w_0/w_p = {ratio:.3g} is not small")] if ratio > WAIST_RATIO_WARN else []
+            assert [(w.category, str(w.message).partition(";")[0]) for w in caught] == want
 
 
 CURVE_NUMBERS = st.one_of(

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kspace import chi, eta_k, eta_quadrature, pixel_center
-from pixelport.grid import GridGeometry, pixel_centers
+from kspace import chi, eta_k, eta_quadrature, pixel_center, pixel_centers
+from pixelport.grid import GridGeometry
 from pixelport.spdc import (
     RingParams,
     SpdcParams,
