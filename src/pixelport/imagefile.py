@@ -12,7 +12,8 @@ with encoding either ``re_im`` (each pixel as real,imag) or ``amp_phase``
 comma-separated numbers.  Lines starting with ``#`` after the header carry
 run parameters and are ignored on read.  Reading and writing hold one block
 of text at a time: each block is written as soon as it is formatted, and
-read as soon as a block of whole lines is in.
+read as soon as a block of whole lines is in.  A block is a fixed floor or a
+fixed share of the data, whichever is more (:func:`_block_size`).
 
 Each value's text is ``repr``'s: the shortest digits that round-trip, laid
 out as ``repr`` lays them out, so write -> read -> write is byte-stable.
@@ -25,35 +26,43 @@ digits and their count from it.  ``repr`` formats every value this cannot
 certify: non-finite values, subnormals, values outside the table's decades,
 exact power-of-two significands (their interval is lopsided), and any
 rounding decision within a fixed margin of a tie or an interval edge.  A
-block of ``_BLOCK`` values holds about 100 bytes of temporaries per value,
-whatever the row length, and the tables take about 25 kB, so writing a
-256x256 image peaks under a quarter of its array's bytes.
+block is ``_BLOCK`` values, or a 64th of the array's if that is more,
+whatever the row length.  It holds about 100 bytes of temporaries per value,
+so about 0.2 of the array's bytes from 256x256 on, and the tables take about
+25 kB: writing a 256x256 or larger image peaks under a quarter of its
+array's bytes.
 
 Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  One loop
 reads the file, past a byte order mark, in blocks of whole lines.  The
 header's three lines and a run of ``#`` or blank lines under them are one
-block; the rest is cut at the last newline in ``_READ_BLOCK`` bytes.
+block; the rest is cut at the last newline in a block's bytes:
+``_READ_BLOCK``, or a 32nd of the file if that is more.
 :func:`_parse_block` takes a block whose lines are all rows of canonical
-cells, ``-?\\d+\\.\\d+`` as ``repr`` writes them.  It finds the cells'
-separators, dots and signs from the block's non-digit bytes, reads each
-cell's digits as one integer D, eight per unaligned 8-byte word (SWAR), and
-rounds D * 10**-k once, with the writer's double-double powers of ten and
-Dekker's product, using only integer and IEEE + - * operations.
+cells, ``-?\\d+\\.\\d+`` as ``repr`` writes them, each line ending in a
+newline or in ``\\r`` and a newline.  It finds the cells' separators, dots
+and signs from the block's non-digit bytes, reads each cell's digits as one
+integer D, eight per unaligned 8-byte word (SWAR), and rounds D * 10**-k
+once, with the writer's double-double powers of ten and Dekker's product,
+using only integer and IEEE + - * operations.
 ``np.loadtxt`` reads every cell the kernel cannot certify: a cell outside
 that grammar (an exponent, a ``+``, a missing digit), over 24 digits or with
 D of 10**19 or more, a power of two, and any value within ``_TIE`` of half
 an ulp from its rounding.  Every other block (the header, ``#`` or blank
-lines, ``\\r``, ``\\x0c``, whitespace, a non-ASCII byte, a wrong cell
-count, a cell numpy does not take) goes to the one text route,
-:meth:`_Payload.text`.  It numbers lines as ``str.splitlines`` does, takes
-the file's first three as the header and reads rows with numpy's text
-reader a row at a time, so it names each fault's line.  A byte that is not
-UTF-8 is a fault of its line, so the first fault in file order is the one
-reported, whatever the lines end in.  A line of bytes that fills
-``_READ_BLOCK`` bytes before the header is read, or ``_MAX_LINE`` bytes
-after, streams with all after it through the text route; a file whose
-lines end in a bare ``\\r`` is one line of bytes.  A block holds about 7
-bytes of temporaries per byte of text, and the values go into one array.
+lines, a ``\\r`` not right before a newline, ``\\x0c``, whitespace, a
+non-ASCII byte, a wrong cell count, a cell numpy does not take) goes to the
+one text route, :meth:`_Payload.text`.  It numbers lines as
+``str.splitlines`` does, takes the file's first three as the header and
+reads rows with numpy's text reader a row at a time, so it names each
+fault's line.  A byte that is not UTF-8 is a fault of its line, so the first
+fault in file order is the one reported, whatever the lines end in; the
+error's file offset is found by decoding the file again, ``_READ_BLOCK``
+bytes at a time.  A line of bytes that fills a block before the header is
+read, or ``_MAX_LINE`` bytes after, streams with all after it through the
+text route; a file whose lines end in a bare ``\\r`` is one line of bytes.
+A block holds about 7 bytes of temporaries per byte of text, so a 32nd of
+the file holds about 0.22 of the file's bytes, and the values go into one
+array: reading a 256x256 or larger image of 17-digit values peaks under
+twice its values' bytes.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ import functools
 import io
 import itertools
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -81,7 +89,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-_BLOCK = 2048  # values formatted per block
+_BLOCK = 2048  # values formatted per block, at least
 _E_MIN, _E_MAX = -280, 280  # decades the kernel formats; the splits and 10**(16 - e) stay normal and finite
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
 _MARGIN = 2.0**-20  # in units of D; the scaled value and the interval are good to about 2**-45
@@ -120,6 +128,16 @@ def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pows, digits, suffixes
 
 
+def _block_size(floor: int, total: int, share: int) -> int:
+    """Units a kernel takes per block of data of total units: floor, or total // share if that is more.
+
+    A kernel pays a fixed time per block whatever its size; a block that
+    grows with the data spreads it over more values, while the block's
+    temporaries stay a fixed share of the data.
+    """
+    return max(floor, total // share)
+
+
 def _times_pow10(x: np.ndarray, idx: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p + err = x * 10**(16 - e), e the decade of table column idx, to about 2**-104 of it; y *= hi in place.
 
@@ -127,15 +145,15 @@ def _times_pow10(x: np.ndarray, idx: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     the double-double power hi + lo.
     """
     pows = _tables()[0]
-    ph = np.take(pows[0], idx)
+    ph = pows[0].take(idx)
     p = x * ph
     y *= ph
     # Dekker's exact product: x * hi = p + err, from the 26-bit halves of each factor
     xh = np.multiply(x, _SPLIT, out=ph)
     xh -= xh - x
     xl = x - xh
-    hh = np.take(pows[2], idx)
-    hl = np.take(pows[3], idx)
+    hh = pows[2].take(idx)
+    hl = pows[3].take(idx)
     err = xh * hh
     err -= p
     xh *= hl
@@ -144,7 +162,7 @@ def _times_pow10(x: np.ndarray, idx: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     err += hh
     hl *= xl
     err += hl
-    err += np.multiply(x, np.take(pows[1], idx, out=xl), out=xl)
+    err += np.multiply(x, pows[1].take(idx, out=xl), out=xl)
     return p, err
 
 
@@ -184,7 +202,7 @@ def _format_block(v: np.ndarray, row_end: int, ncols: int) -> bytes:
     # log10 can miss the decade next to a power of ten; D then has 16 or 18 digits
     off = (D < 10**16).astype(np.int16)
     off -= D >= 10**17
-    redo = np.flatnonzero(off)
+    redo = off.nonzero()[0]
     if redo.size:
         e[redo] -= off[redo]
         D[redo], r[redo], h[redo] = _scaled(ax[redo], idx[redo] - off[redo])
@@ -230,16 +248,16 @@ def _format_block(v: np.ndarray, row_end: int, ncols: int) -> bytes:
     for row, part, scale in ((0, high, 10**6), (3, high, 10**3), (6, high, 1), (9, low, 10**6), (12, low, 10**3)):
         chunk = part // scale
         part -= chunk * scale
-        np.take(digits, chunk, axis=1, out=pad[row : row + 3], mode="clip")
-    np.take(digits, low, axis=1, out=pad[15:18], mode="clip")
+        digits.take(chunk, axis=1, out=pad[row : row + 3], mode="clip")
+    digits.take(low, axis=1, out=pad[15:18], mode="clip")
     pad[0] = pad[18] = 0
     del high, low, part, chunk
-    n = np.max((pad[1:18] != 48).view(np.int8) * _POSITIONS[:17], axis=0)
+    n = ((pad[1:18] != 48).view(np.int8) * _POSITIONS[:17]).max(axis=0)
     n += 1  # significant digits; 1 for zero
     fixed = (decpt >= 1) & (decpt <= 16)
     small = (decpt >= -3) & (decpt <= 0)
     # the digit area: digits 0..dot, ".", the rest up to end; dot = 16 puts it past every digit
-    point = np.clip(decpt, 1, 16).astype(np.int8)
+    point = np.minimum(np.maximum(decpt, 1), 16).astype(np.int8)
     dot = fixed * (point - 17)
     dot -= np.int8(16) * (~(fixed | small) & (n > 1))  # the exponent form's dot after its first digit
     dot += 16
@@ -258,15 +276,15 @@ def _format_block(v: np.ndarray, row_end: int, ncols: int) -> bytes:
     area *= (_POSITIONS < end).view(np.uint8)
     del pad, dot, end, n
     buf[0] = (bits < 0).view(np.uint8) * np.uint8(45)
-    zeros = small * (2 - np.clip(decpt, -3, 0)).astype(np.int8)  # "0." and -decpt zeros
+    zeros = small * (2 - np.maximum(np.minimum(decpt, 0), -3)).astype(np.int8)  # "0." and -decpt zeros
     np.multiply((_POSITIONS[:5] < zeros).view(np.uint8), _PREFIX, out=buf[1:6])
     buf[24:29] = 0
-    at = np.flatnonzero(~(fixed | small))
+    at = (~(fixed | small)).nonzero()[0]
     if at.size:
         buf[24:29, at] = suffixes[:, decpt[at] + 329]
     buf[29] = 44
     buf[29, row_end::ncols] = 10
-    at = np.flatnonzero(fallback)
+    at = fallback.nonzero()[0]
     if at.size:
         text = np.array([repr(x).encode() for x in v[at].tolist()], dtype="S24")
         buf[:29, at] = 0
@@ -277,16 +295,18 @@ def _format_block(v: np.ndarray, row_end: int, ncols: int) -> bytes:
 def _format_rows(values: np.ndarray):
     """Yield the text ``",".join(map(repr, row.tolist()))`` and a newline gives each row of a 2D array, as bytes.
 
-    The values are cut into blocks of ``_BLOCK`` in row-major order, whatever
-    the row length, and each block's text is yielded as soon as it is made.
+    The values are cut into blocks in row-major order, whatever the row
+    length: ``_BLOCK`` values, or a 64th of them if that is more.  Each
+    block's text is yielded as soon as it is made.
     """
     height, width = values.shape
     if width == 0:
         yield b"\n" * height
         return
     flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        yield _format_block(flat[start : start + _BLOCK], (width - 1 - start) % width, width)
+    block = _block_size(_BLOCK, flat.size, 64)
+    for start in range(0, flat.size, block):
+        yield _format_block(flat[start : start + block], (width - 1 - start) % width, width)
 
 
 def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> None:
@@ -337,14 +357,35 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
 
 def _cannot_read(path, exc: Exception) -> ImageFormatError:
     if isinstance(exc, UnicodeDecodeError):
-        try:  # a line's error counts from the line; the whole file, BOM included, gives the file offset
-            Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as whole:
-            exc = whole
+        try:  # a line's error counts from the line; the file's, BOM included, gives the file offset
+            exc = _file_decode_error(path) or exc
+        except OSError as err:
+            exc = err
     return ImageFormatError(f"cannot read {path}: {exc}")
 
 
-_READ_BLOCK = 1 << 16  # bytes of whole lines parsed per block
+def _file_decode_error(path) -> str | None:
+    """The text of the error that decoding the whole file as UTF-8 raises, if any, from _READ_BLOCK bytes at a time."""
+    with open(path, "rb") as fh:
+        at, pending = 0, b""  # the file offset of pending, the undecoded bytes of a character cut by a chunk
+        while True:
+            chunk = fh.read(_READ_BLOCK)
+            data = pending + chunk
+            try:
+                used = codecs.utf_8_decode(data, "strict", not chunk)[1]
+            except UnicodeDecodeError as exc:
+                # UnicodeDecodeError's own text, with the positions counted from the file's start
+                start, last = at + exc.start, at + exc.end - 1
+                byte = f"byte 0x{data[exc.start]:02x}"
+                where = f"{byte} in position {start}" if last == start else f"bytes in position {start}-{last}"
+                return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+            if not chunk:
+                return None
+            at += used
+            pending = data[used:]
+
+
+_READ_BLOCK = 1 << 16  # bytes of whole lines parsed per block, at least
 _MAX_LINE = 1 << 20  # bytes of a line the kernel reads; a longer one, and all after it, is read as text
 _MAX_DIGITS = 24  # digits a cell may have, three words of them; D itself must stay under 10**19 < 2**64
 _PAD = _MAX_DIGITS  # bytes before a block, where the words of its first cell may start
@@ -378,7 +419,8 @@ def _digit_value(words: np.ndarray, end: np.ndarray, n: np.ndarray):
         if shortest < 8 * (c + 1):
             # 64 would be undefined in C; 63 leaves bit 63, which the first mask clears
             drop = np.subtract(64 * (c + 1), 8 * n)
-            np.clip(drop, 0, 63, out=drop)
+            np.maximum(drop, 0, out=drop)
+            np.minimum(drop, 63, out=drop)
             drop = drop.view(np.uint64)
             w >>= drop
             w <<= drop
@@ -399,38 +441,48 @@ def _digit_value(words: np.ndarray, end: np.ndarray, n: np.ndarray):
 def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     """The values of a block of rows of ncols canonical cells, or None if it is anything else.
 
-    buf[_PAD:end] holds whole lines, each ending in a newline.  A cell is
-    canonical when it reads ``-?\\d+\\.\\d+`` with at most _MAX_DIGITS digits,
-    and its digits read as one integer D are under 10**19.  With k fraction
-    digits, its value is D * 10**-k, computed with a double-double power of
-    ten and Dekker's exact product, rounded once.  A cell that is not
-    canonical, or whose value lies within _TIE of a tie between two doubles,
-    or is a power of two, is read by np.loadtxt.  The block is None if that
-    fails, or if such a cell holds a byte other than the _HANDOFF_BYTES.
+    buf[_PAD:end] holds whole lines, each ending in a newline or in ``\\r``
+    and a newline.  A cell is canonical when it reads ``-?\\d+\\.\\d+`` with
+    at most _MAX_DIGITS digits, and its digits read as one integer D are
+    under 10**19.  With k fraction digits, its value is D * 10**-k, computed
+    with a double-double power of ten and Dekker's exact product, rounded
+    once.  A cell that is not canonical, or whose value lies within _TIE of a
+    tie between two doubles, or is a power of two, is read by np.loadtxt.
+    The block is None if that fails, or if such a cell holds a byte other
+    than the _HANDOFF_BYTES.
     """
     text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
-    nd = np.flatnonzero((text - np.uint8(48)) > 9)  # every byte that is not a digit
+    nd = ((text - np.uint8(48)) > 9).nonzero()[0]  # every byte that is not a digit
     kinds = text[nd]
-    ends_at = np.flatnonzero((kinds == 44) | (kinds == 10))  # index in nd of each cell's "," or newline
+    ends_at = ((kinds == 44) | (kinds == 10)).nonzero()[0]  # index in nd of each cell's "," or newline
     if ends_at.size % ncols:
         return None
     seps = kinds[ends_at].reshape(-1, ncols)
     if not ((seps[:, -1] == 10).all() and (seps[:, :-1] == 44).all()):
         return None
     del seps
-    ends = nd[ends_at]
-    starts = np.empty_like(ends)
+    stops = nd[ends_at]
+    starts = np.empty_like(stops)
     starts[0] = 0
-    np.add(ends[:-1], 1, out=starts[1:])
-    count = np.empty_like(ends_at)  # non-digits per cell, its separator included
+    np.add(stops[:-1], 1, out=starts[1:])
+    # a "\r" right before a row's newline ends its last cell; any other "\r" is in a cell, which
+    # then holds a byte outside _HANDOFF_BYTES and sends the block to the text route
+    cr = np.zeros(stops.size, bool)
+    cr[ncols - 1 :: ncols] = text[stops[ncols - 1 :: ncols] - 1] == 13
+    ends = stops - cr
+    del stops
+    count = np.empty_like(ends_at)  # non-digits per cell, its separator and "\r" included
     count[0] = ends_at[0] + 1
     np.subtract(ends_at[1:], ends_at[:-1], out=count[1:])
-    dots = nd[ends_at - 1]
+    ends_at -= cr
+    ends_at -= 1  # index in nd of each cell's last non-digit before its "\r" or separator
+    dots = nd[ends_at]
     # a canonical cell's non-digits are an optional "-" at its start, one ".", then its separator
     neg = text[starts] == 45
-    ok = kinds[ends_at - 1] == 46
+    ok = kinds[ends_at] == 46
+    count -= cr
     ok &= count == neg + 2
-    del nd, kinds, ends_at, count
+    del nd, kinds, ends_at, count, cr
     m = dots - starts  # integer digits, and the sign
     m -= neg
     k = ends - dots  # fraction digits, and the dot
@@ -483,7 +535,7 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     ok &= sure
     del r, half, err, D, sure
     bits |= neg.view(np.uint8).astype(np.uint64) << np.uint64(63)
-    todo = np.flatnonzero(~ok)
+    todo = (~ok).nonzero()[0]
     if todo.size:
         cells = [bytes(buf[_PAD + s : _PAD + e]) for s, e in zip(starts[todo].tolist(), ends[todo].tolist())]
         if not all(cell and not cell.translate(None, _HANDOFF_BYTES) for cell in cells):
@@ -588,13 +640,14 @@ def _read_payload(fh, payload: _Payload) -> None:
     """Read a file from its start, past a byte order mark, into payload, a block of whole lines at a time.
 
     The header's lines and a run of ``#`` or blank lines are one block of
-    text; the rest is cut at the last newline in _READ_BLOCK bytes, for the
-    kernel.  A line that fills _READ_BLOCK bytes before the header is read,
-    or _MAX_LINE bytes after, is read with all after it as a stream of text.
+    text; the rest is cut at the last newline in a block's bytes, for the
+    kernel: _READ_BLOCK bytes, or a 32nd of the file if that is more.  A
+    line that fills a block before the header is read, or _MAX_LINE bytes
+    after, is read with all after it as a stream of text.
     """
     start = len(codecs.BOM_UTF8) if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
     fh.seek(start)  # the file offset of the first byte not yet read into payload
-    buf = bytearray(_PAD + _READ_BLOCK)
+    buf = bytearray(_PAD + _block_size(_READ_BLOCK, payload.size, 32))
     end = _PAD  # the end of the bytes read but not yet parsed
     while True:  # a cut or a larger buffer leaves room to read into
         with memoryview(buf) as view:

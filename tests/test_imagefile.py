@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -233,6 +234,11 @@ def test_read_names_the_file_offset_of_a_bad_byte_after_a_byte_order_mark(tmp_pa
         read_image(path)
 
 
+def floor_blocks(floor, total, share):
+    """imagefile._block_size with its rule off: every kernel block is its floor, _BLOCK or _READ_BLOCK."""
+    return floor
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -257,6 +263,85 @@ def test_read_late_invalid_utf8_is_unreadable_not_a_bad_cell(tmp_path):
     path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
     with pytest.raises(ImageFormatError, match=f"^cannot read .*late.csv: .* byte 0xff in position {at}: "):
         read_image(path)
+
+
+def _decode_fault(data, fault):
+    """data with a sequence that is not UTF-8 in its last rows, or at its end."""
+    at = data.index(b"\n", len(data) * 3 // 4) - 3  # three bytes before a row's newline
+    if fault == "lone-continuation":
+        return data[:at] + b"\x80" + data[at + 1 :]
+    if fault == "truncated-before-newline":
+        return data[:at] + b"\xe2\x82" + data[at + 3 :]
+    if fault == "overlong":
+        return data[:at] + b"\xc0\xaf" + data[at + 2 :]
+    if fault == "surrogate":
+        return data[:at] + b"\xed\xa0\x80" + data[at + 3 :]
+    if fault == "last-byte":
+        return data + b"\xff"
+    return data + b"\xe2\x82"  # truncated-at-end
+
+
+@pytest.mark.parametrize("lines", ["lf", "cr"], ids=["lf", "bare-cr-stream"])
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["no-bom", "bom"])
+@pytest.mark.parametrize(
+    "fault,reason",
+    [("lone-continuation", "byte 0x80 in position {at}: invalid start byte"),
+     ("truncated-before-newline", "bytes in position {at}-{next}: invalid continuation byte"),
+     ("overlong", "byte 0xc0 in position {at}: invalid start byte"),
+     ("surrogate", "byte 0xed in position {at}: invalid continuation byte"),
+     ("last-byte", "byte 0xff in position {at}: invalid start byte"),
+     ("truncated-at-end", "bytes in position {at}-{next}: unexpected end of data")],
+)
+def test_read_names_a_bad_sequence_as_decoding_the_whole_file_does(tmp_path, lines, bom, fault, reason):
+    # the text of the error that decoding the whole file raises, with its offset counted from the file's
+    # start, a byte order mark included; a file over 64 KiB whose lines end in a bare \r streams
+    rows = _payload(np.random.default_rng(42), 2000, 2)
+    data = ("\n".join([MAGIC, "2 2000", "re_im", *rows]) + "\n").encode()
+    assert len(data) > 2 * 64 * 1024
+    data = _decode_fault(bom + data, fault)
+    if lines == "cr":
+        data = data.replace(b"\n", b"\r")
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    at = whole.value.start
+    assert at > 64 * 1024 and str(whole.value) == f"'utf-8' codec can't decode {reason.format(at=at, next=at + 1)}"
+    with pytest.raises(ImageFormatError) as info:
+        read_image(path)
+    assert str(info.value) == f"cannot read {path}: {whole.value}"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
+def test_decode_error_text_is_the_whole_files_at_any_chunk_size(monkeypatch, tmp_path, chunk):
+    # sequences of two, three and four bytes, and bad ones, cut anywhere by the chunks
+    monkeypatch.setattr(imagefile, "_READ_BLOCK", chunk)
+    path = tmp_path / "bad.csv"
+    good = "a\u00e9b\u20acc\U0001f600d".encode()
+    path.write_bytes(good)
+    assert imagefile._file_decode_error(path) is None
+    for bad in (b"\x80", b"\xe2\x82\n", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xf0\x9f\x98", b"\xff"):
+        for data in (good + bad + good, good + bad):
+            path.write_bytes(data)
+            with pytest.raises(UnicodeDecodeError) as whole:
+                data.decode("utf-8")
+            assert imagefile._file_decode_error(path) == str(whole.value)
+
+
+def test_read_a_late_bad_byte_holds_one_block_of_text(tmp_path):
+    # the error's offset is found a block at a time, not by decoding the whole file again
+    img = _image_256()
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    data = path.read_bytes()
+    at = len(data) - 100
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+
+    def read():
+        with pytest.raises(ImageFormatError, match=f"byte 0xff in position {at}: invalid start byte$"):
+            read_image(path)
+
+    assert _traced_peak(read) <= 2 * img.nbytes
 
 
 def test_read_header_only_payload_warns_nothing(tmp_path):
@@ -326,6 +411,38 @@ def test_write_image_holds_one_row_of_text(tmp_path):
     img = _image_256()
     imagefile._tables.cache_clear()  # the first call builds the formatter's tables under the bound too
     assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
+
+
+def _image_512():
+    rng = np.random.default_rng(35)
+    return rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
+
+
+def test_read_image_holds_one_row_of_text_at_512(tmp_path):
+    # the file is over 32 floors, so each block is a 32nd of it, above _READ_BLOCK
+    img = _image_512()
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    assert path.stat().st_size > 32 * imagefile._READ_BLOCK
+    assert _traced_peak(read_image, path) <= 2 * img.nbytes
+
+
+def test_write_image_holds_one_row_of_text_at_512(tmp_path):
+    # a 64th of the values per block, above _BLOCK
+    img = _image_512()
+    assert 2 * img.size // 64 > imagefile._BLOCK
+    imagefile._tables.cache_clear()
+    assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
+
+
+def test_blocks_above_the_floors_change_no_byte_and_no_bit(monkeypatch, tmp_path):
+    img = _image_512()
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    scaled_text, scaled_values = formatted(img.view(float)), read_image(path)[0]
+    monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
+    assert formatted(img.view(float)) == scaled_text
+    assert np.array_equal(read_image(path)[0].view(np.int64), scaled_values.view(np.int64))
 
 
 def repr_rows(values):
@@ -504,6 +621,7 @@ def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fa
     read_block, max_line = sizes.get(block, (None, None))
     if read_block:
         monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
+        monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
     if max_line:
         monkeypatch.setattr(imagefile, "_MAX_LINE", max_line)
     at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
@@ -536,6 +654,111 @@ def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fa
     rows[-1] = _bad_cell(rows[-1])
     write(rows[:at] + [change(rows[at])] + rows[at + 1 :])
     with pytest.raises(ImageFormatError, match=rf"img\.csv:{len(rows) + 4 + extra}: non-numeric cell$"):
+        read_image(path)
+
+
+def _to_crlf(data):
+    """data with each newline that does not follow a \\r as CRLF."""
+    return re.sub(rb"(?<!\r)\n", b"\r\n", data)
+
+
+def _read_outcome(path):
+    """What read_image gives for a file: its values' bits and comments, or its error without the path."""
+    try:
+        samples, _, comments = read_image(path)
+    except ImageFormatError as exc:
+        return str(exc).replace(str(path), "<path>")
+    return samples.view(np.int64).tobytes(), comments
+
+
+def test_read_kernel_reads_crlf_rows(monkeypatch, tmp_path):
+    # values repr writes in the fixed form, so that the kernel certifies every cell
+    rng = np.random.default_rng(43)
+    parts = rng.uniform(1e-3, 1e3, size=(64, 128)) * rng.choice([-1.0, 1.0], size=(64, 128))
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_image(lf, parts.view(complex), comments=("mode = ideal", "r = 2.0"))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: calls.append(list(lines)) or loadtxt(calls[-1], **kw))
+    want, got = read_image(lf), read_image(crlf)
+    assert calls == []
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1:] == want[1:] == ("re_im", ["mode = ideal", "r = 2.0"])
+
+
+@pytest.mark.parametrize("block", ["one-line", "few-lines", "default", "long-lines", "long-header"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", [*FAULTS, "late-0xff"])
+def test_read_faults_at_block_boundaries_in_crlf_files(monkeypatch, tmp_path, block, where, fault):
+    # the files of test_read_faults_at_block_boundaries with CRLF newlines read as the LF files do:
+    # the same values and comments, or the same error on the same line
+    rows = _fixed_rows(3000 if block == "default" else 30)
+    line = len(rows[0]) + 2
+    sizes = {"one-line": (line, None), "few-lines": (3 * line, None), "long-lines": (64, 64), "long-header": (16, None)}
+    read_block, max_line = sizes.get(block, (None, None))
+    if read_block:
+        monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
+        monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
+    if max_line:
+        monkeypatch.setattr(imagefile, "_MAX_LINE", max_line)
+    at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
+    change = FAULTS[fault][0] if fault in FAULTS else (lambda row: row[:5] + "\udcff" + row[6:])
+    head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    for last_bad in (False, True):  # a bad cell on the last row is numbered after the lines the fault adds
+        if last_bad:
+            rows[-1] = _bad_cell(rows[-1])
+        text = head + "".join(row + "\n" for row in rows[:at] + [change(rows[at])] + rows[at + 1 :])
+        lf.write_bytes(text.encode("utf-8", "surrogateescape"))
+        crlf.write_bytes(_to_crlf(lf.read_bytes()))
+        want, got = _read_outcome(lf), _read_outcome(crlf)
+        if fault == "late-0xff":
+            error = "cannot read <path>: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+            assert want == error.format(lf.read_bytes().index(0xFF))
+            assert got == error.format(crlf.read_bytes().index(0xFF))
+        else:
+            assert got == want
+
+
+def _splitlines_fault(text, ncols):
+    """The first fault in the rows of an image file's text, as ``str.splitlines`` numbers its lines."""
+    for lineno, line in enumerate(text.splitlines()[3:], 4):
+        cells = line.strip()
+        if not cells or cells.startswith("#"):
+            continue
+        count = cells.count(",") + 1
+        if count != ncols:
+            return f"{lineno}: expected {ncols} values per row, got {count}"
+        try:
+            [float(cell) for cell in cells.split(",")]
+        except ValueError:
+            return f"{lineno}: non-numeric cell"
+    return None
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize(
+    "cr", ["before-a-comma", "after-a-comma", "inside-a-cell", "row-start", "before-the-row-end"]
+)
+def test_read_names_the_line_of_a_bare_carriage_return_in_a_row(tmp_path, eol, cr):
+    rows = _fixed_rows(6)
+    row = rows[2]
+    comma = row.index(",")
+    rows[2] = {
+        "before-a-comma": row[:comma] + "\r" + row[comma:],
+        "after-a-comma": row[: comma + 1] + "\r" + row[comma + 1 :],
+        "inside-a-cell": row[:5] + "\r" + row[5:],
+        "row-start": "\r" + row,
+        "before-the-row-end": row + "\r",  # CRLF in an LF file; a bare \r and a CRLF blank line in a CRLF file
+    }[cr]
+    rows[-1] = _bad_cell(rows[-1])
+    text = "".join(line + eol for line in [MAGIC, "2 6", "re_im", *rows])
+    path = tmp_path / "img.csv"
+    path.write_bytes(text.encode())
+    want = _splitlines_fault(text, 4)
+    assert want is not None
+    with pytest.raises(ImageFormatError, match=rf"img\.csv:{re.escape(want)}$"):
         read_image(path)
 
 

@@ -19,7 +19,7 @@ from pixelport.config import parse_config
 from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
 from pixelport.spdc import WAIST_RATIO_WARN, SpdcParams
 from test_cli import CENTERS_PAST_FLOAT64, HUGE_PITCH, QUARTER_IMAGE, RADIUS_OVERFLOWS, ROW_IMAGE, replay_config
-from test_imagefile import repr_rows
+from test_imagefile import floor_blocks, repr_rows
 
 # the example files are rewritten on every example, so one tmp_path serves all
 SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -270,6 +270,7 @@ def test_any_argv_exits_cleanly(tmp_path, argv):
 )
 def test_format_rows_is_repr_on_any_bit_pattern(monkeypatch, bits, block):
     monkeypatch.setattr(imagefile, "_BLOCK", block)
+    monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
     values = bits.view(np.float64)
     assert b"".join(imagefile._format_rows(values)) == repr_rows(values)
 
@@ -303,6 +304,7 @@ def number_cells(draw):
 )
 def test_read_image_values_are_loadtxt_values(monkeypatch, tmp_path, width, cells, block):
     monkeypatch.setattr(imagefile, "_READ_BLOCK", block)
+    monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
     ncols = 2 * width
     rows = [",".join(cells[i : i + ncols]) for i in range(0, len(cells) // ncols * ncols, ncols)]
     path = tmp_path / "in.csv"
