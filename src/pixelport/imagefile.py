@@ -33,43 +33,44 @@ so about 0.2 of the array's bytes from 256x256 on, and the tables take about
 array's bytes.
 
 Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  One loop
-reads the file, past a byte order mark, in blocks of whole lines.  The
-header's three lines and a run of ``#`` or blank lines under them are one
-block; the rest is cut at the last newline in a block's bytes:
-``_READ_BLOCK``, or a 32nd of the file if that is more.
-:func:`_parse_block` takes a block whose lines are all rows of canonical
-cells, ``-?\\d+\\.\\d+`` as ``repr`` writes them, each line ending in a
-newline or in ``\\r`` and a newline.  It finds the cells' separators, dots
-and signs from the block's non-digit bytes, reads each cell's digits as one
-integer D, eight per unaligned 8-byte word (SWAR), and rounds D * 10**-k
-once, with the writer's double-double powers of ten and Dekker's product,
-using only integer and IEEE + - * operations.
+reads the file once, past a byte order mark, in blocks of whole lines, into
+a buffer of ``_READ_BLOCK`` bytes, or a 32nd of the file if that is more.
+A block ends after the last newline in the buffer; if it holds none, after
+the last ``\\r`` before its last byte, which no newline follows and so ends
+a line as ``str.splitlines`` ends it; at the end of the file, after its last
+byte.  A full buffer with no such cut doubles.  The header's three lines and
+a run of ``#`` or blank lines under them are one block.  A block that ends
+in a newline goes to the kernel: :func:`_parse_block` takes a block whose
+lines are all rows of canonical cells, ``-?\\d+\\.\\d+`` as ``repr``
+writes them, each line ending in a newline or in ``\\r`` and a newline.  It
+finds the cells' separators, dots and signs from the block's non-digit
+bytes, reads each cell's digits as one integer D, eight per unaligned 8-byte
+word (SWAR), and rounds D * 10**-k once, with the writer's double-double
+powers of ten and Dekker's product, using only integer and IEEE + - *
+operations.
 ``np.loadtxt`` reads every cell the kernel cannot certify: a cell outside
 that grammar (an exponent, a ``+``, a missing digit), over 24 digits or with
 D of 10**19 or more, a power of two, and any value within ``_TIE`` of half
 an ulp from its rounding.  Every other block (the header, ``#`` or blank
 lines, a ``\\r`` not right before a newline, ``\\x0c``, whitespace, a
-non-ASCII byte, a wrong cell count, a cell numpy does not take) goes to the
-one text route, :meth:`_Payload.text`.  It numbers lines as
-``str.splitlines`` does, takes the file's first three as the header and
-reads rows with numpy's text reader a row at a time, so it names each
-fault's line.  A byte that is not UTF-8 is a fault of its line, so the first
-fault in file order is the one reported, whatever the lines end in; the
-error's file offset is found by decoding the file again, ``_READ_BLOCK``
-bytes at a time.  A line of bytes that fills a block before the header is
-read, or ``_MAX_LINE`` bytes after, streams with all after it through the
-text route; a file whose lines end in a bare ``\\r`` is one line of bytes.
-A block holds about 7 bytes of temporaries per byte of text, so a 32nd of
-the file holds about 0.22 of the file's bytes, and the values go into one
-array: reading a 256x256 or larger image of 17-digit values peaks under
-twice its values' bytes.
+non-ASCII byte, a wrong cell count, a cell numpy does not take, a block cut
+at a ``\\r`` or at the end of the file) goes with its file offset to the one
+text route, :meth:`_Payload.text`.  It decodes the block as UTF-8, numbers
+lines as ``str.splitlines`` does, takes the file's first three as the header
+and reads rows with numpy's text reader a row at a time, so it names each
+fault's line.  A byte that is not UTF-8 is a fault of its line: the lines
+before it are read first, so the first fault in file order is the one
+reported, whatever the lines end in, and the error counts the byte's
+position from the file's start.  A block holds about 7 bytes of temporaries
+per byte of text, so a 32nd of the file holds about 0.22 of the file's
+bytes, and the values go into one array: reading a 256x256 or larger image
+of 17-digit values peaks under twice its values' bytes.
 """
 
 from __future__ import annotations
 
 import codecs
 import functools
-import io
 import itertools
 import os
 
@@ -355,38 +356,7 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
         fh.writelines(lines)
 
 
-def _cannot_read(path, exc: Exception) -> ImageFormatError:
-    if isinstance(exc, UnicodeDecodeError):
-        try:  # a line's error counts from the line; the file's, BOM included, gives the file offset
-            exc = _file_decode_error(path) or exc
-        except OSError as err:
-            exc = err
-    return ImageFormatError(f"cannot read {path}: {exc}")
-
-
-def _file_decode_error(path) -> str | None:
-    """The text of the error that decoding the whole file as UTF-8 raises, if any, from _READ_BLOCK bytes at a time."""
-    with open(path, "rb") as fh:
-        at, pending = 0, b""  # the file offset of pending, the undecoded bytes of a character cut by a chunk
-        while True:
-            chunk = fh.read(_READ_BLOCK)
-            data = pending + chunk
-            try:
-                used = codecs.utf_8_decode(data, "strict", not chunk)[1]
-            except UnicodeDecodeError as exc:
-                # UnicodeDecodeError's own text, with the positions counted from the file's start
-                start, last = at + exc.start, at + exc.end - 1
-                byte = f"byte 0x{data[exc.start]:02x}"
-                where = f"{byte} in position {start}" if last == start else f"bytes in position {start}-{last}"
-                return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-            if not chunk:
-                return None
-            at += used
-            pending = data[used:]
-
-
 _READ_BLOCK = 1 << 16  # bytes of whole lines parsed per block, at least
-_MAX_LINE = 1 << 20  # bytes of a line the kernel reads; a longer one, and all after it, is read as text
 _MAX_DIGITS = 24  # digits a cell may have, three words of them; D itself must stay under 10**19 < 2**64
 _PAD = _MAX_DIGITS  # bytes before a block, where the words of its first cell may start
 _TIE = 2.0**-20  # in half-ulps of the value; the kernel's value is good to about 2**-49 of one
@@ -596,8 +566,6 @@ class _Payload:
         """Yield the data rows of text lines, stripped; read the header, collect comments, check each row's count."""
         for line in lines:
             self.lineno += 1
-            if not line.isascii():  # a byte that is not UTF-8 was decoded to a lone surrogate: raise its error
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
             if not self.ncols:
                 self.header.append(line)
                 if len(self.header) == 3:
@@ -614,13 +582,21 @@ class _Payload:
                 raise ImageFormatError(f"{self.path}:{self.lineno}: expected {self.ncols} values per row, got {count}")
             yield stripped
 
-    def text(self, lines) -> None:
-        """Read text lines the way numpy's text reader reads them, one row at a time.
+    def text(self, data, at: int) -> None:
+        """Read a block of UTF-8 text whose first byte is at file offset at, the way numpy's text reader reads it.
 
-        np.loadtxt takes the rows in batches of about _READ_BLOCK bytes of
-        values, pulled as it parses them, so a fault is still the first in
-        line order and the text route holds one batch beside the values.
+        A byte that is not UTF-8 is a fault of its line: the lines before it
+        are read first, then its error is raised with the position counted
+        from the file's start.  np.loadtxt takes the rows in batches of about
+        _READ_BLOCK bytes of values, pulled as it parses them, so a fault is
+        still the first in line order and the text route holds one batch
+        beside the values.
         """
+        try:
+            lines, fault = codecs.utf_8_decode(data, "strict", True)[0].splitlines(), None
+        except UnicodeDecodeError as exc:
+            # with the bad bytes replaced, the last line is the one that holds them
+            lines, fault = codecs.utf_8_decode(data[: exc.end], "replace", True)[0].splitlines()[:-1], exc
         rows = self._rows(lines)
         for first in rows:  # pulled before np.loadtxt runs, which warns on an empty input
             more = itertools.islice(rows, max(1, _READ_BLOCK // (8 * self.ncols)) - 1)
@@ -628,22 +604,26 @@ class _Payload:
                 values = np.loadtxt(
                     itertools.chain([first], more), delimiter=",", comments=None, dtype=float, ndmin=2
                 )
-            except UnicodeDecodeError:  # a ValueError too, but of the file, not of a cell
-                raise
             except ValueError as exc:
                 # numpy's C text reader pulls one row at a time, so the bad cell is on the last line pulled
                 raise ImageFormatError(f"{self.path}:{self.lineno}: non-numeric cell") from exc
             self.keep(values)
+        if fault:
+            # UnicodeDecodeError's own text, with the positions counted from the file's start
+            start, last = at + fault.start, at + fault.end - 1
+            byte = f"byte 0x{data[fault.start]:02x}"
+            where = f"{byte} in position {start}" if last == start else f"bytes in position {start}-{last}"
+            raise ImageFormatError(
+                f"cannot read {self.path}: '{fault.encoding}' codec can't decode {where}: {fault.reason}"
+            ) from fault
 
 
 def _read_payload(fh, payload: _Payload) -> None:
     """Read a file from its start, past a byte order mark, into payload, a block of whole lines at a time.
 
-    The header's lines and a run of ``#`` or blank lines are one block of
-    text; the rest is cut at the last newline in a block's bytes, for the
-    kernel: _READ_BLOCK bytes, or a 32nd of the file if that is more.  A
-    line that fills a block before the header is read, or _MAX_LINE bytes
-    after, is read with all after it as a stream of text.
+    Blocks are cut as the module docstring says.  A block that ends in a
+    newline goes to the kernel; every block the kernel does not take goes to
+    the text route with its file offset.
     """
     start = len(codecs.BOM_UTF8) if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
     fh.seek(start)  # the file offset of the first byte not yet read into payload
@@ -653,35 +633,31 @@ def _read_payload(fh, payload: _Payload) -> None:
         with memoryview(buf) as view:
             got = fh.readinto(view[end:])
         end += got
-        if not got and buf.find(b"\n", _PAD, end) < 0:
-            # the end of the file, and a last line without a newline if there is one
-            payload.text(buf[_PAD:end].decode("utf-8", "surrogateescape").splitlines())
+        if end == _PAD:  # the end of the file, every byte read
             return
         # the header's lines of bytes and a run of "#" or blank lines under them go to the text route as one block
         cut, lines = _PAD, 0 if payload.ncols else 3
         while cut < end and (lines > 0 or buf[cut] in b"#\n") and (nl := buf.find(b"\n", cut, end)) >= 0:
             cut, lines = nl + 1, lines - 1
         values = None
-        if cut == _PAD:  # the whole lines in the buffer, for the kernel
+        if cut == _PAD:
             cut = buf.rfind(b"\n", _PAD, end) + 1
-            if cut:
+            if cut:  # the whole lines in the buffer, for the kernel
                 values = _parse_block(buf, cut, payload.ncols)
+            elif got:  # no newline in the buffer, so a \r before its last byte does not start a CRLF
+                cut = buf.rfind(b"\r", _PAD, end - 1) + 1
+            else:  # the end of the file, and a last line without a line end
+                cut = end
         if cut:
             if values is None:
-                payload.text(buf[_PAD:cut].decode("utf-8", "surrogateescape").splitlines())
+                payload.text(buf[_PAD:cut], start)
             else:
                 payload.keep(values)
                 payload.lineno += values.size // payload.ncols
             start += cut - _PAD
             buf[_PAD : _PAD + end - cut] = buf[cut:end]
             end = _PAD + end - cut
-        elif end == len(buf):  # one line fills the buffer
-            if not payload.ncols or end - _PAD >= _MAX_LINE:
-                fh.seek(start)
-                # the text wrapper closes the file when it is dropped: nothing is read from it after
-                stream = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape")
-                payload.text(part for line in stream for part in line.splitlines())
-                return
+        elif end == len(buf):  # no line ends in the buffer
             buf.extend(bytes(len(buf)))
 
 
@@ -700,8 +676,8 @@ def read_image(path) -> tuple[np.ndarray, str, list[str]]:
         with open(path, "rb") as fh:
             payload = _Payload(path, os.fstat(fh.fileno()).st_size)
             _read_payload(fh, payload)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _cannot_read(path, exc) from exc
+    except OSError as exc:
+        raise ImageFormatError(f"cannot read {path}: {exc}") from exc
     if not payload.ncols:
         raise ImageFormatError(f"{path}: truncated header")
     height, width = payload.height, payload.width

@@ -542,6 +542,24 @@ def test_run_all_checks_default_pass():
             assert r.value < 1e-6
 
 
+def test_run_all_checks_tolerance_table():
+    # the verdict's contract: a change here is declared, and a tolerance may only be tightened
+    assert {r.name: r.tolerance for r in run_all_checks()} == {
+        "ladder_commutator": 1e-12,
+        "coherent_overlap": 1e-10,
+        "squeezed_norm_deficit": 1e-10,
+        "conditional_state_overlap": 1e-6,
+        "outcome_density": 1e-6,
+        "eigen_residual_1": 1e-8,
+        "eigen_residual_2": 1e-8,
+        "eigen_residual_3": 1e-8,
+        "eigen_residual_4": 1e-8,
+        "photocurrent_q": 1e-8,
+        "photocurrent_p": 1e-8,
+        "average_fidelity": 5e-3,
+    }
+
+
 def test_run_all_checks_large_dim_pass():
     results = run_all_checks(dim=90)
     assert [r.name for r in results if not r.passed] == []

@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import math
 import re
@@ -281,7 +282,7 @@ def _decode_fault(data, fault):
     return data + b"\xe2\x82"  # truncated-at-end
 
 
-@pytest.mark.parametrize("lines", ["lf", "cr"], ids=["lf", "bare-cr-stream"])
+@pytest.mark.parametrize("lines", ["lf", "cr"], ids=["lf", "bare-cr"])
 @pytest.mark.parametrize("bom", [b"", BOM], ids=["no-bom", "bom"])
 @pytest.mark.parametrize(
     "fault,reason",
@@ -294,7 +295,7 @@ def _decode_fault(data, fault):
 )
 def test_read_names_a_bad_sequence_as_decoding_the_whole_file_does(tmp_path, lines, bom, fault, reason):
     # the text of the error that decoding the whole file raises, with its offset counted from the file's
-    # start, a byte order mark included; a file over 64 KiB whose lines end in a bare \r streams
+    # start, a byte order mark included; a file over 64 KiB whose lines end in a bare \r is cut at them
     rows = _payload(np.random.default_rng(42), 2000, 2)
     data = ("\n".join([MAGIC, "2 2000", "re_im", *rows]) + "\n").encode()
     assert len(data) > 2 * 64 * 1024
@@ -312,20 +313,50 @@ def test_read_names_a_bad_sequence_as_decoding_the_whole_file_does(tmp_path, lin
     assert str(info.value) == f"cannot read {path}: {whole.value}"
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7])
-def test_decode_error_text_is_the_whole_files_at_any_chunk_size(monkeypatch, tmp_path, chunk):
-    # sequences of two, three and four bytes, and bad ones, cut anywhere by the chunks
-    monkeypatch.setattr(imagefile, "_READ_BLOCK", chunk)
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("read_block", [1, 2, 3, 4, 5, 7])
+def test_read_names_a_bad_sequence_at_any_block_size(monkeypatch, tmp_path, read_block, eol):
+    # sequences of two, three and four bytes, and bad ones, in a comment line, with blocks cut
+    # after any line end the buffer holds
+    monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
+    monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
     path = tmp_path / "bad.csv"
     good = "a\u00e9b\u20acc\U0001f600d".encode()
-    path.write_bytes(good)
-    assert imagefile._file_decode_error(path) is None
+    head, row = eol.join([MAGIC, "1 1", "re_im", "# "]).encode(), f"{eol}0.5,0.25{eol}".encode()
+    path.write_bytes(head + good + row)
+    assert read_image(path)[2] == [good.decode()]
     for bad in (b"\x80", b"\xe2\x82\n", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80", b"\xf0\x9f\x98", b"\xff"):
-        for data in (good + bad + good, good + bad):
+        for data in (head + good + bad + good + row, head + good + bad):
             path.write_bytes(data)
             with pytest.raises(UnicodeDecodeError) as whole:
                 data.decode("utf-8")
-            assert imagefile._file_decode_error(path) == str(whole.value)
+            with pytest.raises(ImageFormatError) as info:
+                read_image(path)
+            assert str(info.value) == f"cannot read {path}: {whole.value}"
+
+
+@pytest.mark.parametrize("sep", [b"\n", b"\r"], ids=["lf", "bare-cr"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "late-0xff"])
+def test_read_image_opens_the_file_once(monkeypatch, tmp_path, sep, bad):
+    # one pass over the file: a bad byte's offset comes from the block that holds it
+    img = _image_256()[:64]
+    path = tmp_path / "img.csv"
+    write_image(path, img)
+    data = path.read_bytes().replace(b"\n", sep)
+    assert len(data) > 4 * 64 * 1024
+    at = len(data) - 100
+    if bad:
+        data = data[:at] + b"\xff" + data[at + 1 :]
+    path.write_bytes(data)
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kw: opened.append(file) or real_open(file, *args, **kw))
+    if bad:
+        with pytest.raises(ImageFormatError, match=f"byte 0xff in position {at}: invalid start byte$"):
+            read_image(path)
+    else:
+        assert np.array_equal(read_image(path)[0], img)
+    assert opened == [path]
 
 
 def test_read_a_late_bad_byte_holds_one_block_of_text(tmp_path):
@@ -614,16 +645,12 @@ FAULTS = {
 def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fault):
     rows = _fixed_rows(3000 if block == "default" else 30)
     line = len(rows[0]) + 1
-    # bytes per block and most bytes in a line the kernel reads: whole lines, one or three per
-    # block; rows longer than a line may be, read as text; a header line longer than a block,
-    # so that the whole file is read as text
-    sizes = {"one-line": (line, None), "few-lines": (3 * line, None), "long-lines": (64, 64), "long-header": (16, None)}
-    read_block, max_line = sizes.get(block, (None, None))
+    # bytes per block: whole lines, one or three per block; rows longer than a block, which
+    # grows to hold them; a header line longer than a block
+    read_block = {"one-line": line, "few-lines": 3 * line, "long-lines": 64, "long-header": 16}.get(block)
     if read_block:
         monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
         monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
-    if max_line:
-        monkeypatch.setattr(imagefile, "_MAX_LINE", max_line)
     at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
     head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
     path = tmp_path / "img.csv"
@@ -695,13 +722,10 @@ def test_read_faults_at_block_boundaries_in_crlf_files(monkeypatch, tmp_path, bl
     # the same values and comments, or the same error on the same line
     rows = _fixed_rows(3000 if block == "default" else 30)
     line = len(rows[0]) + 2
-    sizes = {"one-line": (line, None), "few-lines": (3 * line, None), "long-lines": (64, 64), "long-header": (16, None)}
-    read_block, max_line = sizes.get(block, (None, None))
+    read_block = {"one-line": line, "few-lines": 3 * line, "long-lines": 64, "long-header": 16}.get(block)
     if read_block:
         monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
         monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
-    if max_line:
-        monkeypatch.setattr(imagefile, "_MAX_LINE", max_line)
     at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
     change = FAULTS[fault][0] if fault in FAULTS else (lambda row: row[:5] + "\udcff" + row[6:])
     head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
@@ -763,7 +787,7 @@ def test_read_names_the_line_of_a_bare_carriage_return_in_a_row(tmp_path, eol, c
 
 
 def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
-    # a file whose lines end in \r alone is one line of bytes: it is read as text, as it streams
+    # a file whose lines end in \r alone is cut at them and read as text, a block at a time
     img = _image_256()
     path = tmp_path / "img.csv"
     write_image(path, img)
@@ -777,7 +801,7 @@ def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
 @pytest.mark.parametrize("height,bad_line", [(20, 7), (4000, 7), (4000, 3004)], ids=["small", "large", "large-late"])
 def test_read_reports_the_first_fault_for_every_line_ending(tmp_path, sep, height, bad_line):
     # a bad cell on line 5, then a byte that is not UTF-8 on line 7, in the same 8 KiB of the
-    # file, or on line 3004; a file whose lines end in a bare \r is one line of bytes
+    # file, or on line 3004; a file whose lines end in a bare \r is cut at them
     rows = _payload(np.random.default_rng(41), height, 4)
     lines = [MAGIC, f"4 {height}", "re_im", *rows]
     lines[bad_line - 1] = "\udcff" + lines[bad_line - 1][1:]  # the byte 0xff, by surrogateescape
