@@ -34,37 +34,33 @@ array's bytes.
 
 Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  One loop
 reads the file once, past a byte order mark, in blocks of whole lines, into
-a buffer of ``_READ_BLOCK`` bytes, or a 32nd of the file if that is more.
-A block ends after the last newline in the buffer; if it holds none, after
-the last ``\\r`` before its last byte, which no newline follows and so ends
-a line as ``str.splitlines`` ends it; at the end of the file, after its last
-byte.  A full buffer with no such cut doubles.  The header's three lines and
-a run of ``#`` or blank lines under them are one block.  A block that ends
-in a newline goes to the kernel: :func:`_parse_block` takes a block whose
-lines are all rows of canonical cells, ``-?\\d+\\.\\d+`` as ``repr``
-writes them, each line ending in a newline or in ``\\r`` and a newline.  It
-finds the cells' separators, dots and signs from the block's non-digit
-bytes, reads each cell's digits as one integer D, eight per unaligned 8-byte
-word (SWAR), and rounds D * 10**-k once, with the writer's double-double
-powers of ten and Dekker's product, using only integer and IEEE + - *
-operations.
-``np.loadtxt`` reads every cell the kernel cannot certify: a cell outside
-that grammar (an exponent, a ``+``, a missing digit), over 24 digits or with
-D of 10**19 or more, a power of two, and any value within ``_TIE`` of half
-an ulp from its rounding.  Every other block (the header, ``#`` or blank
-lines, a ``\\r`` not right before a newline, ``\\x0c``, whitespace, a
-non-ASCII byte, a wrong cell count, a cell numpy does not take, a block cut
-at a ``\\r`` or at the end of the file) goes with its file offset to the one
-text route, :meth:`_Payload.text`.  It decodes the block as UTF-8, numbers
-lines as ``str.splitlines`` does, takes the file's first three as the header
-and reads rows with numpy's text reader a row at a time, so it names each
+a buffer of ``_READ_BLOCK`` bytes, or a 32nd of the file if that is more.  A
+block ends after its last line end: the last newline, or a later ``\\r``
+before the buffer's last byte, which no newline follows and so ends a line
+as ``str.splitlines`` ends it; at the end of the file, after its last byte.
+A full buffer with no line end doubles.  The header's three lines and a run
+of ``#`` or blank lines under them are one block.  Every later block goes to
+the kernel first: :func:`_parse_block` takes rows of canonical cells,
+``-?\\d+\\.\\d+`` as ``repr`` writes them, that all end in a newline, in
+``\\r`` and a newline, or all in a bare ``\\r``.  It reads each cell's
+digits as one integer D, eight per unaligned 8-byte word (SWAR), and rounds
+D * 10**-k once, with the writer's double-double powers of ten and Dekker's
+product.  ``np.loadtxt`` reads every cell the kernel cannot certify: a cell
+outside that grammar (an exponent, a ``+``, a missing digit), over 24 digits
+or with D of 10**19 or more, a power of two, and any value within ``_TIE``
+of half an ulp from its rounding.  Every other block (the header, ``#`` or
+blank lines, mixed line ends, ``\\x0c``, whitespace, a non-ASCII byte, a
+wrong cell count, a cell numpy does not take, a last line with no line end)
+goes with its file offset to the one text route, :meth:`_Payload.text`.  It
+decodes the block as UTF-8, numbers lines as ``str.splitlines`` does, takes
+the file's first three as the header and reads the block's rows in one
+``np.loadtxt`` call, which pulls them a row at a time, so it names each
 fault's line.  A byte that is not UTF-8 is a fault of its line: the lines
 before it are read first, so the first fault in file order is the one
-reported, whatever the lines end in, and the error counts the byte's
-position from the file's start.  A block holds about 7 bytes of temporaries
-per byte of text, so a 32nd of the file holds about 0.22 of the file's
-bytes, and the values go into one array: reading a 256x256 or larger image
-of 17-digit values peaks under twice its values' bytes.
+reported, and the error counts the byte's position from the file's start.  A
+block holds about 7 bytes of temporaries per byte of text, so a 32nd of the
+file holds about 0.22 of the file's bytes, and the values go into one array:
+reading a 256x256 or larger image peaks under twice its values' bytes.
 """
 
 from __future__ import annotations
@@ -327,18 +323,18 @@ def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> No
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
     # A fidelity map repeats most of its values, so each distinct bit pattern
     # is formatted once; bit patterns, not values, keep -0.0 apart from 0.0.
-    # When more than half the cells are distinct (shot maps, curve columns),
-    # the rows are formatted as they are written instead: a string per distinct
-    # value would hold over 7x the map's bytes, and formatting the repeats too
-    # is no slower from half distinct on.  On 512x512 maps, CPU time of rows
-    # over table: 2.4 at 8% distinct (a ring's map), 1.2 at 35%, 0.98 at 50%,
-    # 0.65 at 80% and 0.53 with no repeat.
+    # When more than a quarter of the cells are distinct (shot maps, curve
+    # columns), the rows are formatted as they are written instead: the table
+    # holds a string per distinct value, and from about a third distinct on it
+    # is the slower path too.  On 512x512 maps (2 vCPUs, numpy 2.4.6), CPU time
+    # of rows over table: 1.8 at 8% distinct (a ring's map), 1.2-1.3 at 20-25%,
+    # 0.9-1.1 at 30-35%, 0.8 at 50% and 0.6 at 80%.
     rows = np.asarray(rows, dtype=float)
     bits = rows.view(np.int64).ravel()
     order = np.argsort(bits)  # groups equal patterns; each map-sized array is dropped once used
     bits = bits[order]
     first = np.concatenate(([True], bits[1:] != bits[:-1]))
-    if 2 * np.count_nonzero(first) > first.size:
+    if 4 * np.count_nonzero(first) > first.size:
         del bits, order, first
         lines = _format_rows(rows)
     else:
@@ -358,7 +354,7 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
 
 _READ_BLOCK = 1 << 16  # bytes of whole lines parsed per block, at least
 _MAX_DIGITS = 24  # digits a cell may have, three words of them; D itself must stay under 10**19 < 2**64
-_PAD = _MAX_DIGITS  # bytes before a block, where the words of its first cell may start
+_PAD = _MAX_DIGITS  # zero bytes the kernel puts before a block, where the words of its first cell may start
 _TIE = 2.0**-20  # in half-ulps of the value; the kernel's value is good to about 2**-49 of one
 _MANTISSA = np.uint64(0xFFFFFFFFFFFFF)
 _EXPONENT = np.uint64(0x7FF0000000000000)
@@ -409,34 +405,37 @@ def _digit_value(words: np.ndarray, end: np.ndarray, n: np.ndarray):
 
 
 def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
-    """The values of a block of rows of ncols canonical cells, or None if it is anything else.
+    """The values of the block buf[:end] of rows of ncols canonical cells, or None if it is anything else.
 
-    buf[_PAD:end] holds whole lines, each ending in a newline or in ``\\r``
-    and a newline.  A cell is canonical when it reads ``-?\\d+\\.\\d+`` with
-    at most _MAX_DIGITS digits, and its digits read as one integer D are
-    under 10**19.  With k fraction digits, its value is D * 10**-k, computed
-    with a double-double power of ten and Dekker's exact product, rounded
-    once.  A cell that is not canonical, or whose value lies within _TIE of a
-    tie between two doubles, or is a power of two, is read by np.loadtxt.
-    The block is None if that fails, or if such a cell holds a byte other
-    than the _HANDOFF_BYTES.
+    Its last byte ends its last row: a bare ``\\r`` ends every row in a bare
+    ``\\r``, a newline every row in a newline or in ``\\r`` and a newline.  A
+    cell is canonical when it reads ``-?\\d+\\.\\d+`` with at most _MAX_DIGITS
+    digits, and its digits read as one integer D are under 10**19.  With k
+    fraction digits, its value is D * 10**-k, computed with a double-double
+    power of ten and Dekker's exact product, rounded once.  A cell that is not
+    canonical, or whose value lies within _TIE of a tie between two doubles,
+    or is a power of two, is read by np.loadtxt.  The block is None if that
+    fails, or if such a cell holds a byte other than the _HANDOFF_BYTES.
     """
-    text = np.frombuffer(buf, np.uint8, end - _PAD, _PAD)
+    text = np.frombuffer(buf, np.uint8, end)
+    eol = text[-1]  # the byte that ends each row
+    if eol != 10 and eol != 13:
+        return None
     nd = ((text - np.uint8(48)) > 9).nonzero()[0]  # every byte that is not a digit
     kinds = text[nd]
-    ends_at = ((kinds == 44) | (kinds == 10)).nonzero()[0]  # index in nd of each cell's "," or newline
+    ends_at = ((kinds == 44) | (kinds == eol)).nonzero()[0]  # index in nd of each cell's "," or row end
     if ends_at.size % ncols:
         return None
     seps = kinds[ends_at].reshape(-1, ncols)
-    if not ((seps[:, -1] == 10).all() and (seps[:, :-1] == 44).all()):
+    if not ((seps[:, -1] == eol).all() and (seps[:, :-1] == 44).all()):
         return None
     del seps
     stops = nd[ends_at]
     starts = np.empty_like(stops)
     starts[0] = 0
     np.add(stops[:-1], 1, out=starts[1:])
-    # a "\r" right before a row's newline ends its last cell; any other "\r" is in a cell, which
-    # then holds a byte outside _HANDOFF_BYTES and sends the block to the text route
+    # a "\r" right before a row's newline ends its last cell; any other "\r" or newline is in a
+    # cell, which then holds a byte outside _HANDOFF_BYTES and sends the block to the text route
     cr = np.zeros(stops.size, bool)
     cr[ncols - 1 :: ncols] = text[stops[ncols - 1 :: ncols] - 1] == 13
     ends = stops - cr
@@ -464,14 +463,14 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     n = np.where(ok, n, 16)  # two full words: a cell left to np.loadtxt adds no word and no mask
     # A copy with each integer digit moved one byte right, over the dot, so that D's digits are
     # the n bytes before the separator.  A cell moves only bytes after the separator before it.
-    moved = np.frombuffer(buf, np.uint8, end).copy()
+    moved = np.concatenate((np.zeros(_PAD, np.uint8), text))
     at = dots + _PAD
     moved[at] = moved[at - 1]
     for j in range(1, int(m.max())):
         at = dots[m > j] + (_PAD - j)
         moved[at] = moved[at - 1]
     del m, at
-    words = np.ndarray((end - 7,), "<u8", moved, 0, (1,))  # words[i] holds bytes i..i+7
+    words = np.ndarray((_PAD + end - 7,), "<u8", moved, 0, (1,))  # words[i] holds bytes i..i+7
     D, fits = _digit_value(words, ends + _PAD, n)
     ok &= fits
     del words, moved, n, fits
@@ -507,7 +506,7 @@ def _parse_block(buf, end: int, ncols: int) -> np.ndarray | None:
     bits |= neg.view(np.uint8).astype(np.uint64) << np.uint64(63)
     todo = (~ok).nonzero()[0]
     if todo.size:
-        cells = [bytes(buf[_PAD + s : _PAD + e]) for s, e in zip(starts[todo].tolist(), ends[todo].tolist())]
+        cells = [bytes(buf[s:e]) for s, e in zip(starts[todo].tolist(), ends[todo].tolist())]
         if not all(cell and not cell.translate(None, _HANDOFF_BYTES) for cell in cells):
             return None
         try:
@@ -587,10 +586,8 @@ class _Payload:
 
         A byte that is not UTF-8 is a fault of its line: the lines before it
         are read first, then its error is raised with the position counted
-        from the file's start.  np.loadtxt takes the rows in batches of about
-        _READ_BLOCK bytes of values, pulled as it parses them, so a fault is
-        still the first in line order and the text route holds one batch
-        beside the values.
+        from the file's start.  np.loadtxt takes the block's rows in one call,
+        pulled as it parses them, so a fault is still the first in line order.
         """
         try:
             lines, fault = codecs.utf_8_decode(data, "strict", True)[0].splitlines(), None
@@ -598,12 +595,10 @@ class _Payload:
             # with the bad bytes replaced, the last line is the one that holds them
             lines, fault = codecs.utf_8_decode(data[: exc.end], "replace", True)[0].splitlines()[:-1], exc
         rows = self._rows(lines)
-        for first in rows:  # pulled before np.loadtxt runs, which warns on an empty input
-            more = itertools.islice(rows, max(1, _READ_BLOCK // (8 * self.ncols)) - 1)
+        first = next(rows, None)  # pulled before np.loadtxt runs, which warns on an empty input
+        if first is not None:
             try:
-                values = np.loadtxt(
-                    itertools.chain([first], more), delimiter=",", comments=None, dtype=float, ndmin=2
-                )
+                values = np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, dtype=float, ndmin=2)
             except ValueError as exc:
                 # numpy's C text reader pulls one row at a time, so the bad cell is on the last line pulled
                 raise ImageFormatError(f"{self.path}:{self.lineno}: non-numeric cell") from exc
@@ -618,45 +613,47 @@ class _Payload:
             ) from fault
 
 
-def _read_payload(fh, payload: _Payload) -> None:
-    """Read a file from its start, past a byte order mark, into payload, a block of whole lines at a time.
+def _line_end(buf, start: int, end: int) -> int:
+    """The index after the first line end in buf[start:end], or 0; a \\r at buf[end - 1] may start a CRLF."""
+    lf = buf.find(b"\n", start, end)
+    cr = buf.find(b"\r", start, end - 1 if lf < 0 else lf)
+    return (cr if cr >= 0 and cr != lf - 1 else lf) + 1
 
-    Blocks are cut as the module docstring says.  A block that ends in a
-    newline goes to the kernel; every block the kernel does not take goes to
-    the text route with its file offset.
+
+def _read_payload(fh, payload: _Payload) -> None:
+    """Read a file from its start, past a byte order mark, into payload, in the blocks the module docstring says.
+
+    After the header, the kernel reads each block it takes, and the text route each other one.
     """
     start = len(codecs.BOM_UTF8) if fh.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
     fh.seek(start)  # the file offset of the first byte not yet read into payload
-    buf = bytearray(_PAD + _block_size(_READ_BLOCK, payload.size, 32))
-    end = _PAD  # the end of the bytes read but not yet parsed
+    buf = bytearray(_block_size(_READ_BLOCK, payload.size, 32))
+    end = 0  # the end of the bytes read but not yet parsed
     while True:  # a cut or a larger buffer leaves room to read into
         with memoryview(buf) as view:
             got = fh.readinto(view[end:])
         end += got
-        if end == _PAD:  # the end of the file, every byte read
+        if not end:  # the end of the file, every byte read
             return
         # the header's lines of bytes and a run of "#" or blank lines under them go to the text route as one block
-        cut, lines = _PAD, 0 if payload.ncols else 3
-        while cut < end and (lines > 0 or buf[cut] in b"#\n") and (nl := buf.find(b"\n", cut, end)) >= 0:
-            cut, lines = nl + 1, lines - 1
+        cut, lines = 0, 0 if payload.ncols else 3
+        while cut < end and (lines > 0 or buf[cut] in b"#\r\n") and (nl := _line_end(buf, cut, end)):
+            cut, lines = nl, lines - 1
         values = None
-        if cut == _PAD:
-            cut = buf.rfind(b"\n", _PAD, end) + 1
-            if cut:  # the whole lines in the buffer, for the kernel
+        if not cut:
+            # after the last line end: a \r before the buffer's last byte starts no CRLF
+            cut = max(lf := buf.rfind(b"\n", 0, end), buf.rfind(b"\r", lf + 1, end - 1)) + 1 if got else end
+            if cut and payload.ncols:
                 values = _parse_block(buf, cut, payload.ncols)
-            elif got:  # no newline in the buffer, so a \r before its last byte does not start a CRLF
-                cut = buf.rfind(b"\r", _PAD, end - 1) + 1
-            else:  # the end of the file, and a last line without a line end
-                cut = end
         if cut:
             if values is None:
-                payload.text(buf[_PAD:cut], start)
+                payload.text(buf[:cut], start)
             else:
                 payload.keep(values)
                 payload.lineno += values.size // payload.ncols
-            start += cut - _PAD
-            buf[_PAD : _PAD + end - cut] = buf[cut:end]
-            end = _PAD + end - cut
+            start += cut
+            buf[: end - cut] = buf[cut:end]
+            end -= cut
         elif end == len(buf):  # no line ends in the buffer
             buf.extend(bytes(len(buf)))
 

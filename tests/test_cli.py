@@ -721,14 +721,14 @@ def test_write_csv_holds_no_string_per_value_of_a_distinct_map(tmp_path):
     assert traced_peak(lambda: _write_csv(tmp_path / "shots.csv", [], "h", fid)) <= 3 * fid.nbytes
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["half-distinct-table", "over-half-distinct-rows"])
+@pytest.mark.parametrize("extra", [0, 1], ids=["quarter-distinct-table", "over-quarter-distinct-rows"])
 def test_write_csv_matches_reference_on_both_sides_of_the_row_rule(tmp_path, extra):
-    # Half the cells distinct keeps the table of distinct values; one more
-    # distinct cell writes rows.  Both maps hold -0.0 apart from 0.0.  The peak
-    # tells the paths apart: the table holds a string per distinct value.
+    # A quarter of the cells distinct keeps the table of distinct values; one
+    # more distinct cell writes rows.  Both maps hold -0.0 apart from 0.0.  The
+    # peak tells the paths apart: the table holds a string per distinct value.
     rng = np.random.default_rng(11)
     size = 256 * 256
-    distinct = size // 2 + extra
+    distinct = size // 4 + extra
     values = np.concatenate(([-0.0, 0.0], rng.random(distinct - 2)))
     cells = np.concatenate((values, values[rng.integers(0, distinct, size - distinct)]))
     rows = rng.permutation(cells).reshape(256, 256)

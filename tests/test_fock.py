@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -558,6 +559,48 @@ def test_run_all_checks_tolerance_table():
         "photocurrent_p": 1e-8,
         "average_fidelity": 5e-3,
     }
+
+
+def _overlap_deviation(s):
+    """coherent_overlap's deviation with exp scaled by s: both states' e^{-|alpha|^2/2} and the reference move."""
+    return math.exp(-abs((0.3 + 0.1j) - (-0.2 + 0.4j)) ** 2) * (s**4 - s)
+
+
+def _deficit_deviation(s):
+    """squeezed_norm_deficit's deviation at r = 1, dim 30 with tanh scaled by s: the resource and the reference move."""
+    t2 = (math.tanh(1.0) * s) ** 2
+    return (1.0 - t2**30) * (t2 - math.tanh(1.0) ** 2) / (1.0 - t2)
+
+
+def _density_deviation(s):
+    """outcome_density's deviation at r = 1 with cosh scaled by s: the resource's sech r and the reference move."""
+    c2 = math.cosh(1.0) ** 2
+    return max(-math.expm1(-abs(off) ** 2 / c2 * (1.0 - s**-2)) for off in (0.0, 0.5 + 0.5j, -1.0 + 0.3j))
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
+@pytest.mark.parametrize(
+    "row,name,predicted",
+    [
+        ("coherent_overlap", "exp", _overlap_deviation),
+        ("squeezed_norm_deficit", "tanh", _deficit_deviation),
+        ("outcome_density", "cosh", _density_deviation),
+    ],
+)
+def test_run_all_checks_row_reports_an_injected_error(monkeypatch, row, name, predicted, factor):
+    # A relative error eps in one of fock's math functions moves the row by the
+    # deviation eps predicts; eps is sized so that deviation is factor times
+    # the row's tolerance, so the verdict flips between 0.9 and 1.1.  A row that
+    # compares a value with itself, or scales its deviation, reads otherwise.
+    tolerance = {r.name: r.tolerance for r in run_all_checks()}[row]
+    eps = factor * tolerance * 1e-9 / predicted(1.0 + 1e-9)  # the deviation is linear in eps this close to 0
+    scaled = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    setattr(scaled, name, lambda x, f=getattr(math, name): f(x) * (1.0 + eps))
+    monkeypatch.setattr(fock, "math", scaled)
+    got = {r.name: r for r in run_all_checks()}[row]
+    want = predicted(1.0 + eps)
+    assert abs(got.value - want) <= 0.1 * want
+    assert got.passed is (factor < 1)
 
 
 def test_run_all_checks_large_dim_pass():

@@ -567,7 +567,7 @@ def loadtxt_cells(cells):
 def kernel_cells(cells, ncols):
     """The reader's values of rows of ncols cells, from the kernel and its hand-offs."""
     text = "".join(",".join(cells[i : i + ncols]) + "\n" for i in range(0, len(cells), ncols))
-    buf = bytearray(imagefile._PAD) + text.encode()
+    buf = text.encode()
     return imagefile._parse_block(buf, len(buf), ncols)
 
 
@@ -581,19 +581,37 @@ def test_read_kernel_is_loadtxt_on_the_sweep():
     assert np.array_equal(got.view(np.int64), loadtxt_cells(cells).view(np.int64))
 
 
-def test_read_kernel_is_loadtxt_on_workload_shaped_text(monkeypatch, tmp_path):
-    # the benchmark's inputs: repr of complex normals over sqrt(2), nearly all certified
+@pytest.mark.parametrize("eol", ["\n", "\r"], ids=["lf", "bare-cr"])
+def test_read_kernel_is_loadtxt_on_workload_shaped_text(monkeypatch, tmp_path, eol):
+    # the benchmark's inputs: repr of complex normals over sqrt(2), nearly all certified, in rows
+    # that end in a newline or in a bare \r
     rng = np.random.default_rng(39)
     img = (rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))) / math.sqrt(2.0)
     path = tmp_path / "img.csv"
     rows = [",".join(map(repr, row)) for row in img.view(float).tolist()]
-    path.write_text("\n".join([MAGIC, "256 256", "re_im", *rows]) + "\n")
+    path.write_bytes((eol.join([MAGIC, "256 256", "re_im", *rows]) + eol).encode())
     want = np.loadtxt(rows, delimiter=",", comments=None, dtype=float)
     handed = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda lines, **kw: handed.extend(lines := list(lines)) or loadtxt(lines, **kw))
     assert np.array_equal(read_image(path)[0].view(np.int64), want.view(np.int64).reshape(256, 512))
     assert len(handed) < 1e-3 * want.size  # exponent forms such as 1.2e-05, no text-route rows
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_read_last_line_without_a_line_end_after_kernel_rows(tmp_path, eol):
+    # the end of the file cuts its last block after its last byte; the kernel refuses a block
+    # whose last byte ends no row, so the text route collects a comment there and names a bad cell
+    rows = _payload(np.random.default_rng(43), 8, 2)
+    head = eol.join([MAGIC, "2 8", "re_im", *rows[:-1]]) + eol
+    path = tmp_path / "img.csv"
+    path.write_bytes((head + rows[-1] + eol + "# note").encode())
+    samples, _, comments = read_image(path)
+    assert comments == ["note"]
+    assert np.array_equal(samples.view(float), np.loadtxt(rows, delimiter=","))
+    path.write_bytes((head + rows[-1].rsplit(",", 1)[0] + ",x").encode())
+    with pytest.raises(ImageFormatError, match=r"img\.csv:11: non-numeric cell$"):
+        read_image(path)
 
 
 @pytest.mark.parametrize(
@@ -787,7 +805,7 @@ def test_read_names_the_line_of_a_bare_carriage_return_in_a_row(tmp_path, eol, c
 
 
 def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
-    # a file whose lines end in \r alone is cut at them and read as text, a block at a time
+    # a file whose lines end in \r alone is cut at them, and the kernel reads its rows
     img = _image_256()
     path = tmp_path / "img.csv"
     write_image(path, img)
