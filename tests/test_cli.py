@@ -611,6 +611,7 @@ def test_every_output_is_written_as_utf8(tmp_path):
     runs = (
         ["teleport", "--config", "run.cfg"],
         ["teleport", "--config", "run.cfg", "--json"],
+        ["teleport", "--config", "run.cfg", "--shots", "3", "--raw-plane", "--json"],
         ["profile", "--preset", "fig3", "--out-dir", "curves é"],
         ["fidelity-curve", "--preset", "fig4", "--out-dir", "curves é"],
     )
@@ -832,6 +833,7 @@ CELLS = "(1 + number of --xi values) * --samples"
         (CURVE + ["--xi", "1,2,3", "--samples", str(MAX_SAMPLES)], CELLS),
         (CURVE + ["--xi", "1,2,3,4,5", "--samples", "50001"], CELLS),
         (CURVE + ["--xi", "1,2,3,4,5,6,7,8", "--samples", "100000"], CELLS),
+        (["profile", "--r0", "1", "--ring-width", "0"], "R"),
     ],
 )
 def test_curve_commands_reject_bad_flags(tmp_path, capsys, monkeypatch, argv, flag):

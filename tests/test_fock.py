@@ -603,6 +603,53 @@ def test_run_all_checks_row_reports_an_injected_error(monkeypatch, row, name, pr
     assert got.passed is (factor < 1)
 
 
+@pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
+def test_conditional_state_overlap_reports_an_error_in_its_reference(monkeypatch, factor):
+    # A scaled tanh moves the conditional state and its reference alike, so the
+    # error goes into the reference alone: the coherent state built at
+    # zeta = tanh(r)(alpha - beta) gets zeta (1 + eps), and |<zeta (1 + eps)|zeta>|^2
+    # = exp(-|zeta eps|^2).  eps puts 1 - exp(-|zeta eps|^2) at factor times the tolerance.
+    tolerance = 1e-6
+    zeta = math.tanh(1.0) * ((0.5 + 0j) - (0.2 + 0j))
+    eps = math.sqrt(-math.log1p(-factor * tolerance)) / abs(zeta)
+    scaled = []
+
+    def reference_off(alpha, dim, f=fock.coherent_state):
+        if alpha == zeta:
+            scaled.append(alpha)
+            alpha *= 1.0 + eps
+        return f(alpha, dim)
+
+    monkeypatch.setattr(fock, "coherent_state", reference_off)
+    got = {r.name: r for r in run_all_checks()}["conditional_state_overlap"]
+    assert len(scaled) == 1
+    want = -math.expm1(-abs(zeta * eps) ** 2)
+    assert abs(got.value - want) <= 0.1 * want
+    assert (got.tolerance, got.passed) == (tolerance, factor < 1)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
+def test_average_fidelity_reports_an_error_in_its_value(monkeypatch, factor):
+    # The oracle's outcome-averaged fidelity F, scaled by 1 + eps, against (1 + tanh r)/2
+    # at r = 1: the row reads |F (1 + eps) - (1 + tanh 1)/2|.  eps moves the value by
+    # factor times the tolerance, less the row's own deviation, about 2% of it.
+    tolerance = 5e-3
+    target = (1.0 + math.tanh(1.0)) / 2.0
+    eps = factor * tolerance / target
+    values = []
+
+    def scaled(*args, f=fock.oracle_average_fidelity):
+        values.append(f(*args))
+        return values[-1] * (1.0 + eps)
+
+    monkeypatch.setattr(fock, "oracle_average_fidelity", scaled)
+    got = {r.name: r for r in run_all_checks()}["average_fidelity"]
+    (value,) = values
+    want = abs(value * (1.0 + eps) - target)
+    assert abs(got.value - want) <= 0.1 * want
+    assert (got.tolerance, got.passed) == (tolerance, factor < 1)
+
+
 def test_run_all_checks_large_dim_pass():
     results = run_all_checks(dim=90)
     assert [r.name for r in results if not r.passed] == []
