@@ -50,9 +50,9 @@ MAX_R = 700.0
 # 2.5x the normals' bytes at most (at one shot, where the scale is per pixel).
 _BLOCK_NORMALS = 1 << 20
 
-# Largest supported n_shots: one pixel's 2 * n_shots normals still fit in one
-# block, so _BLOCK_NORMALS keeps bounding memory.
-MAX_SHOTS = _BLOCK_NORMALS // 2
+# Largest supported n_shots.  One pixel's 2 * n_shots normals must fit in one
+# block, so _BLOCK_NORMALS keeps bounding memory: 2 * MAX_SHOTS <= _BLOCK_NORMALS.
+MAX_SHOTS = 1 << 19
 
 
 def average_fidelity(r):

@@ -315,9 +315,7 @@ def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> No
     with open(path, "wb") as fh:
         fh.write(f"{MAGIC}\n{width} {height}\nre_im\n".encode())
         fh.writelines(f"# {c}\n".encode() for c in comments)
-        for text in _format_rows(np.ascontiguousarray(samples).view(float)):
-            fh.write(text)
-            del text  # so one block's text is gone while the next is formatted
+        fh.writelines(_format_rows(np.ascontiguousarray(samples).view(float)))
 
 
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:

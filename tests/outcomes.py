@@ -5,7 +5,8 @@ The package evaluates the channel only per image, in the offset form of
 outcome beta.  This module keeps the per-outcome steps of the protocol:
 drawing outcomes, the receiver's conditional amplitude, the feedback
 displacement and the fidelity of one outcome, so the tests can check the
-shipped closed forms against them.
+shipped closed forms against them, and the outcome-averaged fidelity as the
+package evaluates it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ def conditional_fidelity(alpha, beta, r):
     d = np.abs(alpha - beta)
     g = 1.0 - np.tanh(r)
     return np.exp(-(g * g) * d * d)
+
+
+def numpy_fidelity(r):
+    """(1 + tanh r)/2 with tanh through numpy, the pathway the package takes, as a float."""
+    return float((1.0 + np.tanh(np.array([r]))[0]) / 2.0)
 
 
 def sample_bell_outcomes(alpha, r, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 
 from fockref import bell_probability_density, joint_state
 from kspace import eta_k, eta_quadrature
-from outcomes import conditional_fidelity, sample_bell_outcomes
+from outcomes import conditional_fidelity, numpy_fidelity, sample_bell_outcomes
 from pixelport import channel, fock, grid, spdc
 from pixelport.cli import FIG3_PAIRS, FIG4_XIS, main
 from pixelport.imagefile import write_image
@@ -20,11 +20,6 @@ from pixelport.imagefile import write_image
 
 def report(num, label, ok, detail):
     print(f"ACCEPTANCE {num} {label}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def np_fidelity(r):
-    # the package evaluates tanh through numpy; reuse that exact pathway
-    return float((1.0 + np.tanh(np.array([r]))[0]) / 2.0)
 
 
 def test_acceptance_1_average_fidelity_law():
@@ -125,7 +120,7 @@ def test_acceptance_6_spdc_ring():
         for xi in FIG4_XIS:
             fring = spdc.RingParams(r0=r0, R=width, Xi=xi)
             peak_fid = float((1.0 + np.tanh(np.abs(spdc.eta_at_radius(np.array([r0]), fring))))[0] / 2.0)
-            peaks_ok &= peak_fid == np_fidelity(xi)
+            peaks_ok &= peak_fid == numpy_fidelity(xi)
             # analytic sinc zeros inside the plotted span
             k = np.arange(1, int((x[-1] ** 2 - r0**2) / (math.pi * width**2)) + 1)
             zeros = np.sqrt(r0**2 + k * math.pi * width**2)
@@ -151,7 +146,7 @@ def test_acceptance_7_image_pipeline():
     geometry = grid.GridGeometry(width=32, height=32, pitch=1.0)
     field = grid.decompose(samples, geometry)
     profile = spdc.SqueezingProfile.uniform(geometry, 2.0)
-    want = np_fidelity(2.0)
+    want = numpy_fidelity(2.0)
 
     t0 = time.perf_counter()
     _, _, image_fidelity = channel.teleport_image(field, profile)

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from fockref import conditional_state, output_moments
+from memprobe import traced_peak
 from outcomes import conditional_amplitude, conditional_fidelity, feedback_displace, sample_bell_outcomes
 import pixelport
 from pixelport import channel, fock
@@ -297,16 +297,6 @@ def test_teleport_image_deterministic_and_block_invariant(monkeypatch):
         assert np.array_equal(fid, ref_fid)
 
 
-def traced_peak(call):
-    """The largest traced allocation total while call() runs, in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_shot_block_works_in_its_normals_buffer():
     # 100 shots on 256^2 pixels take several blocks of _BLOCK_NORMALS normals.
     # A block holds its normals and a fidelity buffer half their size plus one
@@ -385,6 +375,11 @@ def test_teleport_image_rejects_negative_shots():
     # above the cap one pixel's normals would outgrow a block
     with pytest.raises(ValueError, match=f"at most {channel.MAX_SHOTS}"):
         teleport_image(field, profile, seed=0, n_shots=channel.MAX_SHOTS + 1)
+
+
+def test_one_pixels_shots_fit_in_one_block():
+    # the shot loop takes whole pixels per block, so the block bounds memory at every n_shots up to the cap
+    assert 2 * channel.MAX_SHOTS <= channel._BLOCK_NORMALS
 
 
 def test_analytic_fidelity_never_below_floor():

@@ -6,13 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from memprobe import traced_peak
+from outcomes import numpy_fidelity
 from pixelport import channel, fock, spdc
 from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, build_parser, main
 from pixelport.config import parse_config
@@ -46,10 +47,6 @@ def write_ideal_config(tmp_path, r, name="run.cfg", **extra):
     cfg = tmp_path / name
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     return cfg
-
-
-def numpy_fidelity(r):
-    return float((1.0 + np.tanh(np.array([r]))[0]) / 2.0)
 
 
 def sample_image(shape=(4, 6), seed=8):
@@ -698,16 +695,6 @@ def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
     assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
 
 
-def traced_peak(call):
-    """The largest traced allocation total while call() runs, in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_write_csv_holds_few_map_sized_arrays(tmp_path):
     # the dedupe holds an argsort, the sorted patterns and int32 indices, not np.unique's int64 copies
     ring = spdc.RingParams(r0=64.0, R=16.0, Xi=1.5)  # the ring of write_ring_config(tmp_path, 256)
@@ -766,12 +753,11 @@ def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
     write_image(tmp_path / "in.csv", img)
     cfg = write_ring_config(tmp_path, 256)
     build_parser()  # built once per process, not per run
-    tracemalloc.start()
-    try:
+
+    def run():
         assert main(["teleport", "--config", str(cfg), *flags]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(run)
     capsys.readouterr()
     assert peak <= 3.25 * img.nbytes
 

@@ -1,7 +1,7 @@
+import functools
 import importlib.util
 import math
 import sys
-import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from fockref import bell_completeness, bell_probability_density, dense_eigen_residuals, joint_state, tail_population
+from memprobe import traced_peak
 from pixelport import fock
 from pixelport.fock import (
     MAX_DIM,
@@ -414,14 +415,12 @@ def test_photocurrent_at_the_photo_dim_cap_holds_few_three_mode_arrays():
     dim = MAX_PHOTO_DIM
     test = np.einsum("a,c->ac", coherent_state(0.3 - 0.2j, dim), coherent_state(0.25 + 0.35j, dim))
     for phase in (0.0, math.pi / 2):
-        tracemalloc.start()
-        try:
+
+        def check():
             lhs, rhs = photocurrent_check(0.45, phase, test)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert abs(lhs - rhs) < 1e-8
-        assert peak <= 45e6
+            assert abs(lhs - rhs) < 1e-8
+
+        assert traced_peak(check) <= 45e6
 
 
 def test_photocurrent_rejects_other_phases():
@@ -561,93 +560,121 @@ def test_run_all_checks_tolerance_table():
     }
 
 
-def _overlap_deviation(s):
-    """coherent_overlap's deviation with exp scaled by s: both states' e^{-|alpha|^2/2} and the reference move."""
-    return math.exp(-abs((0.3 + 0.1j) - (-0.2 + 0.4j)) ** 2) * (s**4 - s)
+# The calibration table, in row order: how a relative error eps enters each
+# row's reference (the fock attribute replaced, and eps -> its replacement),
+# and eps -> the deviation the row then reports at run_all_checks' defaults.
+ZETA = math.tanh(1.0) * ((0.5 + 0j) - (0.2 + 0j))  # the conditional state's amplitude tanh(r)(alpha - beta)
+BETA = 1.0 + 2.0j  # the eigen rows' outcome
+A, C, LO = 0.3 - 0.2j, 0.25 + 0.35j, 0.45  # the photocurrent rows' test state |A>|C> and local oscillator
 
 
-def _deficit_deviation(s):
-    """squeezed_norm_deficit's deviation at r = 1, dim 30 with tanh scaled by s: the resource and the reference move."""
-    t2 = (math.tanh(1.0) * s) ** 2
+def _math_with(name):
+    """eps -> fock.math with math.<name> scaled by 1 + eps."""
+    names = {k: getattr(math, k) for k in dir(math) if not k.startswith("_")}
+    return lambda eps: types.SimpleNamespace(**{**names, name: lambda x, f=names[name]: f(x) * (1.0 + eps)})
+
+
+def _deficit_deviation(eps):
+    """The resource's tanh r and the reference tanh(r)^(2 dim) both move."""
+    t2 = (math.tanh(1.0) * (1.0 + eps)) ** 2
     return (1.0 - t2**30) * (t2 - math.tanh(1.0) ** 2) / (1.0 - t2)
 
 
-def _density_deviation(s):
-    """outcome_density's deviation at r = 1 with cosh scaled by s: the resource's sech r and the reference move."""
+def _density_deviation(eps):
+    """The resource's sech r and the reference's cosh r both move."""
     c2 = math.cosh(1.0) ** 2
-    return max(-math.expm1(-abs(off) ** 2 / c2 * (1.0 - s**-2)) for off in (0.0, 0.5 + 0.5j, -1.0 + 0.3j))
+    return max(-math.expm1(-abs(off) ** 2 / c2 * (1.0 - (1.0 + eps) ** -2)) for off in (0.0, 0.5 + 0.5j, -1.0 + 0.3j))
 
 
-@pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
-@pytest.mark.parametrize(
-    "row,name,predicted",
-    [
-        ("coherent_overlap", "exp", _overlap_deviation),
-        ("squeezed_norm_deficit", "tanh", _deficit_deviation),
-        ("outcome_density", "cosh", _density_deviation),
-    ],
-)
-def test_run_all_checks_row_reports_an_injected_error(monkeypatch, row, name, predicted, factor):
-    # A relative error eps in one of fock's math functions moves the row by the
-    # deviation eps predicts; eps is sized so that deviation is factor times
-    # the row's tolerance, so the verdict flips between 0.9 and 1.1.  A row that
-    # compares a value with itself, or scales its deviation, reads otherwise.
-    tolerance = {r.name: r.tolerance for r in run_all_checks()}[row]
-    eps = factor * tolerance * 1e-9 / predicted(1.0 + 1e-9)  # the deviation is linear in eps this close to 0
-    scaled = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
-    setattr(scaled, name, lambda x, f=getattr(math, name): f(x) * (1.0 + eps))
-    monkeypatch.setattr(fock, "math", scaled)
-    got = {r.name: r for r in run_all_checks()}[row]
-    want = predicted(1.0 + eps)
-    assert abs(got.value - want) <= 0.1 * want
-    assert got.passed is (factor < 1)
-
-
-@pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
-def test_conditional_state_overlap_reports_an_error_in_its_reference(monkeypatch, factor):
-    # A scaled tanh moves the conditional state and its reference alike, so the
-    # error goes into the reference alone: the coherent state built at
-    # zeta = tanh(r)(alpha - beta) gets zeta (1 + eps), and |<zeta (1 + eps)|zeta>|^2
-    # = exp(-|zeta eps|^2).  eps puts 1 - exp(-|zeta eps|^2) at factor times the tolerance.
-    tolerance = 1e-6
-    zeta = math.tanh(1.0) * ((0.5 + 0j) - (0.2 + 0j))
-    eps = math.sqrt(-math.log1p(-factor * tolerance)) / abs(zeta)
+def _reference_at_zeta(eps):
+    """coherent_state with the reference alone at zeta (1 + eps); a scaled tanh would move the state too."""
     scaled = []
 
-    def reference_off(alpha, dim, f=fock.coherent_state):
-        if alpha == zeta:
+    def coherent_state(alpha, dim, f=fock.coherent_state):
+        if alpha == ZETA:
             scaled.append(alpha)
+            assert len(scaled) == 1, "only the reference is built at zeta"
             alpha *= 1.0 + eps
         return f(alpha, dim)
 
-    monkeypatch.setattr(fock, "coherent_state", reference_off)
-    got = {r.name: r for r in run_all_checks()}["conditional_state_overlap"]
-    assert len(scaled) == 1
-    want = -math.expm1(-abs(zeta * eps) ** 2)
-    assert abs(got.value - want) <= 0.1 * want
-    assert (got.tolerance, got.passed) == (tolerance, factor < 1)
+    return coherent_state
+
+
+@functools.cache
+def _window_norm():
+    """||D(BETA)|| on the eigen rows' 7 x 7 window at dim 30, by scipy's expm, over sqrt(smax) = sqrt(24)."""
+    return float(np.linalg.norm(expm_displacement(BETA, 30)[:7, :7])) / math.sqrt(24)
+
+
+def _window_at(eps):
+    """displacement at beta (1 + eps): the eigen rows' window moves, and their relations keep beta."""
+    return lambda beta, eig, f=fock.displacement: f(beta * (1.0 + eps), eig)
+
+
+def _rhs_scaled(eps):
+    """photocurrent_check with its right side, the quadrature it should read, scaled by 1 + eps."""
+
+    def check(*args, f=fock.photocurrent_check):
+        lhs, rhs = f(*args)
+        return lhs, rhs * (1.0 + eps)
+
+    return check
+
+
+@functools.cache
+def _oracle_fidelity():
+    return oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(30))
+
+
+CALIBRATION = {
+    "ladder_commutator": ("destroy", lambda eps: lambda dim, f=fock.destroy: f(dim) * (1.0 + eps), lambda eps: (1.0 + eps) ** 2 - 1.0),
+    # both states' e^{-|alpha|^2/2} and the reference exp(-|alpha - alpha'|^2) move
+    "coherent_overlap": ("math", _math_with("exp"), lambda eps: math.exp(-abs(0.5 - 0.3j) ** 2) * ((1.0 + eps) ** 4 - 1.0 - eps)),
+    "squeezed_norm_deficit": ("math", _math_with("tanh"), _deficit_deviation),
+    "conditional_state_overlap": ("coherent_state", _reference_at_zeta, lambda eps: -math.expm1(-abs(ZETA * eps) ** 2)),
+    "outcome_density": ("math", _math_with("cosh"), _density_deviation),
+    "eigen_residual_1": ("displacement", _window_at, lambda eps: abs(BETA) * eps * _window_norm()),
+    "eigen_residual_2": ("displacement", _window_at, lambda eps: abs(BETA) * eps * _window_norm()),
+    "eigen_residual_3": ("displacement", _window_at, lambda eps: abs(BETA.real) * eps * _window_norm()),
+    "eigen_residual_4": ("displacement", _window_at, lambda eps: abs(BETA.imag) * eps * _window_norm()),
+    # |LO| <q_C - q_A> and |LO| <p_A + p_C> of the coherent test state
+    "photocurrent_q": ("photocurrent_check", _rhs_scaled, lambda eps: abs(LO * math.sqrt(2.0) * (C.real - A.real)) * eps),
+    "photocurrent_p": ("photocurrent_check", _rhs_scaled, lambda eps: abs(LO * math.sqrt(2.0) * (A.imag + C.imag)) * eps),
+    # the oracle's value scaled, against (1 + tanh r)/2
+    "average_fidelity": (
+        "oracle_average_fidelity",
+        lambda eps: lambda *args, f=fock.oracle_average_fidelity: f(*args) * (1.0 + eps),
+        lambda eps: abs(_oracle_fidelity() * (1.0 + eps) - (1.0 + math.tanh(1.0)) / 2.0),
+    ),
+}
+
+
+def test_every_row_has_a_calibration_entry():
+    assert list(CALIBRATION) == [r.name for r in run_all_checks()]
+
+
+def _sized(predicted, target):
+    """The eps in (0, 1) at which predicted(eps) reaches target, by bisection."""
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if predicted(mid) < target else (lo, mid)
+    return hi
 
 
 @pytest.mark.parametrize("factor", [0.9, 1.1, 100.0])
-def test_average_fidelity_reports_an_error_in_its_value(monkeypatch, factor):
-    # The oracle's outcome-averaged fidelity F, scaled by 1 + eps, against (1 + tanh r)/2
-    # at r = 1: the row reads |F (1 + eps) - (1 + tanh 1)/2|.  eps moves the value by
-    # factor times the tolerance, less the row's own deviation, about 2% of it.
-    tolerance = 5e-3
-    target = (1.0 + math.tanh(1.0)) / 2.0
-    eps = factor * tolerance / target
-    values = []
-
-    def scaled(*args, f=fock.oracle_average_fidelity):
-        values.append(f(*args))
-        return values[-1] * (1.0 + eps)
-
-    monkeypatch.setattr(fock, "oracle_average_fidelity", scaled)
-    got = {r.name: r for r in run_all_checks()}["average_fidelity"]
-    (value,) = values
-    want = abs(value * (1.0 + eps) - target)
+@pytest.mark.parametrize("row", CALIBRATION)
+def test_run_all_checks_row_reports_an_injected_error(monkeypatch, row, factor):
+    # eps is sized so that the deviation it predicts is factor times the row's
+    # tolerance, so the verdict flips between 0.9 and 1.1.  A row that compares
+    # a value with itself, or scales its deviation, reads otherwise.
+    attr, patch, predicted = CALIBRATION[row]
+    eps = _sized(predicted, factor * {r.name: r.tolerance for r in run_all_checks()}[row])
+    monkeypatch.setattr(fock, attr, patch(eps))
+    got = {r.name: r for r in run_all_checks()}[row]
+    want = predicted(eps)
     assert abs(got.value - want) <= 0.1 * want
-    assert (got.tolerance, got.passed) == (tolerance, factor < 1)
+    assert got.passed is (factor < 1)
 
 
 def test_run_all_checks_large_dim_pass():
@@ -680,27 +707,16 @@ def test_run_all_checks_makes_at_most_three_eigendecompositions(monkeypatch):
     assert len(calls) == 2 * first
 
 
-def traced_peak(call):
-    """Peak traced (tracemalloc) bytes of a second, warm call."""
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_all_checks_at_the_dim_cap_holds_no_three_mode_state():
     # a 160^3 complex state alone is 65 MB, and the whole grid of 1681
     # outcomes 4.3 MB per array; the run peaks near 2.2 MB, about half of
     # it the eigen row's window arrays
-    assert traced_peak(lambda: run_all_checks(dim=MAX_DIM)) <= 8e6
+    assert traced_peak(lambda: run_all_checks(dim=MAX_DIM), warm=True) <= 8e6
 
 
 def test_average_fidelity_at_the_dim_cap_holds_one_block_at_a_time():
     # the grid pass holds (dim x block) arrays, not (dim x outcomes): with its eigendecomposition it peaks near 0.7 MB
-    assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(MAX_DIM))) <= 2.5e6
+    assert traced_peak(lambda: oracle_average_fidelity(0.4 + 0.2j, 1.0, position_eig(MAX_DIM)), warm=True) <= 2.5e6
 
 
 @pytest.mark.parametrize("dim", [8, 30, 90])

@@ -3,13 +3,13 @@ import cmath
 import math
 import re
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from memprobe import traced_peak
 from pixelport import imagefile
 from pixelport.imagefile import ImageFormatError, MAGIC, _format_rows, read_image, write_image
 
@@ -240,15 +240,6 @@ def floor_blocks(floor, total, share):
     return floor
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _payload(rng, height, width):
     return [",".join(map(repr, row)) for row in rng.normal(size=(height, 2 * width)).tolist()]
 
@@ -372,7 +363,7 @@ def test_read_a_late_bad_byte_holds_one_block_of_text(tmp_path):
         with pytest.raises(ImageFormatError, match=f"byte 0xff in position {at}: invalid start byte$"):
             read_image(path)
 
-    assert _traced_peak(read) <= 2 * img.nbytes
+    assert traced_peak(read) <= 2 * img.nbytes
 
 
 def test_read_header_only_payload_warns_nothing(tmp_path):
@@ -402,7 +393,7 @@ def test_read_sizes_nothing_from_the_header(tmp_path):
         with pytest.raises(ImageFormatError, match="expected 1000000000 data rows, found 1$"):
             read_image(path)
 
-    assert _traced_peak(read) < 1 << 20
+    assert traced_peak(read) < 1 << 20
 
 
 # separators that str.splitlines breaks at, and the line numbers it gives
@@ -435,13 +426,13 @@ def test_read_image_holds_one_row_of_text(tmp_path):
     path = tmp_path / "img.csv"
     write_image(path, img)
     assert path.stat().st_size > 2 * img.nbytes  # the whole text would not fit under the bound
-    assert _traced_peak(read_image, path) <= 2 * img.nbytes
+    assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
 
 
 def test_write_image_holds_one_row_of_text(tmp_path):
     img = _image_256()
     imagefile._tables.cache_clear()  # the first call builds the formatter's tables under the bound too
-    assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
+    assert traced_peak(lambda: write_image(tmp_path / "img.csv", img)) <= 0.25 * img.nbytes
 
 
 def _image_512():
@@ -455,7 +446,7 @@ def test_read_image_holds_one_row_of_text_at_512(tmp_path):
     path = tmp_path / "img.csv"
     write_image(path, img)
     assert path.stat().st_size > 32 * imagefile._READ_BLOCK
-    assert _traced_peak(read_image, path) <= 2 * img.nbytes
+    assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
 
 
 def test_write_image_holds_one_row_of_text_at_512(tmp_path):
@@ -463,7 +454,7 @@ def test_write_image_holds_one_row_of_text_at_512(tmp_path):
     img = _image_512()
     assert 2 * img.size // 64 > imagefile._BLOCK
     imagefile._tables.cache_clear()
-    assert _traced_peak(write_image, tmp_path / "img.csv", img) <= 0.25 * img.nbytes
+    assert traced_peak(lambda: write_image(tmp_path / "img.csv", img)) <= 0.25 * img.nbytes
 
 
 def test_blocks_above_the_floors_change_no_byte_and_no_bit(monkeypatch, tmp_path):
@@ -812,7 +803,7 @@ def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
     got, _, _ = read_image(path)
     assert np.array_equal(got, img)
-    assert _traced_peak(read_image, path) <= 2 * img.nbytes
+    assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])

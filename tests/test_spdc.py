@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from kspace import chi, eta_k, eta_quadrature, pixel_center, pixel_centers
+from memprobe import traced_peak
 from pixelport.grid import GridGeometry
 from pixelport.spdc import (
     RingParams,
@@ -312,13 +312,8 @@ def test_eta_at_radius_leaves_its_input_alone():
 def test_profile_for_grid_holds_two_maps():
     # the radius array and one scratch buffer: no meshgrid images, no sinc temporaries
     g, ring = GridGeometry(256, 256), RingParams(r0=64.0, R=16.0, Xi=1.5)
-    tracemalloc.start()
-    try:
-        r = profile_for_grid(g, ring).r
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * r.nbytes
+    peak = traced_peak(lambda: profile_for_grid(g, ring))
+    assert peak <= 2.5 * profile_for_grid(g, ring).r.nbytes
 
 
 def test_radial_profile_peak_normalization():
