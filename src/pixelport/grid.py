@@ -99,29 +99,37 @@ class ImageField:
         self.amplitudes = amps
 
 
-def decompose(samples: np.ndarray, geometry: GridGeometry) -> ImageField:
+def decompose(samples: np.ndarray, geometry: GridGeometry, *, out: np.ndarray | None = None) -> ImageField:
     """Turn field samples at pixel centers into per-pixel amplitudes.
 
     The mode value is taken constant over each pixel, so the amplitude of
     pixel j is the sample times the square root of the pixel area:
     ``samples * pitch``.  ValueError if finite samples overflow there;
-    ImageField names non-finite ones.
+    ImageField names non-finite ones.  The amplitudes go to ``out`` if it is
+    given (numpy's ufunc convention: a complex128 array of the grid's shape,
+    which may be ``samples`` itself); otherwise to a new array, and
+    ``samples`` is left alone.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != geometry.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {geometry.shape}")
+    finite = np.all(np.isfinite(samples))  # read before out can write over the samples
     with np.errstate(over="ignore"):
-        amps = samples * geometry.pitch
-    if not np.all(np.isfinite(amps)) and np.all(np.isfinite(samples)):
+        amps = np.multiply(samples, geometry.pitch, out=out)
+    if finite and not np.all(np.isfinite(amps)):
         raise ValueError(f"pitch = {float(geometry.pitch)!r} makes the amplitudes samples * pitch overflow")
     return ImageField(geometry, amps)
 
 
-def synthesize(fieldarr: ImageField) -> np.ndarray:
-    """Exact inverse of :func:`decompose`: recover the center samples; ValueError if they overflow."""
+def synthesize(fieldarr: ImageField, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact inverse of :func:`decompose`: recover the center samples; ValueError if they overflow.
+
+    The samples go to ``out`` if it is given, as in :func:`decompose` (it may
+    be ``fieldarr.amplitudes`` itself); otherwise to a new array.
+    """
     pitch = float(fieldarr.geometry.pitch)
     with np.errstate(over="ignore", invalid="ignore"):  # dividing can overflow where multiplying did not
-        samples = fieldarr.amplitudes / pitch
+        samples = np.divide(fieldarr.amplitudes, pitch, out=out)
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"pitch = {pitch!r} makes the output samples amplitudes / pitch overflow")
     return samples

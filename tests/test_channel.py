@@ -496,3 +496,59 @@ def test_teleport_image_returns_the_fidelity_array_and_its_fsum_mean(n_shots, ra
     _, fid, image_fidelity = teleport_image(field, profile, seed=8, n_shots=n_shots, raw_plane=raw_plane)
     assert isinstance(fid, np.ndarray) and fid.dtype == np.float64 and fid.shape == g.shape
     assert image_fidelity == math.fsum(fid.ravel()) / fid.size
+
+
+def _ring_setup():
+    # a 7x5 ring whose pixels all differ, so a pixel read from the wrong place shows
+    g = GridGeometry(7, 5, pitch=0.5)
+    rng = np.random.default_rng(41)
+    field = ImageField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    return field, profile_for_grid(g, RingParams(r0=1.0, R=0.6, Xi=1.5))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n_shots", [0, 1, 7])
+@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw-plane"])
+@pytest.mark.parametrize("target", ["new-arrays", "the-inputs"])
+def test_teleport_image_writes_into_out(monkeypatch, n_shots, raw_plane, target):
+    # out= gives the default call's bits in out's memory, also when out is the
+    # inputs and a block (here 3 pixels, no divisor of 35) ends inside a row;
+    # the default call leaves its inputs alone
+    monkeypatch.setattr(channel, "_BLOCK_NORMALS", 2 * max(1, n_shots) * 3)
+    field, profile = _ring_setup()
+    kept = _bits(field.amplitudes).copy(), _bits(profile.r).copy()
+    want, want_fid, want_mean = teleport_image(field, profile, seed=19, n_shots=n_shots, raw_plane=raw_plane)
+    assert np.array_equal(_bits(field.amplitudes), kept[0]) and np.array_equal(_bits(profile.r), kept[1])
+
+    if target == "the-inputs":
+        out = (field.amplitudes, profile.r)
+    else:
+        out = (np.empty(field.geometry.shape, dtype=complex), np.empty(field.geometry.shape))
+    got, fid, mean = teleport_image(field, profile, seed=19, n_shots=n_shots, raw_plane=raw_plane, out=out)
+    assert np.array_equal(_bits(got.amplitudes), _bits(want.amplitudes)) and np.shares_memory(got.amplitudes, out[0])
+    assert np.array_equal(_bits(fid), _bits(want_fid)) and np.shares_memory(fid, out[1])
+    assert mean == want_mean
+
+
+@pytest.mark.parametrize(
+    "which,bad",
+    [
+        (0, lambda a: a.astype(np.complex64)),
+        (1, lambda a: a.astype(np.float32)),
+        (0, lambda a: np.asfortranarray(a)),
+        (1, lambda a: a[::-1, ::-1]),
+        (0, lambda a: a[:, :-1]),
+        (1, lambda a: np.lib.stride_tricks.as_strided(a, writeable=False)),
+    ],
+    ids=["complex64", "float32", "fortran", "reversed-view", "shape", "read-only"],
+)
+def test_teleport_image_refuses_an_out_it_cannot_write_in_place(which, bad):
+    field, profile = _ring_setup()
+    out = [np.empty((5, 7), dtype=complex), np.empty((5, 7))]
+    out[which] = bad(out[which])
+    for n_shots in (0, 1):
+        with pytest.raises(ValueError, match=r"^out must hold writeable C-contiguous complex128 and float64 arrays"):
+            teleport_image(field, profile, n_shots=n_shots, out=tuple(out))

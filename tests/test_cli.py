@@ -744,11 +744,13 @@ def test_write_csv_matches_reference_on_curve_preset_at_the_cap(tmp_path, capsys
 
 @pytest.mark.parametrize("flags", [[], ["--raw-plane"]], ids=["upright", "raw-plane"])
 def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
-    # An analytic ring run drops each array once no later stage reads it, the
-    # ring profile takes two maps' worth of buffers, and the raw plane is a
-    # reversed view, not a copy.  So its traced peak is the channel's own
-    # arrays, the complex image in and out, the squeezing map and the
-    # fidelity map (3x the complex image's bytes), and a little more.
+    # An analytic ring run holds one complex image (1x its bytes) and one
+    # float map (0.5x): each stage writes over the arrays it is handed.  The
+    # upright run peaks in the fidelity CSV writer, after the image is
+    # dropped: the map and the writer's own arrays, which its tests bound by
+    # 3 maps, so 0.5x + 1.5x = 2x (it measures 1.90x).  The raw plane peaks
+    # in write_image, which copies the reversed view: image, map and copy,
+    # 2.5x, and a block of text (2.70x).
     img = sample_image((256, 256), seed=35)
     write_image(tmp_path / "in.csv", img)
     cfg = write_ring_config(tmp_path, 256)
@@ -759,7 +761,7 @@ def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
 
     peak = traced_peak(run)
     capsys.readouterr()
-    assert peak <= 3.25 * img.nbytes
+    assert peak <= (2.75 if flags else 1.95) * img.nbytes
 
 
 def test_teleport_unwritable_output(tmp_path, capsys):

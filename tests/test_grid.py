@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -86,6 +87,31 @@ def test_round_trip_energy_invariant():
     assert np.sum(np.abs(synthesize(field)) ** 2) == np.sum(np.abs(samples) ** 2)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("target", ["new-array", "the-input"])
+def test_decompose_and_synthesize_write_into_out(target):
+    # out= gives the default call's bits in out's memory; the default call leaves its input alone
+    rng = np.random.default_rng(12)
+    samples = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+    samples[0, :2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    kept = samples.copy()
+    g = GridGeometry(7, 5, pitch=0.3)
+    field = decompose(samples, g)
+    back = synthesize(field)
+    assert np.array_equal(_bits(samples), _bits(kept))
+    amps = field.amplitudes.copy()
+
+    out = samples if target == "the-input" else np.empty_like(samples)
+    got = decompose(samples, g, out=out)
+    assert np.array_equal(_bits(got.amplitudes), _bits(amps)) and np.shares_memory(got.amplitudes, out)
+    out = got.amplitudes if target == "the-input" else np.empty_like(samples)
+    got_back = synthesize(got, out=out)
+    assert np.array_equal(_bits(got_back), _bits(back)) and np.shares_memory(got_back, out)
+
+
 def test_synthesize_division():
     g = GridGeometry(1, 1, pitch=0.5)
     field = ImageField(g, np.array([[0.5 + 0.0j]]))
@@ -153,13 +179,24 @@ def test_amplitudes_in_any_memory_layout(layout):
 MAX = float(np.finfo(float).max)
 
 
+def _overflowing(stage, in_place):
+    """A call of stage whose output overflows; in_place writes it over the input array."""
+    if stage == "decompose":
+        samples = np.full((2, 2), 1e10 + 0j)
+        return lambda: decompose(samples, GridGeometry(2, 2, pitch=1e300), out=samples if in_place else None)
+    field = ImageField(GridGeometry(1, 1, pitch=1e-320), np.ones((1, 1)))
+    return lambda: synthesize(field, out=field.amplitudes if in_place else None)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: decompose(np.full((2, 2), 1e10 + 0j), GridGeometry(2, 2, pitch=1e300)), "amplitudes samples"),
-        (lambda: synthesize(ImageField(GridGeometry(1, 1, pitch=1e-320), np.ones((1, 1)))), "output samples"),
+        (_overflowing("decompose", False), "amplitudes samples"),
+        (_overflowing("synthesize", False), "output samples"),
+        (_overflowing("decompose", True), "amplitudes samples"),
+        (_overflowing("synthesize", True), "output samples"),
     ],
-    ids=["decompose", "synthesize"],
+    ids=["decompose", "synthesize", "decompose-in-place", "synthesize-in-place"],
 )
 def test_scaling_overflow_raises_without_warning(call, message):
     with warnings.catch_warnings():
@@ -169,8 +206,11 @@ def test_scaling_overflow_raises_without_warning(call, message):
 
 
 def test_decompose_names_nonfinite_samples_not_the_pitch():
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        decompose(np.array([[np.nan + 0j]]), GridGeometry(1, 1, pitch=2.0))
+    # also where another sample overflows, and written over the samples: they are read before out is written
+    for row, pitch, in_place in itertools.product(([np.nan + 0j], [np.nan + 0j, 1e10]), (2.0, 1e300), (False, True)):
+        samples = np.array([row])
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            decompose(samples, GridGeometry(len(row), 1, pitch=pitch), out=samples if in_place else None)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from kspace import chi, eta_k, eta_quadrature, pixel_center, pixel_centers
 from memprobe import traced_peak
+from pixelport import spdc
 from pixelport.grid import GridGeometry
 from pixelport.spdc import (
     RingParams,
@@ -288,10 +289,13 @@ def reference_eta(rho, ring):
     ],
     ids=["benchmark-ring", "off-centre", "r0-zero", "r0-on-centre", "squares-overflow", "pitch-1e300", "tiny-R"],
 )
-def test_profile_for_grid_keeps_the_sinc_expression_bits(geometry, ring):
+def test_profile_for_grid_keeps_the_sinc_expression_bits(monkeypatch, geometry, ring):
     with np.errstate(over="ignore"):
         want = np.abs(reference_eta(np.hypot(*pixel_centers(geometry)), ring))
-    assert np.array_equal(profile_for_grid(geometry, ring).r.view(np.int64), want.view(np.int64))
+    # blocks of one row, of 40 pixels' worth of whole rows (at least one), and the default
+    for block in (1, 40, spdc._PROFILE_BLOCK):
+        monkeypatch.setattr(spdc, "_PROFILE_BLOCK", block)
+        assert np.array_equal(profile_for_grid(geometry, ring).r.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("rho", [1.3, np.float64(1.0), np.array(0.0), np.array(1.6), np.linspace(0.0, 3.0, 513)])
@@ -310,10 +314,12 @@ def test_eta_at_radius_leaves_its_input_alone():
 
 
 def test_profile_for_grid_holds_two_maps():
-    # the radius array and one scratch buffer: no meshgrid images, no sinc temporaries
+    # the map, written a block of rows at a time, and one block's scratch:
+    # 2^14 float64 sinc arguments (0.25 of a 256^2 map) and two boolean masks
+    # (0.03 each), then the profile's finiteness mask (0.125); it measures 1.32
     g, ring = GridGeometry(256, 256), RingParams(r0=64.0, R=16.0, Xi=1.5)
     peak = traced_peak(lambda: profile_for_grid(g, ring))
-    assert peak <= 2.5 * profile_for_grid(g, ring).r.nbytes
+    assert peak <= 1.4 * profile_for_grid(g, ring).r.nbytes
 
 
 def test_radial_profile_peak_normalization():
