@@ -65,7 +65,6 @@ def teleport_image(
     profile: SqueezingProfile,
     seed: int = 0,
     n_shots: int = 0,
-    raw_plane: bool = False,
     *,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ImageField, np.ndarray, float]:
@@ -89,14 +88,9 @@ def teleport_image(
         outcome average (1 + tanh r)/2.  1 draws a single stochastic
         realization per pixel.  Larger values report per-pixel Monte Carlo
         means over that many shots, at most MAX_SHOTS.
-    raw_plane : bool
-        The physical receiving plane is point-reflected (pixel j arrives at
-        its partner).  By default the image is reflected back upright; set
-        True to get the raw plane, whose two arrays are then reversed views
-        (``[::-1, ::-1]``) of the upright ones, not copies.
     out : (image, fidelity), optional
         Writeable C-contiguous complex128 and float64 arrays of the grid's
-        shape that receive the upright image and fidelity map, in numpy's
+        shape that receive the image and fidelity map, in numpy's
         ufunc convention; they may be ``field.amplitudes`` and ``profile.r``
         themselves, which are then overwritten.  By default both are new
         arrays and the inputs are left alone.  On a 256x256 ring, with
@@ -108,7 +102,7 @@ def teleport_image(
     Returns
     -------
     (ImageField, fidelity, image_fidelity)
-        Teleported image, per-pixel fidelities on its plane, and their mean.
+        Teleported image, its per-pixel fidelities on the same grid, and their mean.
     """
     g = field.geometry
     if profile.geometry != g:
@@ -177,7 +171,4 @@ def teleport_image(
     # give the bits numpy scalars give, in about two thirds of the time; a row
     # at a time, so the floats never hold more than a row.
     mean = math.fsum(itertools.chain.from_iterable(row.tolist() for row in fid)) / fid.size
-    if raw_plane:
-        image = image[::-1, ::-1]
-        fid = fid[::-1, ::-1]
     return ImageField(g, image), fid, mean

@@ -68,8 +68,8 @@ def cmd_teleport(args) -> int:
     image and the fidelity map, and the image becomes the output samples.
     An analytic 512x512 ring run traces 1.86x the complex image's bytes at
     its peak, in the fidelity CSV writer once the image is written and
-    dropped: the map and the writer's sort arrays.  With --raw-plane it
-    peaks at 2.69x in write_image, which copies the reversed view.
+    dropped: the map and the writer's sort arrays.  So does a --raw-plane
+    run, whose point-reflected views the writers copy a block at a time.
     """
     cfg = load_config(args.config)
     overrides = {"seed": args.seed, "n_shots": args.shots}
@@ -84,15 +84,18 @@ def cmd_teleport(args) -> int:
         ring = cfg.squeezing if isinstance(cfg.squeezing, spdc.RingParams) else spdc.ring_from_spdc(cfg.squeezing)
         profile = spdc.profile_for_grid(geometry, ring)
     out_field, fid, image_fidelity = channel.teleport_image(
-        field, profile, seed=cfg.seed, n_shots=cfg.n_shots, raw_plane=args.raw_plane, out=(field.amplitudes, profile.r)
+        field, profile, seed=cfg.seed, n_shots=cfg.n_shots, out=(field.amplitudes, profile.r)
     )
     del field, profile
+    samples = synthesize(out_field, out=out_field.amplitudes)
+    if args.raw_plane:  # the physical plane: k1 = -k2 sends each pixel to its point-reflected partner
+        samples, fid = samples[::-1, ::-1], fid[::-1, ::-1]
 
     params = _run_params(cfg, geometry, args.raw_plane)
     comments = [f"{k}={v}" for k, v in params]
     fidelity = _fmt(image_fidelity)
-    write_image(cfg.output_path, synthesize(out_field, out=out_field.amplitudes), comments=tuple(comments))
-    del out_field
+    write_image(cfg.output_path, samples, comments=tuple(comments))
+    del out_field, samples
     header = ",".join(f"col{i}" for i in range(geometry.width))
     _write_csv(cfg.fidelity_map_path, comments + [f"image_fidelity={fidelity}"], header, fid)
 

@@ -6,8 +6,8 @@ to per-pixel amplitudes by scaling with the square root of the pixel area
 (``pitch``), and back.  Down-converted pairs satisfy k1 = -k2, so pixels are
 anti-correlated in pairs under point reflection through the grid center:
 pixel (i, j) pairs with (width-1-i, height-1-j), which is where a downstream
-receiver's copy of it lands.  On an array that is ``[::-1, ::-1]``, and on
-a centered grid it maps each pixel center to the negated center.
+receiver's copy of it lands.  On an array the pairing is ``[::-1, ::-1]``,
+and on a centered grid it maps each pixel center to the negated center.
 
 A corner, amplitude, output sample or center past float64 raises ValueError.
 """
@@ -121,15 +121,15 @@ def decompose(samples: np.ndarray, geometry: GridGeometry, *, out: np.ndarray | 
     return ImageField(geometry, amps)
 
 
-def synthesize(fieldarr: ImageField, *, out: np.ndarray | None = None) -> np.ndarray:
+def synthesize(field: ImageField, *, out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of :func:`decompose`: recover the center samples; ValueError if they overflow.
 
     The samples go to ``out`` if it is given, as in :func:`decompose` (it may
-    be ``fieldarr.amplitudes`` itself); otherwise to a new array.
+    be ``field.amplitudes`` itself); otherwise to a new array.
     """
-    pitch = float(fieldarr.geometry.pitch)
+    pitch = float(field.geometry.pitch)
     with np.errstate(over="ignore", invalid="ignore"):  # dividing can overflow where multiplying did not
-        samples = np.divide(fieldarr.amplitudes, pitch, out=out)
+        samples = np.divide(field.amplitudes, pitch, out=out)
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"pitch = {pitch!r} makes the output samples amplitudes / pitch overflow")
     return samples

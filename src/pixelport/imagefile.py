@@ -27,10 +27,12 @@ certify: non-finite values, subnormals, values outside the table's decades,
 exact power-of-two significands (their interval is lopsided), and any
 rounding decision within a fixed margin of a tie or an interval edge.  A
 block is ``_BLOCK`` values, or a 64th of the array's if that is more,
-whatever the row length.  It holds about 100 bytes of temporaries per value,
-so about 0.2 of the array's bytes from 256x256 on, and the tables take about
-25 kB: writing a 256x256 or larger image peaks under a quarter of its
-array's bytes.
+whatever the row length, copied from the array's ``reshape(-1)``: a view
+for C order and for its point reflection ``[::-1, ::-1]``, and a whole copy
+only for other layouts.  A block holds about 100 bytes of temporaries per
+value, so about 0.2 of the array's bytes from 256x256 on, and the tables
+take about 25 kB: writing a 256x256 or larger image in either of those two
+layouts peaks under a quarter of its array's bytes.
 
 Reading is the inverse, and gives the bits ``np.loadtxt`` gives.  One loop
 reads the file once, past a byte order mark, in blocks of whole lines, into
@@ -292,18 +294,21 @@ def _format_block(v: np.ndarray, row_end: int, ncols: int) -> bytes:
 def _format_rows(values: np.ndarray):
     """Yield the text ``",".join(map(repr, row.tolist()))`` and a newline gives each row of a 2D array, as bytes.
 
-    The values are cut into blocks in row-major order, whatever the row
-    length: ``_BLOCK`` values, or a 64th of them if that is more.  Each
-    block's text is yielded as soon as it is made.
+    A complex array gives its (re, im) pairs.  The values are cut into
+    blocks in row-major order, whatever the row length: ``_BLOCK`` values,
+    or a 64th of them if that is more, each copied from ``reshape(-1)``
+    (a view for C order and ``[::-1, ::-1]``) and its text yielded at once.
     """
-    height, width = values.shape
+    dtype, pair = (complex, 2) if values.dtype.kind == "c" else (float, 1)  # values per item
+    height, width = values.shape[0], values.shape[1] * pair
     if width == 0:
         yield b"\n" * height
         return
-    flat = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    block = _block_size(_BLOCK, flat.size, 64)
-    for start in range(0, flat.size, block):
-        yield _format_block(flat[start : start + block], (width - 1 - start) % width, width)
+    flat = values.reshape(-1)
+    block = _block_size(_BLOCK, flat.size * pair, 64)
+    for start in range(0, flat.size * pair, block):
+        items = np.ascontiguousarray(flat[start // pair : -(-(start + block) // pair)], dtype)
+        yield _format_block(items.view(float)[start % pair :][:block], (width - 1 - start) % width, width)
 
 
 def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> None:
@@ -315,7 +320,7 @@ def write_image(path, samples: np.ndarray, comments: tuple[str, ...] = ()) -> No
     with open(path, "wb") as fh:
         fh.write(f"{MAGIC}\n{width} {height}\nre_im\n".encode())
         fh.writelines(f"# {c}\n".encode() for c in comments)
-        fh.writelines(_format_rows(np.ascontiguousarray(samples).view(float)))
+        fh.writelines(_format_rows(samples))
 
 
 def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None:
@@ -328,7 +333,7 @@ def _write_csv(path, comments: list[str], header: str, rows: np.ndarray) -> None
     # of rows over table: 1.8 at 8% distinct (a ring's map), 1.2-1.3 at 20-25%,
     # 0.9-1.1 at 30-35%, 0.8 at 50% and 0.6 at 80%.
     rows = np.asarray(rows, dtype=float)
-    bits = rows.view(np.int64).ravel()
+    bits = rows.view(np.int64).reshape(-1)  # a view of a C-order map or its point reflection
     order = np.argsort(bits)  # groups equal patterns; each map-sized array is dropped once used
     bits = bits[order]
     first = np.concatenate(([True], bits[1:] != bits[:-1]))

@@ -228,8 +228,7 @@ def test_teleport_image_modes_on_a_ring_profile():
     assert np.array_equal(analytic.amplitudes, np.tanh(rs) * amps)
 
 
-@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw-plane"])
-def test_analytic_channel_matches_the_fock_oracle(raw_plane):
+def test_analytic_channel_matches_the_fock_oracle():
     # Each pixel's r comes from the shipped ring profile, up to Xi = 1.5 on the
     # pixels the ring passes through.  The oracle side is the Fock contraction
     # alone: <a> of the conditional state at outcome beta = 0, and the
@@ -252,10 +251,8 @@ def test_analytic_channel_matches_the_fock_oracle(raw_plane):
         if r not in fidelity:
             fidelity[r] = fock.oracle_average_fidelity(alpha, r, eig)
     want_fid = np.vectorize(fidelity.__getitem__)(profile.r)
-    if raw_plane:
-        mean_a, want_fid = mean_a[::-1, ::-1], want_fid[::-1, ::-1]
 
-    out, fid, _ = teleport_image(field, profile, n_shots=0, raw_plane=raw_plane)
+    out, fid, _ = teleport_image(field, profile, n_shots=0)
     assert np.max(np.abs(out.amplitudes - mean_a)) <= 1e-12
     assert np.max(np.abs(fid - want_fid)) <= 1e-3
 
@@ -333,32 +330,6 @@ def test_unsqueezed_vacuum_output_variance():
     # output = beta at r = 0; total complex variance is cosh(0)^2 = 1
     total_var = out.amplitudes.real.var() + out.amplitudes.imag.var()
     assert total_var == pytest.approx(1.0, rel=0.05)
-
-
-def test_teleport_image_raw_plane_is_point_reflection():
-    field, profile = _uniform_setup(n_side=6, r=0.4)
-    up, up_fid, up_mean = teleport_image(field, profile, seed=2, n_shots=1)
-    raw, raw_fid, raw_mean = teleport_image(field, profile, seed=2, n_shots=1, raw_plane=True)
-    assert np.array_equal(raw.amplitudes, up.amplitudes[::-1, ::-1])
-    assert np.array_equal(raw_fid, up_fid[::-1, ::-1])
-    assert raw_mean == up_mean
-
-
-@pytest.mark.parametrize("width,height", [(4, 4), (5, 5), (6, 3)], ids=["even", "odd", "6x3"])
-def test_teleport_image_raw_plane_sends_pixel_to_partner(width, height):
-    # pixel (i, j) arrives at (width-1-i, height-1-j): corners swap, the
-    # central pixel of an odd grid stays, and non-square grids keep their shape
-    rng = np.random.default_rng(5)
-    g = GridGeometry(width, height, pitch=0.5)
-    field = ImageField(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
-    profile = SqueezingProfile(g, rng.uniform(0.1, 2.0, size=g.shape))
-    up, up_fid, _ = teleport_image(field, profile, seed=4, n_shots=2)
-    raw, raw_fid, _ = teleport_image(field, profile, seed=4, n_shots=2, raw_plane=True)
-    assert raw.amplitudes.shape == g.shape
-    for j in range(height):
-        for i in range(width):
-            assert raw.amplitudes[height - 1 - j, width - 1 - i] == up.amplitudes[j, i]
-            assert raw_fid[height - 1 - j, width - 1 - i] == up_fid[j, i]
 
 
 def test_teleport_image_geometry_mismatch():
@@ -488,12 +459,11 @@ def test_teleport_image_rejects_a_same_shape_profile_of_another_grid(geometry):
 
 
 @pytest.mark.parametrize("n_shots", [0, 3])
-@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw"])
-def test_teleport_image_returns_the_fidelity_array_and_its_fsum_mean(n_shots, raw_plane):
+def test_teleport_image_returns_the_fidelity_array_and_its_fsum_mean(n_shots):
     g = GridGeometry(5, 3, pitch=0.5)
     field = ImageField(g, np.full(g.shape, 0.5 + 0.25j))
     profile = SqueezingProfile(g, np.linspace(0.0, 1.4, 15).reshape(g.shape))
-    _, fid, image_fidelity = teleport_image(field, profile, seed=8, n_shots=n_shots, raw_plane=raw_plane)
+    _, fid, image_fidelity = teleport_image(field, profile, seed=8, n_shots=n_shots)
     assert isinstance(fid, np.ndarray) and fid.dtype == np.float64 and fid.shape == g.shape
     assert image_fidelity == math.fsum(fid.ravel()) / fid.size
 
@@ -511,23 +481,22 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("n_shots", [0, 1, 7])
-@pytest.mark.parametrize("raw_plane", [False, True], ids=["upright", "raw-plane"])
 @pytest.mark.parametrize("target", ["new-arrays", "the-inputs"])
-def test_teleport_image_writes_into_out(monkeypatch, n_shots, raw_plane, target):
+def test_teleport_image_writes_into_out(monkeypatch, n_shots, target):
     # out= gives the default call's bits in out's memory, also when out is the
     # inputs and a block (here 3 pixels, no divisor of 35) ends inside a row;
     # the default call leaves its inputs alone
     monkeypatch.setattr(channel, "_BLOCK_NORMALS", 2 * max(1, n_shots) * 3)
     field, profile = _ring_setup()
     kept = _bits(field.amplitudes).copy(), _bits(profile.r).copy()
-    want, want_fid, want_mean = teleport_image(field, profile, seed=19, n_shots=n_shots, raw_plane=raw_plane)
+    want, want_fid, want_mean = teleport_image(field, profile, seed=19, n_shots=n_shots)
     assert np.array_equal(_bits(field.amplitudes), kept[0]) and np.array_equal(_bits(profile.r), kept[1])
 
     if target == "the-inputs":
         out = (field.amplitudes, profile.r)
     else:
         out = (np.empty(field.geometry.shape, dtype=complex), np.empty(field.geometry.shape))
-    got, fid, mean = teleport_image(field, profile, seed=19, n_shots=n_shots, raw_plane=raw_plane, out=out)
+    got, fid, mean = teleport_image(field, profile, seed=19, n_shots=n_shots, out=out)
     assert np.array_equal(_bits(got.amplitudes), _bits(want.amplitudes)) and np.shares_memory(got.amplitudes, out[0])
     assert np.array_equal(_bits(fid), _bits(want_fid)) and np.shares_memory(fid, out[1])
     assert mean == want_mean

@@ -834,8 +834,9 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch, tmp_path, c
     for module, attr, *_ in spans.WRAPPED:
         assert callable(getattr(modules[module], attr)), (module, attr)
 
-    # and one traced ring teleport op calls each teleport stage it wraps once,
-    # so no stage can be reached by a path that bypasses its span
+    # and one traced ring teleport op, upright or on the raw plane, calls each
+    # teleport stage it wraps once, so no stage can be reached by a path that
+    # bypasses its span
     from pixelport.cli import main
     from pixelport.imagefile import write_image
 
@@ -844,10 +845,11 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch, tmp_path, c
     keys = {"mode": "spdc", "ring_r0": 2.0, "ring_width": 0.5, "ring_xi": 1.5, "input": tmp_path / "in.csv"}
     keys.update(output=tmp_path / "out.csv", fidelity_map=tmp_path / "fmap.csv", summary=tmp_path / "summary.txt")
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
-    tracer = spans.Tracer(modules)
-    assert tracer.run_op(0, lambda: main(["teleport", "--config", str(cfg)])) == 0
-    capsys.readouterr()
-    names = [s.name for s in tracer.spans]
     stages = [name for module, _, name, _ in spans.WRAPPED if module != "pixelport.fock"]
     assert "grid.decompose" in stages and "spdc.profile_for_grid" in stages
-    assert {name: names.count(name) for name in stages} == dict.fromkeys(stages, 1)
+    for flags in ([], ["--raw-plane"]):
+        tracer = spans.Tracer(modules)
+        assert tracer.run_op(0, lambda: main(["teleport", "--config", str(cfg), *flags])) == 0
+        capsys.readouterr()
+        names = [s.name for s in tracer.spans]
+        assert {name: names.count(name) for name in stages} == dict.fromkeys(stages, 1), flags

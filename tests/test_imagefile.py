@@ -429,8 +429,12 @@ def test_read_image_holds_one_row_of_text(tmp_path):
     assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
 
 
-def test_write_image_holds_one_row_of_text(tmp_path):
+@pytest.mark.parametrize("reflect", [False, True], ids=["upright", "reflected"])
+def test_write_image_holds_one_row_of_text(tmp_path, reflect):
+    # a point-reflected view is written a block at a time too, never copied whole
     img = _image_256()
+    if reflect:
+        img = img[::-1, ::-1]
     imagefile._tables.cache_clear()  # the first call builds the formatter's tables under the bound too
     assert traced_peak(lambda: write_image(tmp_path / "img.csv", img)) <= 0.25 * img.nbytes
 
@@ -531,12 +535,24 @@ def test_format_rows_hands_each_uncertified_class_to_repr(monkeypatch, value):
     assert len(calls) == 2  # the kernel certifies 1.5, 0.1 and both zeros
 
 
+LAYOUTS = {
+    "c-order": lambda a: np.ascontiguousarray(a[:, 1:-1]),
+    "reflected": lambda a: np.ascontiguousarray(a[:, 1:-1])[::-1, ::-1],  # reshape(-1) gives a view
+    "column-slice": lambda a: a[:, 1:-1],  # reshape(-1) copies
+}
+
+
 @pytest.mark.parametrize("block", [1, 5, 2048])
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (7, 9), (2, 11)])
-def test_format_rows_blocks_cut_anywhere(monkeypatch, block, shape):
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_format_rows_blocks_cut_anywhere(monkeypatch, block, shape, dtype, layout):
+    # a complex array is written as its (re, im) pairs, so an odd block cuts a pair too
     monkeypatch.setattr(imagefile, "_BLOCK", block)
-    rows = np.random.default_rng(38).normal(size=shape)
-    assert formatted(rows) == repr_rows(rows)
+    height, width = shape
+    wide = np.random.default_rng(38).normal(size=(height, (width + 2) * (2 if dtype is complex else 1)))
+    rows = LAYOUTS[layout](wide.view(dtype))
+    assert formatted(rows) == repr_rows(np.ascontiguousarray(rows).view(float))
 
 
 def test_power_table_holds_every_decade_as_a_double_double():
