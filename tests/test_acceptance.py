@@ -14,8 +14,8 @@ from fockref import bell_probability_density, joint_state
 from kspace import eta_k, eta_quadrature
 from outcomes import conditional_fidelity, numpy_fidelity, sample_bell_outcomes
 from pixelport import channel, fock, grid, spdc
-from pixelport.cli import FIG3_PAIRS, FIG4_XIS, main
-from pixelport.imagefile import write_image
+from pixelport.cli import FIG3_PAIRS, FIG4_XIS
+from runs import BASE, complex_image, teleport
 
 
 def report(num, label, ok, detail):
@@ -141,8 +141,7 @@ def test_acceptance_6_spdc_ring():
 
 
 def test_acceptance_7_image_pipeline():
-    rng = np.random.default_rng(707)
-    samples = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    samples = complex_image((32, 32), seed=707)
     geometry = grid.GridGeometry(width=32, height=32, pitch=1.0)
     field = grid.decompose(samples, geometry)
     profile = spdc.SqueezingProfile.uniform(geometry, 2.0)
@@ -168,32 +167,16 @@ def test_acceptance_7_image_pipeline():
 
 
 def test_acceptance_8_determinism(tmp_path, monkeypatch):
-    rng = np.random.default_rng(808)
-    samples = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    default_block = channel._BLOCK_NORMALS
-
-    def run(label, block_pixels):
-        sub = tmp_path / label
-        sub.mkdir()
-        monkeypatch.chdir(sub)
-        normals = default_block if block_pixels is None else 2 * 200 * block_pixels
-        monkeypatch.setattr(channel, "_BLOCK_NORMALS", normals)
-        write_image(sub / "in.csv", samples)
-        (sub / "run.cfg").write_text(
-            "mode = spdc\ninput = in.csv\nring_r0 = 1.0\nring_width = 0.5\n"
-            "ring_xi = 1.5\nseed = 11\nn_shots = 200\n"
-        )
-        assert main(["teleport", "--config", "run.cfg"]) == 0
-        return (
-            (sub / "teleported.csv").read_bytes(),
-            (sub / "fidelity_map.csv").read_bytes(),
-            (sub / "summary.txt").read_bytes(),
-        )
-
-    base = run("a", None)
-    rerun_same = run("b", None) == base
+    samples = complex_image((8, 8), seed=808)
+    settings = {**BASE["ring"], "seed": 11, "n_shots": 200}
+    base = teleport(tmp_path / "a", samples, settings)
+    assert base[0][0] == 0
+    rerun_same = teleport(tmp_path / "b", samples, settings) == base
     # blocks of 1 and 3 pixels, and of 24 (not a divisor of the 64 pixels)
-    rerun_blocks = all(run(f"block{n}", n) == base for n in (1, 3, 24))
+    rerun_blocks = True
+    for n in (1, 3, 24):
+        monkeypatch.setattr(channel, "_BLOCK_NORMALS", 2 * 200 * n)
+        rerun_blocks &= teleport(tmp_path / f"block{n}", samples, settings) == base
     ok = rerun_same and rerun_blocks
     report(
         8,

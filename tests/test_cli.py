@@ -18,174 +18,112 @@ from memprobe import traced_peak
 from outcomes import numpy_fidelity
 import pixelport
 from pixelport import channel, fock, spdc
-from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, build_parser, main
+from pixelport.cli import FIG3_PAIRS, MAX_CELLS, MAX_SAMPLES, build_parser
 from pixelport.config import parse_config
 from pixelport.grid import GridGeometry
 from pixelport.imagefile import _write_csv, read_image, write_image
-
-RING_CFG = """
-mode = spdc
-input = {inp}
-output = {out}
-fidelity_map = {fmap}
-summary = {summary}
-ring_r0 = 1.0
-ring_width = 0.5
-ring_xi = 1.5
-n_shots = 50
-seed = 3
-"""
+from runs import BASE, complex_image, run, run_module, teleport, write_run
 
 
-def write_ideal_config(tmp_path, r, name="run.cfg", **extra):
-    settings = {
-        "mode": "ideal",
-        "input": tmp_path / "in.csv",
-        "output": tmp_path / "out.csv",
-        "fidelity_map": tmp_path / "fmap.csv",
-        "summary": tmp_path / "summary.txt",
-        "ideal_r": r,
-    }
-    settings.update(extra)
-    cfg = tmp_path / name
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-    return cfg
-
-
-def sample_image(shape=(4, 6), seed=8):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def test_teleport_ideal_analytic(tmp_path, capsys):
+def test_teleport_ideal_analytic(tmp_path):
     # power-of-two pixel count: the mean of identical per-pixel
     # fidelities is then exact, so string equality below is safe
-    img = sample_image((4, 8))
-    write_image(tmp_path / "in.csv", img)
-    cfg = write_ideal_config(tmp_path, 2.0)
-    assert main(["teleport", "--config", str(cfg)]) == 0
+    img = complex_image((4, 8))
+    (code, out, _), (_, fmap, summary) = teleport(tmp_path, img, {**BASE["ideal"], "ideal_r": 2.0})
+    assert code == 0
 
     want_fid = numpy_fidelity(2.0)
     assert want_fid == pytest.approx((1 + math.tanh(2.0)) / 2, rel=1e-15)
-    out_line = capsys.readouterr().out.strip()
-    assert out_line == f"image_fidelity={want_fid!r}"
+    assert out.strip() == f"image_fidelity={want_fid!r}"
 
-    got, encoding, comments = read_image(tmp_path / "out.csv")
+    got, encoding, comments = read_image(tmp_path / "teleported.csv")
     assert encoding == "re_im"
     assert np.array_equal(got, math.tanh(2.0) * img)
     assert "mode=ideal" in comments
 
-    fmap_lines = (tmp_path / "fmap.csv").read_text().splitlines()
+    fmap_lines = fmap.decode().splitlines()
     assert any(line == f"# image_fidelity={want_fid!r}" for line in fmap_lines)
     data_rows = [l for l in fmap_lines if not l.startswith("#") and not l.startswith("col")]
     assert len(data_rows) == 4
     assert all(float(v) == want_fid for v in data_rows[0].split(","))
 
-    summary = dict(
-        line.split("=", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
-    )
+    summary = dict(line.split("=", 1) for line in summary.decode().splitlines())
     assert summary["mode"] == "ideal"
     assert summary["n_shots"] == "0"
     assert summary["image_fidelity"] == repr(want_fid)
 
 
 def test_teleport_strong_squeezing_round_trip(tmp_path):
-    img = sample_image((3, 3), seed=9)
-    write_image(tmp_path / "in.csv", img)
-    cfg = write_ideal_config(tmp_path, 20.0)
-    assert main(["teleport", "--config", str(cfg)]) == 0
-    got, _, _ = read_image(tmp_path / "out.csv")
+    img = complex_image((3, 3), seed=9)
+    assert teleport(tmp_path, img, {**BASE["ideal"], "ideal_r": 20.0})[0][0] == 0
+    got, _, _ = read_image(tmp_path / "teleported.csv")
     assert np.allclose(got, img, rtol=0, atol=1e-8)
 
 
-def run_ring(tmp_path, monkeypatch, label, extra_args=()):
-    # bare filenames under a per-run cwd, so the emitted parameter
-    # comments (which echo the paths) are identical across runs
-    sub = tmp_path / label
-    sub.mkdir()
-    monkeypatch.chdir(sub)
-    write_image(sub / "in.csv", sample_image())
-    cfg = sub / "run.cfg"
-    cfg.write_text(RING_CFG.format(inp="in.csv", out="out.csv", fmap="fmap.csv", summary="summary.txt"))
-    assert main(["teleport", "--config", str(cfg), *extra_args]) == 0
-    return (sub / "out.csv").read_bytes(), (sub / "fmap.csv").read_bytes()
+# a ring run with 50 shots: bare file names in each run's directory keep the echoed parameters equal
+SHOTS_RING = {**BASE["ring"], "n_shots": 50, "seed": 3}
 
 
-def test_teleport_stochastic_reruns_are_byte_identical(tmp_path, capsys, monkeypatch):
-    first = run_ring(tmp_path, monkeypatch, "a")
-    second = run_ring(tmp_path, monkeypatch, "b")
-    assert first == second
-    capsys.readouterr()
+def test_teleport_stochastic_reruns_are_byte_identical(tmp_path):
+    first = teleport(tmp_path / "a", complex_image(), SHOTS_RING)
+    assert first[0][0] == 0
+    assert teleport(tmp_path / "b", complex_image(), SHOTS_RING) == first
 
 
-def test_teleport_block_size_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    default = run_ring(tmp_path, monkeypatch, "default")
+def test_teleport_block_size_does_not_change_bytes(tmp_path, monkeypatch):
+    default = teleport(tmp_path / "default", complex_image(), SHOTS_RING)
+    assert default[0][0] == 0
     # blocks of one, three and five pixels over the 24-pixel image (n_shots = 50)
     for pixels in (1, 3, 5):
         monkeypatch.setattr(channel, "_BLOCK_NORMALS", 2 * 50 * pixels)
-        assert run_ring(tmp_path, monkeypatch, f"block{pixels}") == default
-    capsys.readouterr()
+        assert teleport(tmp_path / f"block{pixels}", complex_image(), SHOTS_RING) == default
 
 
-def test_teleport_seed_and_shots_overrides(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg), "--seed", "7", "--shots", "25"]) == 0
+def test_teleport_seed_and_shots_overrides(tmp_path):
+    assert teleport(tmp_path, complex_image(), BASE["ideal"], "--seed", "7", "--shots", "25")[0][0] == 0
     summary = dict(
         line.split("=", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
     )
     assert summary["seed"] == "7"
     assert summary["n_shots"] == "25"
-    assert main(["teleport", "--config", str(cfg), "--shots", "-1"]) == 1
-    assert main(["teleport", "--config", str(cfg), "--shots", str(channel.MAX_SHOTS + 1)]) == 1
+    assert run(["teleport", "--config", "run.cfg", "--shots", "-1"], tmp_path)[0] == 1
     cap = channel.MAX_SHOTS
-    assert capsys.readouterr().err.endswith(f"error: n_shots must be at most {cap}, got {cap + 1}\n")
+    code, _, err = run(["teleport", "--config", "run.cfg", "--shots", str(cap + 1)], tmp_path)
+    assert code == 1
+    assert err.endswith(f"error: n_shots must be at most {cap}, got {cap + 1}\n")
 
 
-def test_parser_carries_no_flags_between_calls(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, 1.0, seed=11, n_shots=2)
-    assert main(["teleport", "--config", str(cfg), "--seed", "5", "--shots", "3", "--raw-plane", "--json"]) == 0
+def test_parser_carries_no_flags_between_calls(tmp_path):
+    settings = {**BASE["ideal"], "seed": 11, "n_shots": 2}
+    flags = ["--seed", "5", "--shots", "3", "--raw-plane", "--json"]
+    assert teleport(tmp_path, complex_image(), settings, *flags)[0][0] == 0
     first = json.loads((tmp_path / "summary.txt").read_text())
     assert (first["seed"], first["n_shots"], first["raw_plane"]) == ("5", "3", "true")
     # the same process and parser, no flags: the config's values, the upright plane, key=value lines
-    assert main(["teleport", "--config", str(cfg)]) == 0
+    assert run(["teleport", "--config", "run.cfg"], tmp_path)[0] == 0
     text = (tmp_path / "summary.txt").read_text()
     summary = dict(line.split("=", 1) for line in text.splitlines())
     assert (summary["seed"], summary["n_shots"], summary["raw_plane"]) == ("11", "2", "false")
-    capsys.readouterr()
 
 
-def run_captured(capsys, argv):
-    """(exit code, stdout, stderr) of one main call; --help exits through SystemExit."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def test_parser_is_built_once_and_behaves_as_fresh(capsys):
+def test_parser_is_built_once_and_behaves_as_fresh():
     assert build_parser() is build_parser()
     calls = (["oracle-verify", "--dim", "abc"], ["oracle-verify", "--json"], ["--help"])
-    reused = [run_captured(capsys, argv) for argv in calls]
+    reused = [run(argv) for argv in calls]
     assert [code for code, _, _ in reused] == [1, 0, 0]
     fresh = []
     for argv in calls:
         build_parser.cache_clear()
-        fresh.append(run_captured(capsys, argv))
+        fresh.append(run(argv))
     assert reused == fresh
 
 
-def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, 1.0, n_shots=1)
-    assert main(["teleport", "--config", str(cfg), "--seed", "-1"]) == 1
-    err = capsys.readouterr().err
+def test_teleport_rejects_negative_seed_flag(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, complex_image(), {**BASE["ideal"], "n_shots": 1}, "--seed", "-1")
+    assert code == 1
     assert err == "error: seed must be non-negative\n"
     assert "Traceback" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "teleported.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -201,13 +139,12 @@ def test_teleport_rejects_negative_seed_flag(tmp_path, capsys):
     ],
     ids=["seed-underscore", "seed-arabic-indic", "r-underscore", "r-arabic-indic", "pitch-fullwidth", "flag-seed", "flag-shots"],
 )
-def test_teleport_numbers_are_ascii_without_underscores(tmp_path, capsys, settings, flags, message):
+def test_teleport_numbers_are_ascii_without_underscores(tmp_path, settings, flags, message):
     # the image reader's rule for a cell: int() and float() would read these as 10, 3, 10.5, 1.5, 1, 10 and 2
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, settings.pop("ideal_r", 1.0), **settings)
-    assert main(["teleport", "--config", str(cfg), *flags]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out.csv").exists()
+    (code, _, err), _ = teleport(tmp_path, complex_image(), {**BASE["ideal"], **settings}, *flags)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "teleported.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -220,45 +157,11 @@ def test_teleport_numbers_are_ascii_without_underscores(tmp_path, capsys, settin
         ["oracle-verify", "--dim", "3_0"],
     ],
 )
-def test_curve_and_oracle_flags_are_ascii_without_underscores(tmp_path, capsys, argv):
-    assert main([*argv, "--out", str(tmp_path / "c.csv")] if argv[0] != "oracle-verify" else argv) == 1
-    err = capsys.readouterr().err
+def test_curve_and_oracle_flags_are_ascii_without_underscores(tmp_path, argv):
+    code, _, err = run([*argv, "--out", str(tmp_path / "c.csv")] if argv[0] != "oracle-verify" else argv)
+    assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "c.csv").exists()
-
-
-BASE_SETTINGS = {
-    "ideal": {"mode": "ideal", "ideal_r": 1.0},
-    "ring": {"mode": "spdc", "ring_r0": 1.0, "ring_width": 0.5, "ring_xi": 1.5},
-    "spdc": {
-        "mode": "spdc",
-        "spdc_pump_waist": 200.0,
-        "spdc_mode_waist": 15.0,
-        "spdc_length": 5.0,
-        "spdc_pump_k": 10.0,
-        "spdc_signal_k": 5.05,
-        "spdc_angle": 0.1,
-        "spdc_focal": 100.0,
-        "spdc_xi": 1.0,
-    },
-}
-
-
-def _run_teleport(tmp_path, mode, n_shots=1, image=None, flags=(), **changes):
-    """Teleport image (default sample_image()) with BASE_SETTINGS[mode] plus changes and flags; returns the exit code."""
-    write_image(tmp_path / "in.csv", sample_image() if image is None else image)
-    settings = {
-        **BASE_SETTINGS[mode],
-        "input": tmp_path / "in.csv",
-        "output": tmp_path / "out.csv",
-        "fidelity_map": tmp_path / "fmap.csv",
-        "summary": tmp_path / "summary.txt",
-        "n_shots": n_shots,
-        **changes,
-    }
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
-    return main(["teleport", "--config", str(cfg), *flags])
 
 
 @pytest.mark.parametrize(
@@ -277,31 +180,30 @@ def _run_teleport(tmp_path, mode, n_shots=1, image=None, flags=(), **changes):
         ("spdc", "spdc_xi", "800"),
     ],
 )
-def test_teleport_bad_numbers_exit_cleanly(tmp_path, capsys, mode, key, value):
-    assert _run_teleport(tmp_path, mode, **{"origin_y": 0.0, "origin_x": 0.0, key: value}) == 1
-    err = capsys.readouterr().err
+def test_teleport_bad_numbers_exit_cleanly(tmp_path, mode, key, value):
+    settings = {**BASE[mode], "n_shots": 1, "origin_y": 0.0, "origin_x": 0.0, key: value}
+    (code, _, err), _ = teleport(tmp_path, complex_image(), settings)
+    assert code == 1
     assert err.startswith(f"error: {key} must be")
     assert "Traceback" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "teleported.csv").exists()
 
 
-def test_teleport_pitch_overflow_exits_cleanly(tmp_path, capsys):
+def test_teleport_pitch_overflow_exits_cleanly(tmp_path):
     # finite samples whose amplitudes samples * pitch overflow float64
-    write_image(tmp_path / "in.csv", np.array([[1e308, 1e308], [-1e308, 1e308j]]))
-    cfg = write_ideal_config(tmp_path, 1.0, pitch=4.0)
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
+    image = np.array([[1e308, 1e308], [-1e308, 1e308j]])
+    (code, _, err), _ = teleport(tmp_path, image, {**BASE["ideal"], "pitch": 4.0})
+    assert code == 1
     assert err.startswith("error: pitch")
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
 
-def test_teleport_shot_mean_overflow_exits_cleanly(tmp_path, capsys):
+def test_teleport_shot_mean_overflow_exits_cleanly(tmp_path):
     # samples * pitch is finite, but summing three shots of ~1.7e308 is not
-    write_image(tmp_path / "in.csv", np.full((2, 2), 1e308, dtype=complex))
-    cfg = write_ideal_config(tmp_path, 1.0, pitch=1.7, n_shots=3)
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
+    image = np.full((2, 2), 1e308, dtype=complex)
+    (code, _, err), _ = teleport(tmp_path, image, {**BASE["ideal"], "pitch": 1.7, "n_shots": 3})
+    assert code == 1
     assert err.startswith("error: the teleported amplitudes overflow")
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
@@ -333,9 +235,8 @@ RADIUS_OVERFLOWS = {"origin_x": "1.5e308", "origin_y": "1.5e308"}
         "spdc-width-inf",
     ],
 )
-def test_teleport_rings_beyond_float64_exit_cleanly(tmp_path, capsys, mode, changes):
-    code = _run_teleport(tmp_path, mode, n_shots=0, **changes)
-    err = capsys.readouterr().err
+def test_teleport_rings_beyond_float64_exit_cleanly(tmp_path, mode, changes):
+    (code, _, err), _ = teleport(tmp_path, complex_image(), {**BASE[mode], "n_shots": 0, **changes})
     if mode == "spdc":
         assert code == 1
         assert err.startswith("error: the spdc parameters put the ring") and err.count("\n") == 1
@@ -343,7 +244,7 @@ def test_teleport_rings_beyond_float64_exit_cleanly(tmp_path, capsys, mode, chan
     else:
         # the ring lies far from every pixel (or is too thin to reach a pixel centre): sinc's limit 0
         assert code == 0 and err == ""
-        got, _, _ = read_image(tmp_path / "out.csv")
+        got, _, _ = read_image(tmp_path / "teleported.csv")
         assert np.all(np.isfinite(got.view(float)))
         assert "image_fidelity=0.5\n" in (tmp_path / "summary.txt").read_text()
 
@@ -358,59 +259,49 @@ def test_teleport_rings_beyond_float64_exit_cleanly(tmp_path, capsys, mode, chan
         ("0.10311655827913957", 0, np.full((2, 2), np.finfo(float).max, dtype=complex)),
     ],
 )
-def test_teleport_never_writes_an_image_its_reader_refuses(tmp_path, capsys, pitch, n_shots, image):
-    if image is not None:
-        write_image(tmp_path / "in.csv", image)
-        cfg = write_ideal_config(tmp_path, 20.0, pitch=pitch, n_shots=n_shots)
-        code = main(["teleport", "--config", str(cfg)])
-    else:
-        code = _run_teleport(tmp_path, "ideal", n_shots=n_shots, pitch=pitch)
+def test_teleport_never_writes_an_image_its_reader_refuses(tmp_path, pitch, n_shots, image):
+    r = 1.0 if image is None else 20.0
+    settings = {**BASE["ideal"], "ideal_r": r, "pitch": pitch, "n_shots": n_shots}
+    (code, _, err), _ = teleport(tmp_path, complex_image() if image is None else image, settings)
     assert code == 1
-    err = capsys.readouterr().err
     assert err == f"error: pitch = {float(pitch)!r} makes the output samples amplitudes / pitch overflow\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
 
-def test_teleport_largest_r_runs_stochastic(tmp_path, capsys):
-    img = sample_image((16, 16))
-    write_image(tmp_path / "in.csv", img)
-    cfg = write_ideal_config(tmp_path, channel.MAX_R, n_shots=1)
-    assert main(["teleport", "--config", str(cfg)]) == 0
-    got, _, _ = read_image(tmp_path / "out.csv")
+def test_teleport_largest_r_runs_stochastic(tmp_path):
+    img = complex_image((16, 16))
+    assert teleport(tmp_path, img, {**BASE["ideal"], "ideal_r": channel.MAX_R, "n_shots": 1})[0][0] == 0
+    got, _, _ = read_image(tmp_path / "teleported.csv")
     # noise of standard deviation e^-r / sqrt(2) per quadrature, and rounding
     assert np.all(np.abs(got - img) <= 8.0 * math.exp(-channel.MAX_R) + 4.0 * np.finfo(float).eps * np.abs(img))
-    capsys.readouterr()
 
 
-def test_teleport_json_summary(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image((4, 8)))
-    cfg = write_ideal_config(tmp_path, 0.5)
-    assert main(["teleport", "--config", str(cfg), "--json"]) == 0
+def test_teleport_json_summary(tmp_path):
+    assert teleport(tmp_path, complex_image((4, 8)), {**BASE["ideal"], "ideal_r": 0.5}, "--json")[0][0] == 0
     summary = json.loads((tmp_path / "summary.txt").read_text())
     assert summary["mode"] == "ideal"
     assert float(summary["image_fidelity"]) == numpy_fidelity(0.5)
-    assert summary["output"].endswith("out.csv")
-    capsys.readouterr()
+    assert summary["output"].endswith("teleported.csv")
 
 
 @pytest.mark.parametrize("n_shots", [1, 2])
 @pytest.mark.parametrize("width,height", [(4, 4), (5, 5), (6, 3)], ids=["even", "odd", "6x3"])
-def test_teleport_raw_plane_reflects(tmp_path, capsys, width, height, n_shots):
+def test_teleport_raw_plane_reflects(tmp_path, width, height, n_shots):
     # pixel (i, j) arrives at (width-1-i, height-1-j): corners swap, the
     # central pixel of an odd grid stays, and non-square grids keep their
     # shape; a ring at pitch 0.5 and the shots make every pixel differ
     planes = []
     for flags in ((), ("--raw-plane",)):
-        run = tmp_path / ("raw" if flags else "upright")
-        run.mkdir()
-        image = sample_image((height, width), seed=5)
-        assert _run_teleport(run, "ring", n_shots, image, flags, pitch=0.5, seed=4) == 0
-        lines = (run / "fmap.csv").read_text().splitlines()
+        run_dir = tmp_path / ("raw" if flags else "upright")
+        image = complex_image((height, width), seed=5)
+        settings = {**BASE["ring"], "n_shots": n_shots, "pitch": 0.5, "seed": 4}
+        (code, _, _), (_, fmap, summary) = teleport(run_dir, image, settings, *flags)
+        assert code == 0
+        lines = fmap.decode().splitlines()
         fmap = np.array([[float(c) for c in line.split(",")] for line in lines if not line.startswith(("#", "col"))])
-        summary = dict(line.split("=", 1) for line in (run / "summary.txt").read_text().splitlines())
-        got, _, comments = read_image(run / "out.csv")
+        summary = dict(line.split("=", 1) for line in summary.decode().splitlines())
+        got, _, comments = read_image(run_dir / "teleported.csv")
         planes.append((got, fmap, summary, comments))
-    capsys.readouterr()
     (up, up_map, up_summary, _), (raw, raw_map, raw_summary, raw_comments) = planes
     assert raw.shape == raw_map.shape == (height, width)
     assert np.array_equal(raw, up[::-1, ::-1]) and np.array_equal(raw_map, up_map[::-1, ::-1])
@@ -436,11 +327,10 @@ SOURCE_ECHO = {
 
 
 @pytest.mark.parametrize("mode", sorted(SOURCE_ECHO))
-def test_teleport_echoes_run_parameters_in_order(tmp_path, capsys, mode):
-    assert _run_teleport(tmp_path, mode, n_shots=2) == 0
-    capsys.readouterr()
+def test_teleport_echoes_run_parameters_in_order(tmp_path, mode):
+    assert teleport(tmp_path, complex_image(), {**BASE[mode], "n_shots": 2})[0][0] == 0
     params = [
-        f"mode={BASE_SETTINGS[mode]['mode']}",
+        f"mode={BASE[mode]['mode']}",
         *SOURCE_ECHO[mode],
         "seed=0",
         "n_shots=2",
@@ -450,16 +340,16 @@ def test_teleport_echoes_run_parameters_in_order(tmp_path, capsys, mode):
         "origin_x=-3.0",
         "origin_y=-2.0",
         "raw_plane=false",
-        f"input={tmp_path / 'in.csv'}",
+        "input=in.csv",
     ]
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert summary[: len(params)] == params
     keys = [line.partition("=")[0] for line in summary[len(params) :]]
     assert keys == ["image_fidelity", "output", "fidelity_map"]
-    assert summary[-2:] == [f"output={tmp_path / 'out.csv'}", f"fidelity_map={tmp_path / 'fmap.csv'}"]
-    assert read_image(tmp_path / "out.csv")[2] == params
-    fmap_comments = [line[2:] for line in (tmp_path / "fmap.csv").read_text().splitlines() if line.startswith("# ")]
-    assert fmap_comments == params + [summary[len(params)]]
+    assert summary[-2:] == ["output=teleported.csv", "fidelity_map=fidelity_map.csv"]
+    assert read_image(tmp_path / "teleported.csv")[2] == params
+    fmap_lines = (tmp_path / "fidelity_map.csv").read_text().splitlines()
+    assert [line[2:] for line in fmap_lines if line.startswith("# ")] == params + [summary[len(params)]]
 
 
 HUGE_PITCH = "1.7976931348623157e308"
@@ -467,11 +357,9 @@ HUGE_PITCH = "1.7976931348623157e308"
 ROW_IMAGE = np.array([[0.5, 0.25, 0.125]], dtype=complex)
 
 
-def test_teleport_origin_overflow_exits_cleanly(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", ROW_IMAGE)
-    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
+def test_teleport_origin_overflow_exits_cleanly(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, ROW_IMAGE, {**BASE["ideal"], "pitch": HUGE_PITCH})
+    assert code == 1
     assert err.startswith("error: grid origin must be finite") and len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
@@ -486,39 +374,37 @@ CENTERS_PAST_FLOAT64 = [
 
 
 @pytest.mark.parametrize("grid", CENTERS_PAST_FLOAT64, ids=["sum-overflows", "product-overflows"])
-def test_teleport_pixel_centers_past_float64_exit_cleanly(tmp_path, capsys, grid):
-    assert _run_teleport(tmp_path, "ring", n_shots=0, image=QUARTER_IMAGE, **grid) == 1
-    err = capsys.readouterr().err
+def test_teleport_pixel_centers_past_float64_exit_cleanly(tmp_path, grid):
+    (code, _, err), _ = teleport(tmp_path, QUARTER_IMAGE, {**BASE["ring"], "n_shots": 0, **grid})
+    assert code == 1
     assert err == "error: pixel centers must be finite, got origin_x + (2 - 0.5) * pitch = inf\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "run.cfg"]
 
 
-def test_teleport_ideal_huge_pitch_computes_no_centers(tmp_path, capsys):
+def test_teleport_ideal_huge_pitch_computes_no_centers(tmp_path):
     # the centred corner -pitch is finite, and an ideal run never asks for the pixel centres
-    write_image(tmp_path / "in.csv", QUARTER_IMAGE)
-    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
-    assert main(["teleport", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().err == ""
-    got, _, _ = read_image(tmp_path / "out.csv")
+    (code, _, err), _ = teleport(tmp_path, QUARTER_IMAGE, {**BASE["ideal"], "pitch": HUGE_PITCH})
+    assert code == 0
+    assert err == ""
+    got, _, _ = read_image(tmp_path / "teleported.csv")
     np.testing.assert_array_equal(got, np.tanh(1.0) * (QUARTER_IMAGE * float(HUGE_PITCH)) / float(HUGE_PITCH))
 
 
-def test_teleport_reports_the_corner_before_the_amplitudes(tmp_path, capsys):
+def test_teleport_reports_the_corner_before_the_amplitudes(tmp_path):
     # 4 * HUGE_PITCH overflows too, but the grid is built, and its corner checked, first
-    write_image(tmp_path / "in.csv", ROW_IMAGE * 8)
-    cfg = write_ideal_config(tmp_path, 1.0, pitch=HUGE_PITCH)
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error: grid origin must be finite")
+    (code, _, err), _ = teleport(tmp_path, ROW_IMAGE * 8, {**BASE["ideal"], "pitch": HUGE_PITCH})
+    assert code == 1
+    assert err.startswith("error: grid origin must be finite")
 
 
 @pytest.mark.parametrize("in_config", [True, False], ids=["config-key", "shots-flag"])
-def test_teleport_checks_shots_cap_before_reading_input(tmp_path, capsys, in_config):
+def test_teleport_checks_shots_cap_before_reading_input(tmp_path, in_config):
     # in.csv does not exist: an unreadable input would exit 2
     cap = channel.MAX_SHOTS
-    cfg = write_ideal_config(tmp_path, 1.0, **({"n_shots": cap + 1} if in_config else {}))
-    flags = [] if in_config else ["--shots", str(cap + 1)]
-    assert main(["teleport", "--config", str(cfg), *flags]) == 1
-    assert capsys.readouterr().err == f"error: n_shots must be at most {cap}, got {cap + 1}\n"
+    settings = {**BASE["ideal"], **({"n_shots": cap + 1} if in_config else {})}
+    (code, _, err), _ = teleport(tmp_path, None, settings, *([] if in_config else ["--shots", str(cap + 1)]))
+    assert code == 1
+    assert err == f"error: n_shots must be at most {cap}, got {cap + 1}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
@@ -533,96 +419,75 @@ def replay_config(summary_path) -> str:
     return "".join(f"{k} = {v}\n" for k, _, v in items if k not in NOT_CONFIG_KEYS)
 
 
-@pytest.mark.parametrize("mode", sorted(BASE_SETTINGS))
+@pytest.mark.parametrize("mode", sorted(BASE))
 @pytest.mark.parametrize(
     "grid",
     [{}, {"pitch": 0.5, "origin_x": -0.75, "origin_y": 0.25}, {"pitch": HUGE_PITCH}],
     ids=["default-grid", "explicit-grid", "huge-pitch"],
 )
-def test_summary_replays_as_config(tmp_path, capsys, monkeypatch, mode, grid):
-    write_image(tmp_path / "in.csv", ROW_IMAGE)
-    first = tmp_path / "first"
-    first.mkdir()
-    monkeypatch.chdir(first)
-    cfg = first / "run.cfg"
-    settings = {**BASE_SETTINGS[mode], **grid, "input": tmp_path / "in.csv"}
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+def test_summary_replays_as_config(tmp_path, mode, grid):
     flags = ["--shots", "2", "--seed", "3"]
-    if main(["teleport", "--config", str(cfg), *flags]) == 1:
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert [p.name for p in first.iterdir()] == ["run.cfg"]
+    (code, _, _), first = teleport(tmp_path / "first", ROW_IMAGE, {**BASE[mode], **grid}, *flags)
+    if code == 1:
+        assert sorted(p.name for p in (tmp_path / "first").iterdir()) == ["in.csv", "run.cfg"]
         return
-    replay = tmp_path / "replay"
-    replay.mkdir()
-    monkeypatch.chdir(replay)
-    text = replay_config(first / "summary.txt")
+    text = replay_config(tmp_path / "first" / "summary.txt")
     parse_config(text)
-    (replay / "run.cfg").write_text(text)
-    assert main(["teleport", "--config", str(replay / "run.cfg"), *flags]) == 0
-    capsys.readouterr()
-    for name in ("teleported.csv", "fidelity_map.csv"):
-        assert (replay / name).read_bytes() == (first / name).read_bytes()
+    (code, _, _), replay = teleport(tmp_path / "replay", ROW_IMAGE, text, *flags)
+    assert code == 0
+    assert replay[:2] == first[:2]  # the teleported image and the fidelity map
 
 
-def test_teleport_missing_config(tmp_path, capsys):
-    assert main(["teleport", "--config", str(tmp_path / "nope.cfg")]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_teleport_missing_config(tmp_path):
+    code, _, err = run(["teleport", "--config", str(tmp_path / "nope.cfg")])
+    assert code == 1
+    assert "error:" in err
 
 
-def test_teleport_invalid_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = ideal\ninput = x\nideal_r = 1\nwavelength = 5\n")
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    assert "unknown key" in capsys.readouterr().err
+def test_teleport_invalid_config(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, None, {**BASE["ideal"], "wavelength": 5})
+    assert code == 1
+    assert "unknown key" in err
 
 
-def test_teleport_missing_input_image(tmp_path, capsys):
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_teleport_missing_input_image(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, None, BASE["ideal"])
+    assert code == 2
+    assert "error:" in err
 
 
-def test_teleport_malformed_input_image(tmp_path, capsys):
-    (tmp_path / "in.csv").write_text("not-an-image\n1 1\nre_im\n0.0,0.0\n")
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    assert "bad magic" in capsys.readouterr().err
+def test_teleport_malformed_input_image(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, b"not-an-image\n1 1\nre_im\n0.0,0.0\n", BASE["ideal"])
+    assert code == 2
+    assert "bad magic" in err
 
 
-def test_teleport_loose_dimension_line_exits_2(tmp_path, capsys):
-    inp = tmp_path / "in.csv"
-    inp.write_text("pixelport-image-v1\n1_0 1\nre_im\n0.0,0.0\n", encoding="utf-8")
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {inp}: bad dimension line '1_0 1'\n"
+def test_teleport_loose_dimension_line_exits_2(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, b"pixelport-image-v1\n1_0 1\nre_im\n0.0,0.0\n", BASE["ideal"])
+    assert code == 2
+    assert err == "error: in.csv: bad dimension line '1_0 1'\n"
 
 
-def test_teleport_undecodable_image(tmp_path, capsys):
-    (tmp_path / "in.csv").write_bytes(b"\xff\xfe\x00garbage")
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
+def test_teleport_undecodable_image(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, b"\xff\xfe\x00garbage", BASE["ideal"])
+    assert code == 2
     assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
 
 
-def test_teleport_header_only_image_exits_with_one_line(tmp_path, capsys):
+def test_teleport_header_only_image_exits_with_one_line(tmp_path):
     # numpy's reader warns on an empty payload, so the reader must never hand it one
-    inp = tmp_path / "in.csv"
-    inp.write_text("pixelport-image-v1\n2 2\nre_im\n# a comment\n\n")
-    cfg = write_ideal_config(tmp_path, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["teleport", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {inp}: expected 2 data rows, found 0\n"
+        (code, _, err), _ = teleport(tmp_path, b"pixelport-image-v1\n2 2\nre_im\n# a comment\n\n", BASE["ideal"])
+    assert code == 2
+    assert err == "error: in.csv: expected 2 data rows, found 0\n"
 
 
 def test_every_output_is_written_as_utf8(tmp_path):
     # a non-ASCII input path is echoed into "# input=...", so no writer may fall back to the locale's encoding
-    write_image(tmp_path / "in é.csv", sample_image())
-    (tmp_path / "run.cfg").write_text("mode = ideal\ninput = in é.csv\nideal_r = 1.0\nn_shots = 1\n", encoding="utf-8")
-    cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "pixelport.cli"]
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    write_image(tmp_path / "in é.csv", complex_image())
+    write_run(tmp_path, None, {**BASE["ideal"], "input": "in é.csv", "n_shots": 1})
+    options = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
     runs = (
         ["teleport", "--config", "run.cfg"],
         ["teleport", "--config", "run.cfg", "--json"],
@@ -631,7 +496,7 @@ def test_every_output_is_written_as_utf8(tmp_path):
         ["fidelity-curve", "--preset", "fig4", "--out-dir", "curves é"],
     )
     for argv in runs:
-        proc = subprocess.run(cmd + argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        proc = run_module(tmp_path, *argv, options=options)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
     _, _, comments = read_image(tmp_path / "teleported.csv")
     assert "input=in é.csv" in comments
@@ -640,22 +505,19 @@ def test_every_output_is_written_as_utf8(tmp_path):
     assert len(list((tmp_path / "curves é").glob("*.csv"))) == 6
 
 
-def test_teleport_undecodable_config(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"mode = ideal\n# \xff\n")
-    assert main(["teleport", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
+def test_teleport_undecodable_config(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, None, b"mode = ideal\n# \xff\n")
+    assert code == 1
     assert err.startswith("error: cannot read config") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662"])
-def test_teleport_rejects_cells_numpy_does_not_parse(tmp_path, capsys, cell):
+def test_teleport_rejects_cells_numpy_does_not_parse(tmp_path, cell):
     # float() takes underscores and non-ASCII digits; the image reader does not
-    inp = tmp_path / "in.csv"
-    inp.write_text(f"pixelport-image-v1\n2 2\nre_im\n# note\n1.0,0.0,0.0,0.0\n0.0,{cell},0.0,0.0\n", encoding="utf-8")
-    cfg = write_ideal_config(tmp_path, 1.0)
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"error: {inp}:6: non-numeric cell\n"
+    image = f"pixelport-image-v1\n2 2\nre_im\n# note\n1.0,0.0,0.0,0.0\n0.0,{cell},0.0,0.0\n".encode()
+    (code, _, err), _ = teleport(tmp_path, image, BASE["ideal"])
+    assert code == 2
+    assert err == "error: in.csv:6: non-numeric cell\n"
 
 
 def _reference_csv(comments, header, rows):
@@ -691,31 +553,23 @@ def test_write_csv_matches_reference_without_repeats_or_variety(tmp_path, rows):
     assert path.read_bytes() == _reference_csv(["a=1"], "h", rows)
 
 
-def write_ring_config(tmp_path, side):
-    # the benchmark's ring on a side x side unit-pitch image: r0 = side / 4, width side / 16
-    cfg = write_ideal_config(tmp_path, 1.0)
-    text = cfg.read_text().replace("mode = ideal", "mode = spdc").replace("ideal_r = 1.0", "")
-    cfg.write_text(text + f"ring_r0 = {side / 4}\nring_width = {side / 16}\nring_xi = 1.5\n")
-    return cfg
-
-
-def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image((64, 64)))
-    cfg = write_ring_config(tmp_path, 64)
-    assert main(["teleport", "--config", str(cfg)]) == 0
-    capsys.readouterr()
-    lines = (tmp_path / "fmap.csv").read_text().splitlines()
+def test_write_csv_matches_reference_on_ring_fidelity_map(tmp_path):
+    # the benchmark's ring on a 64x64 unit-pitch image: r0 = side / 4, width side / 16
+    settings = {**BASE["ring"], "ring_r0": 16.0, "ring_width": 4.0}
+    (code, _, _), (_, fmap, _) = teleport(tmp_path, complex_image((64, 64)), settings)
+    assert code == 0
+    lines = fmap.decode().splitlines()
     comments = [line[2:] for line in lines if line.startswith("# ")]
     values = np.array([[float(c) for c in line.split(",")] for line in lines[len(comments) + 1 :]])
     assert values.shape == (64, 64)
     # the ring repeats values, so the map exercises the formatting of repeats
     assert len(np.unique(values)) < values.size // 4
-    assert (tmp_path / "fmap.csv").read_bytes() == _reference_csv(comments, lines[len(comments)], values)
+    assert fmap == _reference_csv(comments, lines[len(comments)], values)
 
 
 def test_write_csv_holds_few_map_sized_arrays(tmp_path):
     # the dedupe holds an argsort, the sorted patterns and int32 indices, not np.unique's int64 copies
-    ring = spdc.RingParams(r0=64.0, R=16.0, Xi=1.5)  # the ring of write_ring_config(tmp_path, 256)
+    ring = spdc.RingParams(r0=64.0, R=16.0, Xi=1.5)  # the ring of test_teleport_holds_only_live_arrays
     fid = channel.average_fidelity(spdc.profile_for_grid(GridGeometry(256, 256), ring).r)
     assert traced_peak(lambda: _write_csv(tmp_path / "again.csv", [], "h", fid)) <= 3 * fid.nbytes
 
@@ -746,10 +600,10 @@ def test_write_csv_matches_reference_on_both_sides_of_the_row_rule(tmp_path, ext
     assert (peak <= 3 * rows.nbytes) == bool(extra)
 
 
-def test_write_csv_matches_reference_on_curve_preset_at_the_cap(tmp_path, capsys):
+def test_write_csv_matches_reference_on_curve_preset_at_the_cap(tmp_path):
     # every curve column is distinct valued, so the preset files take the row path
-    assert main(["fidelity-curve", "--preset", "fig4", "--samples", str(MAX_SAMPLES), "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
+    argv = ["fidelity-curve", "--preset", "fig4", "--samples", str(MAX_SAMPLES), "--out-dir", str(tmp_path)]
+    assert run(argv)[0] == 0
     paths = sorted(tmp_path.glob("*.csv"))
     assert len(paths) == len(FIG3_PAIRS)
     for path in paths:
@@ -761,7 +615,7 @@ def test_write_csv_matches_reference_on_curve_preset_at_the_cap(tmp_path, capsys
 
 
 @pytest.mark.parametrize("flags", [[], ["--raw-plane"]], ids=["upright", "raw-plane"])
-def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
+def test_teleport_holds_only_live_arrays(tmp_path, flags):
     # An analytic ring run holds one complex image (1x its bytes) and one
     # float map (0.5x): each stage writes over the arrays it is handed.  Both
     # planes peak in the fidelity CSV writer, after the image is dropped: the
@@ -769,33 +623,35 @@ def test_teleport_holds_only_live_arrays(tmp_path, capsys, flags):
     # 0.5x + 1.5x = 2x (it measures 1.87x).  The raw plane's writers take the
     # reversed views and copy a block at a time, so write_image holds the
     # image, the map and a block of text: 1.5x + 0.2x.
-    img = sample_image((256, 256), seed=35)
-    write_image(tmp_path / "in.csv", img)
-    cfg = write_ring_config(tmp_path, 256)
+    img = complex_image((256, 256), seed=35)
+    write_run(tmp_path, img, {**BASE["ring"], "ring_r0": 64.0, "ring_width": 16.0})
     build_parser()  # built once per process, not per run
-
-    def run():
-        assert main(["teleport", "--config", str(cfg), *flags]) == 0
-
-    peak = traced_peak(run)
-    capsys.readouterr()
+    codes = []
+    peak = traced_peak(lambda: codes.append(run(["teleport", "--config", "run.cfg", *flags], tmp_path)[0]))
+    assert codes == [0]
     assert peak <= 1.95 * img.nbytes
 
 
-def test_teleport_unwritable_output(tmp_path, capsys):
-    write_image(tmp_path / "in.csv", sample_image())
-    cfg = write_ideal_config(tmp_path, 1.0, output=tmp_path / "missing_dir" / "out.csv")
-    assert main(["teleport", "--config", str(cfg)]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("key,written", [
+    ("output", []),
+    ("fidelity_map", ["teleported.csv"]),
+    ("summary", ["teleported.csv", "fidelity_map.csv"]),
+], ids=["output", "fidelity_map", "summary"])  # fmt: skip
+def test_teleport_unwritable_output(tmp_path, key, written):
+    # the outputs are written in this order, and a write that fails leaves the ones before it
+    (code, _, err), _ = teleport(tmp_path, complex_image(), {**BASE["ideal"], key: "missing_dir/f.csv"})
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: 'missing_dir/f.csv'\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"in.csv", "run.cfg", *written}
 
 
-def test_profile_single_ring(tmp_path, capsys):
+def test_profile_single_ring(tmp_path):
     out = tmp_path / "ring.csv"
-    code = main(
+    code, stdout, _ = run(
         ["profile", "--r0", "1.0", "--ring-width", "0.5", "--xi", "1.5", "--samples", "64", "--out", str(out)]
     )
     assert code == 0
-    assert capsys.readouterr().out.strip() == str(out)
+    assert stdout.strip() == str(out)
     lines = out.read_text().splitlines()
     assert lines[:5] == ["# r0=1.0", "# ring_width=0.5", "# xi=1.5", "# samples=64", "x,eta,eta_sq_norm"]
     data = np.array([[float(c) for c in l.split(",")] for l in lines if not l.startswith("#") and "," in l and not l.startswith("x")])
@@ -806,9 +662,10 @@ def test_profile_single_ring(tmp_path, capsys):
     assert data[peak, 0] == 1.0
 
 
-def test_profile_requires_geometry(capsys):
-    assert main(["profile", "--r0", "1.0"]) == 1
-    assert "ring-width" in capsys.readouterr().err
+def test_profile_requires_geometry():
+    code, _, err = run(["profile", "--r0", "1.0"])
+    assert code == 1
+    assert "ring-width" in err
 
 
 CURVE = ["fidelity-curve", "--r0", "1", "--ring-width", "0.5"]
@@ -842,10 +699,9 @@ CELLS = "(1 + number of --xi values) * --samples"
         (["profile", "--r0", "1", "--ring-width", "0"], "R"),
     ],
 )
-def test_curve_commands_reject_bad_flags(tmp_path, capsys, monkeypatch, argv, flag):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--out-dir", "plots"]) == 1
-    err = capsys.readouterr().err
+def test_curve_commands_reject_bad_flags(tmp_path, argv, flag):
+    code, _, err = run(argv + ["--out-dir", "plots"], tmp_path)
+    assert code == 1
     assert err.startswith(f"error: {flag} must be")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
@@ -860,9 +716,9 @@ def test_curve_commands_reject_bad_flags(tmp_path, capsys, monkeypatch, argv, fl
         ["fidelity-curve", "--r0", "1e200", "--ring-width", "1", "--xi", "1,10"],
     ],
 )
-def test_curves_beyond_float64_are_finite(tmp_path, capsys, argv):
+def test_curves_beyond_float64_are_finite(tmp_path, argv):
     out = tmp_path / "curve.csv"
-    assert main(argv + ["--out", str(out)]) == 0
+    assert run(argv + ["--out", str(out)])[0] == 0
     data = np.loadtxt(out, delimiter=",", comments="#", skiprows=5)
     assert np.all(np.isfinite(data))
     # the exact ring radius keeps its unit peak; away from it u overflows and sinc is at its limit 0
@@ -872,11 +728,11 @@ def test_curves_beyond_float64_are_finite(tmp_path, capsys, argv):
     else:
         assert on_ring[:, 1:].tolist() == [[numpy_fidelity(1.0), numpy_fidelity(10.0)]]
         assert np.all(data[:, 1:] >= 0.5)
-    capsys.readouterr()
 
 
-def test_profile_preset_fig3(tmp_path, capsys):
-    assert main(["profile", "--preset", "fig3", "--samples", "32", "--out-dir", str(tmp_path)]) == 0
+def test_profile_preset_fig3(tmp_path):
+    code, out, _ = run(["profile", "--preset", "fig3", "--samples", "32", "--out-dir", str(tmp_path)])
+    assert code == 0
     names = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert names == [
         "ring_profile_r0-0.7_R-0.5.csv",
@@ -885,15 +741,15 @@ def test_profile_preset_fig3(tmp_path, capsys):
     ]
     pairs = [("1.0", "0.5"), ("1.0", "0.7"), ("0.7", "0.5")]
     paths = [tmp_path / f"ring_profile_r0-{r0}_R-{w}.csv" for r0, w in pairs]
-    assert capsys.readouterr().out == "".join(f"{p}\n" for p in paths)
+    assert out == "".join(f"{p}\n" for p in paths)
     for path, (r0, w) in zip(paths, pairs):
         head = [f"# r0={r0}", f"# ring_width={w}", "# xi=1.0", "# samples=32", "x,eta,eta_sq_norm"]
         assert path.read_text().splitlines()[:5] == head
 
 
-def test_fidelity_curve_values(tmp_path, capsys):
+def test_fidelity_curve_values(tmp_path):
     out = tmp_path / "curve.csv"
-    code = main(
+    code, _, _ = run(
         ["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--xi", "1,10", "--samples", "97", "--out", str(out)]
     )
     assert code == 0
@@ -909,28 +765,28 @@ def test_fidelity_curve_values(tmp_path, capsys):
     assert on_ring[1] == numpy_fidelity(1.0)
     assert on_ring[2] == numpy_fidelity(10.0)
     assert np.all(data[:, 1:] >= 0.5 - 1e-12)
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("xi,samples", [("1,2", MAX_SAMPLES), ("1,2,3,4,5", MAX_CELLS // 6)])
-def test_fidelity_curve_takes_cells_up_to_the_cap(tmp_path, capsys, xi, samples):
+def test_fidelity_curve_takes_cells_up_to_the_cap(tmp_path, xi, samples):
     columns = 1 + len(xi.split(","))
     assert columns * samples == MAX_CELLS
     out = tmp_path / "curve.csv"
-    assert main(CURVE + ["--xi", xi, "--samples", str(samples), "--out", str(out)]) == 0
+    assert run(CURVE + ["--xi", xi, "--samples", str(samples), "--out", str(out)])[0] == 0
     data = np.loadtxt(out, delimiter=",", comments="#", skiprows=5)
     # the exact ring radius is one more row when the uniform grid misses it
     assert data.shape in ((samples, columns), (samples + 1, columns))
-    capsys.readouterr()
 
 
-def test_fidelity_curve_bad_xi_list(capsys):
-    assert main(["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--xi", "1;2"]) == 1
-    assert "--xi" in capsys.readouterr().err
+def test_fidelity_curve_bad_xi_list():
+    code, _, err = run(["fidelity-curve", "--r0", "1.0", "--ring-width", "0.5", "--xi", "1;2"])
+    assert code == 1
+    assert "--xi" in err
 
 
-def test_fidelity_curve_preset_fig4(tmp_path, capsys):
-    assert main(["fidelity-curve", "--preset", "fig4", "--samples", "32", "--out-dir", str(tmp_path)]) == 0
+def test_fidelity_curve_preset_fig4(tmp_path):
+    code, out, _ = run(["fidelity-curve", "--preset", "fig4", "--samples", "32", "--out-dir", str(tmp_path)])
+    assert code == 0
     names = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert names == [
         "fidelity_curve_r0-0.7_R-0.5.csv",
@@ -942,15 +798,16 @@ def test_fidelity_curve_preset_fig4(tmp_path, capsys):
         assert header == "x,fidelity_xi_1.0,fidelity_xi_10.0"
     pairs = [("1.0", "0.5"), ("1.0", "0.7"), ("0.7", "0.5")]
     paths = [tmp_path / f"fidelity_curve_r0-{r0}_R-{w}.csv" for r0, w in pairs]
-    assert capsys.readouterr().out == "".join(f"{p}\n" for p in paths)
+    assert out == "".join(f"{p}\n" for p in paths)
     for path, (r0, w) in zip(paths, pairs):
         head = [f"# r0={r0}", f"# ring_width={w}", "# xi_list=1.0,10.0", "# samples=32", header]
         assert path.read_text().splitlines()[:5] == head
 
 
-def test_oracle_verify_json_passes(capsys):
-    assert main(["oracle-verify", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_oracle_verify_json_passes():
+    code, out, _ = run(["oracle-verify", "--json"])
+    assert code == 0
+    payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["dim"] == 30 and payload["photo_dim"] == 10
     names = {c["name"] for c in payload["checks"]}
@@ -961,75 +818,76 @@ def test_oracle_verify_json_passes(capsys):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("argv,code", [([], 0), (["--dim", "4"], 3)])
-def test_oracle_verify_json_is_the_text_json_dumps_writes(capsys, argv, code):
-    assert main(["oracle-verify", "--json", *argv]) == code
-    out = capsys.readouterr().out
+def test_oracle_verify_json_is_the_text_json_dumps_writes(argv, code):
+    got, out, _ = run(["oracle-verify", "--json", *argv])
+    assert got == code
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
-def test_oracle_verify_json_writes_edge_values_as_json_dumps(monkeypatch, capsys):
+def test_oracle_verify_json_writes_edge_values_as_json_dumps(monkeypatch):
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
     rows = [fock.CheckResult(f"row_{k}", v, 1e-8) for k, v in enumerate(values)]
     rows.append(fock.CheckResult('quote " and é', 0.0, 1e-8))
     monkeypatch.setattr(fock, "run_all_checks", lambda dim, photo_dim: rows)
-    assert main(["oracle-verify", "--json"]) == 3
+    code, out, _ = run(["oracle-verify", "--json"])
+    assert code == 3
     payload = {
         "dim": 30,
         "photo_dim": 10,
         "checks": [{"name": r.name, "value": r.value, "tolerance": r.tolerance, "passed": r.passed} for r in rows],
         "passed": False,
     }
-    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_oracle_verify_undersized_space_fails(capsys):
-    assert main(["oracle-verify", "--dim", "4", "--photo-dim", "6"]) == 3
-    captured = capsys.readouterr()
-    assert "FAIL" in captured.out
-    assert captured.err.startswith("failing:")
+def test_oracle_verify_undersized_space_fails():
+    code, out, err = run(["oracle-verify", "--dim", "4", "--photo-dim", "6"])
+    assert code == 3
+    assert "FAIL" in out
+    assert err.startswith("failing:")
 
 
-def test_oracle_verify_prints_each_warning_as_one_line(capsys):
+def test_oracle_verify_prints_each_warning_as_one_line():
     # unfiltered, the truncation warnings reach stderr without a source path, line number or source line
-    assert main(["oracle-verify", "--dim", "4", "--photo-dim", "6"]) == 3
-    err = capsys.readouterr().err
+    code, _, err = run(["oracle-verify", "--dim", "4", "--photo-dim", "6"])
+    assert code == 3
     *warned, last = err.splitlines()
     assert warned and all(line.startswith("warning: ") for line in warned)
     assert last.startswith("failing: ")
     assert ".py:" not in err
 
 
-def test_teleport_narrow_waist_spdc_warns_in_one_line(tmp_path, capsys):
-    assert _run_teleport(tmp_path, "spdc", spdc_mode_waist=50.0) == 0
-    err = capsys.readouterr().err.splitlines()
+def test_teleport_narrow_waist_spdc_warns_in_one_line(tmp_path):
+    (code, _, err), _ = teleport(tmp_path, complex_image(), {**BASE["spdc"], "n_shots": 1, "spdc_mode_waist": 50.0})
+    assert code == 0
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: w_0/w_p = 0.25 is not small")
 
 
-def test_teleport_error_drops_the_warnings_before_it(tmp_path, capsys):
+def test_teleport_error_drops_the_warnings_before_it(tmp_path):
     # the narrow-waist warning fires while the config is parsed, before its bad pitch is seen
-    assert _run_teleport(tmp_path, "spdc", spdc_mode_waist=50.0, pitch=0) == 1
-    assert capsys.readouterr().err == "error: pitch must be positive\n"
+    settings = {**BASE["spdc"], "n_shots": 1, "spdc_mode_waist": 50.0, "pitch": 0}
+    (code, _, err), _ = teleport(tmp_path, complex_image(), settings)
+    assert code == 1
+    assert err == "error: pitch must be positive\n"
 
 
 @pytest.mark.parametrize(
     "flag,value,name",
     [("--dim", "1", "dim"), ("--dim", "0", "dim"), ("--dim", "-3", "dim"), ("--photo-dim", "0", "photo_dim")],
 )
-def test_oracle_verify_rejects_tiny_dims(capsys, flag, value, name):
-    assert main(["oracle-verify", flag, value]) == 1
-    err = capsys.readouterr().err
+def test_oracle_verify_rejects_tiny_dims(flag, value, name):
+    code, _, err = run(["oracle-verify", flag, value])
+    assert code == 1
     assert err == f"error: {name} must be at least 2, got {value}\n"
 
 
 @pytest.mark.parametrize(
     "flag,name,cap", [("--dim", "dim", fock.MAX_DIM), ("--photo-dim", "photo_dim", fock.MAX_PHOTO_DIM)]
 )
-def test_oracle_verify_rejects_dims_above_cap(capsys, flag, name, cap):
-    assert main(["oracle-verify", flag, str(cap + 1)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {name} must be at most {cap}, got {cap + 1}\n"
+def test_oracle_verify_rejects_dims_above_cap(flag, name, cap):
+    assert run(["oracle-verify", flag, str(cap + 1)]) == (1, "", f"error: {name} must be at most {cap}, got {cap + 1}\n")
 
 
 @pytest.mark.parametrize(
@@ -1043,12 +901,11 @@ def test_oracle_verify_rejects_dims_above_cap(capsys, flag, name, cap):
     ],
     ids=["bad-int", "bad-seed", "unknown-flag", "removed-tol", "no-subcommand"],
 )
-def test_bad_arguments_exit_with_one_line(capsys, argv):
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "usage:" not in captured.err
+def test_bad_arguments_exit_with_one_line(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err
 
 
 def test_cli_import_does_not_load_scipy():
@@ -1089,15 +946,12 @@ def test_readme_examples_cover_every_command():
 
 
 @pytest.mark.parametrize("line", README_COMMANDS)
-def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
+def test_readme_example_runs(tmp_path, line):
     # each fenced command runs as written, next to the run.cfg and input image the README shows
     (config,) = [block for block in README_BLOCKS if block.startswith("mode = ideal")]
-    monkeypatch.chdir(tmp_path)
-    Path("run.cfg").write_text(config, encoding="utf-8")
-    write_image("in.csv", sample_image())
+    write_run(tmp_path, complex_image(), config)
     argv = shlex.split(line)[1:]
-    assert main(argv) == (3 if argv[-2:] == ["--dim", "4"] else 0)  # the undersized oracle fails
-    capsys.readouterr()
+    assert run(argv, tmp_path)[0] == (3 if argv[-2:] == ["--dim", "4"] else 0)  # the undersized oracle fails
 
 
 def test_help_states_the_commands_and_exit_codes_in_plain_text():

@@ -8,38 +8,10 @@ from pixelport.channel import MAX_R, MAX_SHOTS
 from pixelport import config
 from pixelport.config import ConfigError, RunConfig, load_config, parse_config, squeezing_settings
 from pixelport.spdc import RingParams, SpdcParams
-
-IDEAL = """
-# a comment
-mode = ideal
-input = in.csv
-ideal_r = 2.0
-"""
-
-RING = """
-mode = spdc
-input = in.csv
-ring_r0 = 1.0
-ring_width = 0.5
-ring_xi = 1.5
-"""
-
-SPDC = """
-mode = spdc
-input = in.csv
-spdc_pump_waist = 200.0
-spdc_mode_waist = 15.0
-spdc_length = 5.0
-spdc_pump_k = 10.0
-spdc_signal_k = 5.05
-spdc_angle = 0.1
-spdc_focal = 100.0
-spdc_xi = 1.0
-"""
-
+from runs import BASE, config_text, write_run
 
 def test_ideal_defaults():
-    cfg = parse_config(IDEAL)
+    cfg = parse_config("# a comment\n" + config_text(BASE["ideal"], ideal_r=2.0))
     assert cfg.mode == "ideal"
     assert cfg.input_path == "in.csv"
     assert cfg.squeezing == 2.0
@@ -52,7 +24,7 @@ def test_ideal_defaults():
 
 def test_all_optional_keys():
     cfg = parse_config(
-        IDEAL
+        config_text(BASE["ideal"])
         + """
 output = out.csv
 fidelity_map = fmap.csv
@@ -73,13 +45,13 @@ origin_y 	=	 2.5
 
 
 def test_ring_mode():
-    cfg = parse_config(RING)
+    cfg = parse_config(config_text(BASE["ring"]))
     assert cfg.mode == "spdc"
     assert cfg.squeezing == RingParams(r0=1.0, R=0.5, Xi=1.5)
 
 
 def test_spdc_mode():
-    cfg = parse_config(SPDC)
+    cfg = parse_config(config_text(BASE["spdc"]))
     assert isinstance(cfg.squeezing, SpdcParams)
     assert cfg.squeezing.w_p == 200.0
     assert cfg.squeezing.k_d == 5.05
@@ -95,31 +67,31 @@ def test_spdc_mode():
         ("mode = ideal\ninput =\n", "empty value"),
         ("mode = classical\ninput = x\n", "mode must be"),
         ("mode = ideal\nideal_r = 1\n", "missing required key 'input'"),
-        (IDEAL + "seed = 1.5\n", "seed must be an integer"),
-        (IDEAL + "seed = -1\n", "seed must be non-negative"),
-        (IDEAL + "n_shots = -1\n", "n_shots must be non-negative"),
-        (IDEAL + "n_shots = 524289\n", "n_shots must be at most 524288, got 524289"),
-        (IDEAL + "pitch = 0\n", "pitch must be positive"),
-        (IDEAL + "pitch = abc\n", "pitch must be a number"),
-        (IDEAL + "pitch = inf\n", "pitch must be finite"),
-        (IDEAL + "origin_x = nan\norigin_y = 0\n", "origin_x must be finite"),
-        (IDEAL.replace("ideal_r = 2.0", "ideal_r = inf"), "ideal_r must be finite"),
-        (IDEAL.replace("ideal_r = 2.0", "ideal_r = nan"), "ideal_r must be finite"),
-        (IDEAL.replace("ideal_r = 2.0", "ideal_r = 700.5"), "ideal_r must be at most 700.0"),
-        (RING.replace("ring_r0 = 1.0", "ring_r0 = nan"), "ring_r0 must be finite"),
-        (RING.replace("ring_xi = 1.5", "ring_xi = 800"), "ring_xi must be at most"),
-        (SPDC.replace("spdc_xi = 1.0", "spdc_xi = 800"), "spdc_xi must be at most"),
-        (IDEAL + "origin_x = 1.0\n", "origin_x and origin_y"),
+        (config_text(BASE["ideal"], seed=1.5), "seed must be an integer"),
+        (config_text(BASE["ideal"], seed=-1), "seed must be non-negative"),
+        (config_text(BASE["ideal"], n_shots=-1), "n_shots must be non-negative"),
+        (config_text(BASE["ideal"], n_shots=524289), "n_shots must be at most 524288, got 524289"),
+        (config_text(BASE["ideal"], pitch=0), "pitch must be positive"),
+        (config_text(BASE["ideal"], pitch="abc"), "pitch must be a number"),
+        (config_text(BASE["ideal"], pitch="inf"), "pitch must be finite"),
+        (config_text(BASE["ideal"], origin_x="nan", origin_y=0), "origin_x must be finite"),
+        (config_text(BASE["ideal"], ideal_r="inf"), "ideal_r must be finite"),
+        (config_text(BASE["ideal"], ideal_r="nan"), "ideal_r must be finite"),
+        (config_text(BASE["ideal"], ideal_r=700.5), "ideal_r must be at most 700.0"),
+        (config_text(BASE["ring"], ring_r0="nan"), "ring_r0 must be finite"),
+        (config_text(BASE["ring"], ring_xi=800), "ring_xi must be at most"),
+        (config_text(BASE["spdc"], spdc_xi=800), "spdc_xi must be at most"),
+        (config_text(BASE["ideal"], origin_x=1.0), "origin_x and origin_y"),
         ("mode = ideal\ninput = x\n", "requires ideal_r"),
-        (IDEAL + "ring_r0 = 1\nring_width = 1\nring_xi = 1\n", "no ring"),
+        (config_text(BASE["ideal"], ring_r0=1, ring_width=1, ring_xi=1), "no ring"),
         ("mode = ideal\ninput = x\nideal_r = -0.5\n", "non-negative"),
-        (RING + "ideal_r = 1\n", "no ideal_r"),
-        (RING.replace("ring_xi = 1.5\n", ""), "incomplete ring"),
-        (SPDC.replace("spdc_xi = 1.0\n", ""), "incomplete spdc"),
-        (RING + "spdc_xi = 1\n", "not both"),
+        (config_text(BASE["ring"], ideal_r=1), "no ideal_r"),
+        (config_text(BASE["ring"]).replace("ring_xi = 1.5\n", ""), "incomplete ring"),
+        (config_text(BASE["spdc"]).replace("spdc_xi = 1.0\n", ""), "incomplete spdc"),
+        (config_text(BASE["ring"], spdc_xi=1), "not both"),
         ("mode = spdc\ninput = x\n", "requires ring"),
-        (SPDC.replace("spdc_length = 5.0", "spdc_length = -5.0"), "positive"),
-        (SPDC.replace("spdc_angle = 0.1", f"spdc_angle = {math.pi / 2}"), "below pi/2"),
+        (config_text(BASE["spdc"], spdc_length=-5.0), "positive"),
+        (config_text(BASE["spdc"], spdc_angle=math.pi / 2), "below pi/2"),
     ],
 )
 def test_rejects_bad_configs(text, fragment):
@@ -128,7 +100,7 @@ def test_rejects_bad_configs(text, fragment):
 
 
 def test_ring_and_spdc_conflict_message_mentions_both():
-    bad = RING + "\n".join(
+    bad = config_text(BASE["ring"]) + "\n".join(
         f"{k} = 1.0"
         for k in (
             "spdc_pump_waist",
@@ -146,15 +118,14 @@ def test_ring_and_spdc_conflict_message_mentions_both():
 
 
 def test_largest_r_is_accepted():
-    cfg = parse_config(IDEAL.replace("ideal_r = 2.0", f"ideal_r = {MAX_R!r}"))
+    cfg = parse_config(config_text(BASE["ideal"], ideal_r=MAX_R))
     assert cfg.squeezing == MAX_R
-    assert parse_config(RING.replace("ring_xi = 1.5", f"ring_xi = {MAX_R!r}")).squeezing.Xi == MAX_R
+    assert parse_config(config_text(BASE["ring"], ring_xi=MAX_R)).squeezing.Xi == MAX_R
 
 
 def test_load_config(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(RING)
-    cfg = load_config(path)
+    write_run(tmp_path, None, BASE["ring"])
+    cfg = load_config(tmp_path / "run.cfg")
     assert cfg.squeezing.r0 == 1.0
 
 
@@ -164,16 +135,15 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_load_config_undecodable_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_bytes(b"mode = ideal\n# \xff\n")
+    write_run(tmp_path, None, b"mode = ideal\n# \xff\n")
     with pytest.raises(ConfigError, match="cannot read config"):
-        load_config(path)
+        load_config(tmp_path / "run.cfg")
 
 
 def test_run_config_checks_values_built_in_python():
     with pytest.raises(ConfigError, match="^seed must be non-negative$"):
         RunConfig(squeezing=1.0, input_path="in.csv", seed=-1)
-    cfg = parse_config(IDEAL)
+    cfg = parse_config(config_text(BASE["ideal"]))
     with pytest.raises(ConfigError, match=f"^n_shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"):
         dataclasses.replace(cfg, n_shots=MAX_SHOTS + 1)
     assert dataclasses.replace(cfg, n_shots=MAX_SHOTS).n_shots == MAX_SHOTS
@@ -194,31 +164,30 @@ def test_run_config_checks_values_built_in_python():
 def test_run_config_rejects_values_the_text_cannot_give(change, message):
     # a library caller can build these; the config text cannot
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        dataclasses.replace(parse_config(IDEAL), **change)
+        dataclasses.replace(parse_config(config_text(BASE["ideal"])), **change)
 
 
 def test_run_config_takes_numpy_integers():
-    cfg = dataclasses.replace(parse_config(IDEAL), seed=np.int64(3), n_shots=np.uint8(2), origin=(1.0, -2.0))
+    cfg = parse_config(config_text(BASE["ideal"]))
+    cfg = dataclasses.replace(cfg, seed=np.int64(3), n_shots=np.uint8(2), origin=(1.0, -2.0))
     assert (cfg.seed, cfg.n_shots, cfg.origin) == (3, 2, (1.0, -2.0))
 
 
 def test_run_config_is_frozen():
-    cfg = parse_config(IDEAL)
+    cfg = parse_config(config_text(BASE["ideal"]))
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 1
 
 
 def test_load_config_skips_a_leading_byte_order_mark(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_bytes(b"\xef\xbb\xbf" + RING.lstrip().encode())
-    assert load_config(path) == parse_config(RING)
+    write_run(tmp_path, None, b"\xef\xbb\xbf" + config_text(BASE["ring"]).encode())
+    assert load_config(tmp_path / "run.cfg") == parse_config(config_text(BASE["ring"]))
 
 
 def test_load_config_names_the_same_line_after_a_byte_order_mark(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_bytes(b"\xef\xbb\xbfmode = ideal\ninput = in.csv\nwavelength = 3\n")
+    write_run(tmp_path, None, b"\xef\xbb\xbfmode = ideal\ninput = in.csv\nwavelength = 3\n")
     with pytest.raises(ConfigError, match="^line 3: unknown key 'wavelength'$"):
-        load_config(path)
+        load_config(tmp_path / "run.cfg")
 
 
 def test_config_exports_and_fields():
@@ -277,7 +246,7 @@ def test_mode_and_settings_follow_the_squeezing(squeezing, mode, settings):
     ids=["negative-r", "ring-xi-800"],
 )
 def test_replace_checks_the_squeezing_again(squeezing, message):
-    for text in (IDEAL, RING):
+    for text in (config_text(BASE["ideal"]), config_text(BASE["ring"])):
         with pytest.raises(ConfigError, match=message):
             dataclasses.replace(parse_config(text), squeezing=squeezing)
 

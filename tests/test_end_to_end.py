@@ -1,28 +1,25 @@
 """Output contracts of whole runs: each command runs on files in tmp_path.
 
-Most runs go through ``cli.main`` in process.  A check that needs a fresh
-interpreter (default warning filters) or its own environment
-(``OPENBLAS_NUM_THREADS=1``) runs ``sys.executable`` in a child process.
+Most runs go through ``cli.main`` in process (``runs.run``).  A check that
+needs a fresh interpreter (default warning filters) or its own environment
+(``OPENBLAS_NUM_THREADS=1``) runs ``pixelport.cli`` in a child process
+(``runs.run_module``).  A run that should succeed is asserted to exit 0 with
+nothing on stderr.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pixelport.cli import main
 from pixelport.imagefile import read_image, write_image
 from reprrows import rows_are_repr
+from runs import BASE, config_text, run, run_module, teleport, write_run
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-OUTPUTS = ("teleported.csv", "fidelity_map.csv")
 BOM = b"\xef\xbb\xbf"
-RING32_CFG = "mode = spdc\ninput = in.csv\nring_r0 = 8.0\nring_width = 2.0\nring_xi = 1.5\n"
-RING384_CFG = "mode = spdc\ninput = in.csv\nring_r0 = 96.0\nring_width = 24.0\nring_xi = 1.5\nn_shots = 0\n"
+# rings on the 32x32 and 384x384 images below
+RING32 = {**BASE["ring"], "ring_r0": 8.0, "ring_width": 2.0}
+RING384 = {**BASE["ring"], "ring_r0": 96.0, "ring_width": 24.0, "n_shots": 0}
 
 
 def ring_image(tmp_path_factory, side, r0, spread):
@@ -47,30 +44,22 @@ def ring384(tmp_path_factory):
     return data
 
 
-def teleport(monkeypatch, capsys, run, image, config, *flags):
-    """Teleport the image bytes as in.csv with the config text as run.cfg, in the new directory run.
-
-    The run's bare file names leave the echoed parameters the same in every
-    directory.  Returns the bytes of the teleported image and fidelity map.
-    """
-    run.mkdir()
-    (run / "in.csv").write_bytes(image)
-    (run / "run.cfg").write_text(config, encoding="utf-8")
-    monkeypatch.chdir(run)
-    assert main(["teleport", "--config", "run.cfg", *flags]) == 0
-    assert capsys.readouterr().err == ""
-    return tuple((run / name).read_bytes() for name in OUTPUTS)
+def succeeds(result):
+    """Whether a run exited 0 with nothing on stderr."""
+    code, _, err = result
+    return (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("flags", [[], ["--shots", "3", "--raw-plane", "--json"]], ids=["analytic", "shots-raw-json"])
-def test_ring_32_rows_are_repr(tmp_path, monkeypatch, capsys, ring32, flags):
-    teleport(monkeypatch, capsys, tmp_path / "run", ring32, RING32_CFG, *flags)
+def test_ring_32_rows_are_repr(tmp_path, ring32, flags):
+    assert succeeds(teleport(tmp_path / "run", ring32, RING32, *flags)[0])
     assert rows_are_repr(tmp_path / "run" / "teleported.csv", 3, 32)
     assert rows_are_repr(tmp_path / "run" / "fidelity_map.csv", 1, 32)
 
 
-def test_ring_384_rows_are_repr_and_write_read_write_is_byte_stable(tmp_path, monkeypatch, capsys, ring384):
-    teleported, _ = teleport(monkeypatch, capsys, tmp_path / "run", ring384, RING384_CFG)
+def test_ring_384_rows_are_repr_and_write_read_write_is_byte_stable(tmp_path, ring384):
+    result, (teleported, _, _) = teleport(tmp_path / "run", ring384, RING384)
+    assert succeeds(result)
     assert rows_are_repr(tmp_path / "run" / "teleported.csv", 3, 384)
     assert rows_are_repr(tmp_path / "run" / "fidelity_map.csv", 1, 384)
     # the values read back and written again with the same comments give the same bytes
@@ -79,10 +68,11 @@ def test_ring_384_rows_are_repr_and_write_read_write_is_byte_stable(tmp_path, mo
     assert (tmp_path / "round_trip.csv").read_bytes() == teleported
 
 
-def test_ring_384_crlf_and_bare_cr_copies_give_the_same_outputs(tmp_path, monkeypatch, capsys, ring384):
-    lf = teleport(monkeypatch, capsys, tmp_path / "lf", ring384, RING384_CFG)
+def test_ring_384_crlf_and_bare_cr_copies_give_the_same_outputs(tmp_path, ring384):
+    lf = teleport(tmp_path / "lf", ring384, RING384)
+    assert succeeds(lf[0])
     for name, eol in (("crlf", b"\r\n"), ("cr", b"\r")):
-        assert teleport(monkeypatch, capsys, tmp_path / name, ring384.replace(b"\n", eol), RING384_CFG) == lf, name
+        assert teleport(tmp_path / name, ring384.replace(b"\n", eol), RING384) == lf, name
 
 
 def _mixed(plain):
@@ -130,71 +120,60 @@ def plain(tmp_path):
 
 
 @pytest.mark.parametrize("copy", [_mixed, _bare_cr, _crlf], ids=["mixed", "bare-cr", "crlf"])
-def test_both_reader_routes_give_the_same_outputs(tmp_path, monkeypatch, capsys, plain, copy):
-    want = teleport(monkeypatch, capsys, tmp_path / "plain", plain.read_bytes(), RING32_CFG)
-    assert teleport(monkeypatch, capsys, tmp_path / "copy", copy(plain), RING32_CFG) == want
+def test_both_reader_routes_give_the_same_outputs(tmp_path, plain, copy):
+    want = teleport(tmp_path / "plain", plain.read_bytes(), RING32)
+    assert succeeds(want[0])
+    assert teleport(tmp_path / "copy", copy(plain), RING32) == want
 
 
-def test_late_bad_byte_reads_as_decoding_the_whole_file(tmp_path, monkeypatch, capsys, plain):
+def test_late_bad_byte_reads_as_decoding_the_whole_file(tmp_path, plain):
     # 0xff in the last rows of the bare-\r copy: one error line, which names the
     # byte's file offset (the byte order mark counted) as decoding the whole file does
     data = bytearray(_bare_cr(plain))
     data[len(data) - 100] = 0xFF
     with pytest.raises(UnicodeDecodeError) as exc:
         bytes(data).decode("utf-8")
-    (tmp_path / "bad.csv").write_bytes(data)
-    (tmp_path / "run.cfg").write_text(RING32_CFG.replace("in.csv", "bad.csv"), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["teleport", "--config", "run.cfg"]) == 2
-    assert capsys.readouterr().err == f"error: cannot read bad.csv: {exc.value}\n"
+    (code, _, err), _ = teleport(tmp_path, bytes(data), RING32)
+    assert code == 2
+    assert err == f"error: cannot read in.csv: {exc.value}\n"
 
 
-def _planes(run):
-    """The teleported image and the fidelity map that a run wrote to the directory run."""
-    lines = (run / "fidelity_map.csv").read_text(encoding="utf-8").splitlines()
+def _planes(run_dir):
+    """The teleported image and the fidelity map that a run wrote to run_dir."""
+    lines = (run_dir / "fidelity_map.csv").read_text(encoding="utf-8").splitlines()
     fidelity = np.array([line.split(",") for line in lines if not line.startswith("#")][1:], dtype=float)
-    return read_image(run / "teleported.csv")[0], fidelity
+    return read_image(run_dir / "teleported.csv")[0], fidelity
 
 
-def test_raw_plane_is_the_off_centre_upright_plane_point_reflected(tmp_path, monkeypatch, capsys, ring32):
+def test_raw_plane_is_the_off_centre_upright_plane_point_reflected(tmp_path, ring32):
     # an off-centre grid, so that neither plane is point-symmetric: the paper's k1 = -k2 pixel pairing
-    config = RING32_CFG + "origin_x = -12.0\norigin_y = -16.0\n"
-    teleport(monkeypatch, capsys, tmp_path / "upright", ring32, config, "--shots", "0")
-    teleport(monkeypatch, capsys, tmp_path / "raw", ring32, config, "--shots", "0", "--raw-plane")
+    settings = {**RING32, "origin_x": -12.0, "origin_y": -16.0}
+    assert succeeds(teleport(tmp_path / "upright", ring32, settings, "--shots", "0")[0])
+    assert succeeds(teleport(tmp_path / "raw", ring32, settings, "--shots", "0", "--raw-plane")[0])
     for name, up, raw in zip(("image", "fidelity map"), _planes(tmp_path / "upright"), _planes(tmp_path / "raw")):
         assert up.shape == (32, 32) and not np.array_equal(raw, up), name
         assert np.array_equal(raw, up[::-1, ::-1]), name
 
 
-def test_byte_order_marks_on_config_and_image_change_no_output(tmp_path, monkeypatch, capsys, ring32):
-    config = "mode = ideal\ninput = in.csv\nideal_r = 1.0\n"
-    want = teleport(monkeypatch, capsys, tmp_path / "plain", ring32, config)
-    assert teleport(monkeypatch, capsys, tmp_path / "bom", BOM + ring32, "\ufeff" + config) == want
+def test_byte_order_marks_on_config_and_image_change_no_output(tmp_path, ring32):
+    config = config_text(BASE["ideal"])
+    want = teleport(tmp_path / "plain", ring32, config)
+    assert succeeds(want[0])
+    assert teleport(tmp_path / "bom", BOM + ring32, "\ufeff" + config) == want
 
 
 ORACLE_DIMS = (30, 31, 54, 90, 160)
 
 
-@pytest.fixture(scope="module")
-def one_thread_oracle():
-    """The text oracle-verify --json writes at each of ORACLE_DIMS, from one child process with one BLAS thread."""
-    code = "import sys; from pixelport.cli import main; [main(['oracle-verify', '--dim', d, '--json']) for d in sys.argv[1:]]"
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, ORACLE_DIMS)], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    # each document ends in the only "}" that starts a line
-    texts = [text + "\n}\n" for text in proc.stdout.split("\n}\n")[:-1]]
-    assert "".join(texts) == proc.stdout
-    return dict(zip(ORACLE_DIMS, texts, strict=True))
-
-
 @pytest.mark.parametrize("dim", ORACLE_DIMS)
-def test_oracle_reads_the_same_with_one_blas_thread(capsys, one_thread_oracle, dim):
+def test_oracle_reads_the_same_with_one_blas_thread(tmp_path, dim):
     # The matmul and SVD shapes, set by dim and the grid's block size, decide whether
     # OpenBLAS starts a second thread: the default dim, 31 (odd: the eigendecomposition's
     # zero mode), 54, 90 and the cap.
-    main(["oracle-verify", "--dim", str(dim), "--json"])
-    texts = (capsys.readouterr().out, one_thread_oracle[dim])
+    code, out, _ = run(["oracle-verify", "--dim", str(dim), "--json"])
+    proc = run_module(tmp_path, "oracle-verify", "--dim", str(dim), "--json", env={"OPENBLAS_NUM_THREADS": "1"})
+    assert (code, proc.returncode, proc.stderr) == (0, 0, "")
+    texts = (out, proc.stdout)
     for text in texts:
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     default, single = (json.loads(text) for text in texts)
@@ -204,18 +183,11 @@ def test_oracle_reads_the_same_with_one_blas_thread(capsys, one_thread_oracle, d
         assert abs(c["value"] - d["value"]) <= 1e-12, (c["name"], c["value"], d["value"])
 
 
-def test_oracle_passes_at_the_truncation_caps(capsys):
-    assert main(["oracle-verify", "--dim", "160", "--photo-dim", "80", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+def test_oracle_passes_at_the_truncation_caps():
+    code, out, _ = run(["oracle-verify", "--dim", "160", "--photo-dim", "80", "--json"])
+    assert code == 0
+    payload = json.loads(out)
     assert (payload["dim"], payload["photo_dim"], payload["passed"]) == (160, 80, True)
-
-
-def run_module(tmp_path, *argv):
-    """pixelport.cli in a fresh interpreter with its default warning filters, in tmp_path."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = str(SRC)
-    cmd = [sys.executable, "-m", "pixelport.cli", *argv]
-    return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
 
 
 def test_console_prints_truncation_warnings_one_line_each(tmp_path):
@@ -230,19 +202,7 @@ def test_console_prints_truncation_warnings_one_line_each(tmp_path):
 
 def test_console_prints_the_narrow_waist_warning_in_one_line(tmp_path):
     # an spdc_* config whose mode waist is not small against the pump waist: exit 0 and one warning line
-    write_image(tmp_path / "in.csv", np.full((4, 4), 0.5 + 0j))
-    spdc = {
-        "pump_waist": 200.0,
-        "mode_waist": 50.0,
-        "length": 5.0,
-        "pump_k": 10.0,
-        "signal_k": 5.05,
-        "angle": 0.1,
-        "focal": 100.0,
-        "xi": 1.0,
-    }
-    config = "mode = spdc\ninput = in.csv\n" + "".join(f"spdc_{k} = {v}\n" for k, v in spdc.items())
-    (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    write_run(tmp_path, np.full((4, 4), 0.5 + 0j), {**BASE["spdc"], "spdc_mode_waist": 50.0})
     proc = run_module(tmp_path, "teleport", "--config", "run.cfg")
     assert proc.returncode == 0
     assert len(proc.stderr.splitlines()) == 1

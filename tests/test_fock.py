@@ -838,18 +838,15 @@ def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch, tmp_path, c
     # teleport stage it wraps once, so no stage can be reached by a path that
     # bypasses its span
     from pixelport.cli import main
-    from pixelport.imagefile import write_image
+    from runs import BASE, write_run
 
-    write_image(tmp_path / "in.csv", np.full((6, 8), 0.5 - 0.25j))
-    cfg = tmp_path / "run.cfg"
-    keys = {"mode": "spdc", "ring_r0": 2.0, "ring_width": 0.5, "ring_xi": 1.5, "input": tmp_path / "in.csv"}
-    keys.update(output=tmp_path / "out.csv", fidelity_map=tmp_path / "fmap.csv", summary=tmp_path / "summary.txt")
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    write_run(tmp_path, np.full((6, 8), 0.5 - 0.25j), {**BASE["ring"], "ring_r0": 2.0})
+    monkeypatch.chdir(tmp_path)
     stages = [name for module, _, name, _ in spans.WRAPPED if module != "pixelport.fock"]
     assert "grid.decompose" in stages and "spdc.profile_for_grid" in stages
     for flags in ([], ["--raw-plane"]):
         tracer = spans.Tracer(modules)
-        assert tracer.run_op(0, lambda: main(["teleport", "--config", str(cfg), *flags])) == 0
+        assert tracer.run_op(0, lambda: main(["teleport", "--config", "run.cfg", *flags])) == 0
         capsys.readouterr()
         names = [s.name for s in tracer.spans]
         assert {name: names.count(name) for name in stages} == dict.fromkeys(stages, 1), flags

@@ -12,15 +12,11 @@ import pytest
 from memprobe import traced_peak
 from pixelport import imagefile
 from pixelport.imagefile import ImageFormatError, MAGIC, _format_rows, read_image, write_image
-
-
-def random_image(rng, shape=(5, 7)):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+from runs import complex_image
 
 
 def test_re_im_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    img = random_image(rng)
+    img = complex_image((5, 7), seed=11)
     path = tmp_path / "img.csv"
     write_image(path, img)
     got, encoding, comments = read_image(path)
@@ -30,8 +26,7 @@ def test_re_im_round_trip(tmp_path):
 
 
 def test_re_im_write_is_byte_fixpoint(tmp_path):
-    rng = np.random.default_rng(12)
-    img = random_image(rng, (4, 4))
+    img = complex_image((4, 4), seed=12)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     write_image(first, img, comments=("seed = 12",))
@@ -55,8 +50,7 @@ def test_signed_zero_write_read_write_fixpoint(tmp_path):
 
 
 def test_amp_phase_round_trip_values(tmp_path):
-    rng = np.random.default_rng(13)
-    img = random_image(rng, (3, 6))
+    img = complex_image((3, 6), seed=13)
     path = tmp_path / "img.csv"
     # the package writes only re_im, so the amp_phase payload is made here
     rows = [",".join(f"{abs(v)!r},{cmath.phase(v)!r}" for v in row) for row in img.tolist()]
@@ -330,7 +324,7 @@ def test_read_names_a_bad_sequence_at_any_block_size(monkeypatch, tmp_path, read
 @pytest.mark.parametrize("bad", [False, True], ids=["good", "late-0xff"])
 def test_read_image_opens_the_file_once(monkeypatch, tmp_path, sep, bad):
     # one pass over the file: a bad byte's offset comes from the block that holds it
-    img = _image_256()[:64]
+    img = complex_image((256, 256), seed=34)[:64]
     path = tmp_path / "img.csv"
     write_image(path, img)
     data = path.read_bytes().replace(b"\n", sep)
@@ -352,7 +346,7 @@ def test_read_image_opens_the_file_once(monkeypatch, tmp_path, sep, bad):
 
 def test_read_a_late_bad_byte_holds_one_block_of_text(tmp_path):
     # the error's offset is found a block at a time, not by decoding the whole file again
-    img = _image_256()
+    img = complex_image((256, 256), seed=34)
     path = tmp_path / "img.csv"
     write_image(path, img)
     data = path.read_bytes()
@@ -416,53 +410,36 @@ def test_read_numbers_lines_as_splitlines_does(tmp_path, sep):
             read_image(path)
 
 
-def _image_256():
-    rng = np.random.default_rng(34)
-    return rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+# the seeded complex image of each side the memory tests write and read
+SEEDS = {256: 34, 512: 35}
 
 
-def test_read_image_holds_one_row_of_text(tmp_path):
-    img = _image_256()
+@pytest.mark.parametrize("side", [256, 512])
+def test_read_image_holds_one_row_of_text(tmp_path, side):
+    # at 512 the file is over 32 floors, so each block is a 32nd of it, above _READ_BLOCK
+    img = complex_image((side, side), seed=SEEDS[side])
     path = tmp_path / "img.csv"
     write_image(path, img)
     assert path.stat().st_size > 2 * img.nbytes  # the whole text would not fit under the bound
+    assert side < 512 or path.stat().st_size > 32 * imagefile._READ_BLOCK
     assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
 
 
 @pytest.mark.parametrize("reflect", [False, True], ids=["upright", "reflected"])
-def test_write_image_holds_one_row_of_text(tmp_path, reflect):
-    # a point-reflected view is written a block at a time too, never copied whole
-    img = _image_256()
+@pytest.mark.parametrize("side", [256, 512])
+def test_write_image_holds_one_row_of_text(tmp_path, side, reflect):
+    # a point-reflected view is written a block at a time too, never copied whole;
+    # at 512 a block holds a 64th of the values, above _BLOCK
+    img = complex_image((side, side), seed=SEEDS[side])
+    assert side < 512 or 2 * img.size // 64 > imagefile._BLOCK
     if reflect:
         img = img[::-1, ::-1]
     imagefile._tables.cache_clear()  # the first call builds the formatter's tables under the bound too
     assert traced_peak(lambda: write_image(tmp_path / "img.csv", img)) <= 0.25 * img.nbytes
 
 
-def _image_512():
-    rng = np.random.default_rng(35)
-    return rng.normal(size=(512, 512)) + 1j * rng.normal(size=(512, 512))
-
-
-def test_read_image_holds_one_row_of_text_at_512(tmp_path):
-    # the file is over 32 floors, so each block is a 32nd of it, above _READ_BLOCK
-    img = _image_512()
-    path = tmp_path / "img.csv"
-    write_image(path, img)
-    assert path.stat().st_size > 32 * imagefile._READ_BLOCK
-    assert traced_peak(lambda: read_image(path)) <= 2 * img.nbytes
-
-
-def test_write_image_holds_one_row_of_text_at_512(tmp_path):
-    # a 64th of the values per block, above _BLOCK
-    img = _image_512()
-    assert 2 * img.size // 64 > imagefile._BLOCK
-    imagefile._tables.cache_clear()
-    assert traced_peak(lambda: write_image(tmp_path / "img.csv", img)) <= 0.25 * img.nbytes
-
-
 def test_blocks_above_the_floors_change_no_byte_and_no_bit(monkeypatch, tmp_path):
-    img = _image_512()
+    img = complex_image((512, 512), seed=35)
     path = tmp_path / "img.csv"
     write_image(path, img)
     scaled_text, scaled_values = formatted(img.view(float)), read_image(path)[0]
@@ -664,12 +641,15 @@ FAULTS = {
 }
 
 
+@pytest.mark.parametrize("eol", ["lf", "crlf"])
 @pytest.mark.parametrize("block", ["one-line", "few-lines", "default", "long-lines", "long-header"])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 @pytest.mark.parametrize("fault", [*FAULTS, "late-0xff"])
-def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fault):
+def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fault, eol):
+    # a CRLF file is the LF file through _to_crlf, and reads as the LF file does:
+    # the same values and comments, or the same error on the same line
     rows = _fixed_rows(3000 if block == "default" else 30)
-    line = len(rows[0]) + 1
+    line = len(rows[0]) + (2 if eol == "crlf" else 1)
     # bytes per block: whole lines, one or three per block; rows longer than a block, which
     # grows to hold them; a header line longer than a block
     read_block = {"one-line": line, "few-lines": 3 * line, "long-lines": 64, "long-header": 16}.get(block)
@@ -681,13 +661,12 @@ def test_read_faults_at_block_boundaries(monkeypatch, tmp_path, block, where, fa
     path = tmp_path / "img.csv"
 
     def write(rows):
-        path.write_text(head + "".join(row + "\n" for row in rows), encoding="utf-8", newline="")
+        data = (head + "".join(row + "\n" for row in rows)).encode("utf-8", "surrogateescape")
+        path.write_bytes(_to_crlf(data) if eol == "crlf" else data)
 
     if fault == "late-0xff":
-        write(rows)
-        data = path.read_bytes()
-        offset = len((head + "".join(row + "\n" for row in rows[:at])).encode()) + 5
-        path.write_bytes(data[:offset] + b"\xff" + data[offset + 1 :])
+        write(rows[:at] + [rows[at][:5] + "\udcff" + rows[at][6:]] + rows[at + 1 :])
+        offset = path.read_bytes().index(0xFF)
         with pytest.raises(ImageFormatError, match=rf"^cannot read .*img\.csv: .* byte 0xff in position {offset}: "):
             read_image(path)
         return
@@ -714,15 +693,6 @@ def _to_crlf(data):
     return re.sub(rb"(?<!\r)\n", b"\r\n", data)
 
 
-def _read_outcome(path):
-    """What read_image gives for a file: its values' bits and comments, or its error without the path."""
-    try:
-        samples, _, comments = read_image(path)
-    except ImageFormatError as exc:
-        return str(exc).replace(str(path), "<path>")
-    return samples.view(np.int64).tobytes(), comments
-
-
 def test_read_kernel_reads_crlf_rows(monkeypatch, tmp_path):
     # values repr writes in the fixed form, so that the kernel certifies every cell
     rng = np.random.default_rng(43)
@@ -737,37 +707,6 @@ def test_read_kernel_reads_crlf_rows(monkeypatch, tmp_path):
     assert calls == []
     assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
     assert got[1:] == want[1:] == ("re_im", ["mode = ideal", "r = 2.0"])
-
-
-@pytest.mark.parametrize("block", ["one-line", "few-lines", "default", "long-lines", "long-header"])
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
-@pytest.mark.parametrize("fault", [*FAULTS, "late-0xff"])
-def test_read_faults_at_block_boundaries_in_crlf_files(monkeypatch, tmp_path, block, where, fault):
-    # the files of test_read_faults_at_block_boundaries with CRLF newlines read as the LF files do:
-    # the same values and comments, or the same error on the same line
-    rows = _fixed_rows(3000 if block == "default" else 30)
-    line = len(rows[0]) + 2
-    read_block = {"one-line": line, "few-lines": 3 * line, "long-lines": 64, "long-header": 16}.get(block)
-    if read_block:
-        monkeypatch.setattr(imagefile, "_READ_BLOCK", read_block)
-        monkeypatch.setattr(imagefile, "_block_size", floor_blocks)
-    at = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[where]
-    change = FAULTS[fault][0] if fault in FAULTS else (lambda row: row[:5] + "\udcff" + row[6:])
-    head = f"{MAGIC}\n2 {len(rows)}\nre_im\n# note\n"
-    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-    for last_bad in (False, True):  # a bad cell on the last row is numbered after the lines the fault adds
-        if last_bad:
-            rows[-1] = _bad_cell(rows[-1])
-        text = head + "".join(row + "\n" for row in rows[:at] + [change(rows[at])] + rows[at + 1 :])
-        lf.write_bytes(text.encode("utf-8", "surrogateescape"))
-        crlf.write_bytes(_to_crlf(lf.read_bytes()))
-        want, got = _read_outcome(lf), _read_outcome(crlf)
-        if fault == "late-0xff":
-            error = "cannot read <path>: 'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
-            assert want == error.format(lf.read_bytes().index(0xFF))
-            assert got == error.format(crlf.read_bytes().index(0xFF))
-        else:
-            assert got == want
 
 
 def _splitlines_fault(text, ncols):
@@ -813,7 +752,7 @@ def test_read_names_the_line_of_a_bare_carriage_return_in_a_row(tmp_path, eol, c
 
 def test_read_image_split_at_carriage_returns_holds_one_row_of_text(tmp_path):
     # a file whose lines end in \r alone is cut at them, and the kernel reads its rows
-    img = _image_256()
+    img = complex_image((256, 256), seed=34)
     path = tmp_path / "img.csv"
     write_image(path, img)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))

@@ -1,7 +1,5 @@
 """Property tests: any image file, config text or argv ends in a result or a one-line error."""
 
-import contextlib
-import io
 import warnings
 
 import numpy as np
@@ -14,10 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from pixelport import fock, imagefile
 from pixelport.channel import MAX_SHOTS
-from pixelport.cli import MAX_SAMPLES, main
+from pixelport.cli import MAX_SAMPLES
 from pixelport.config import parse_config
-from pixelport.imagefile import MAGIC, ImageFormatError, read_image, write_image
+from pixelport.imagefile import MAGIC, ImageFormatError, read_image
 from pixelport.spdc import WAIST_RATIO_WARN, SpdcParams
+from runs import BASE, OUTPUTS, run, teleport
 from test_cli import CENTERS_PAST_FLOAT64, HUGE_PITCH, QUARTER_IMAGE, RADIUS_OVERFLOWS, ROW_IMAGE, replay_config
 from test_imagefile import floor_blocks, repr_rows
 
@@ -52,40 +51,9 @@ def _header(width, height):
     return f"{MAGIC}\n{width} {height}\nre_im\n"
 
 
-def _run(argv, outputs=()):
-    """Run the CLI in process and check its exit contract; returns the exit code.
-
-    An exception escaping main fails the test, which is how a traceback shows
-    here.  Warnings are recorded instead of printed, so on exit 1 or 2 stderr
-    holds nothing but the one error line, and nothing in outputs was written.
-    """
-    for path in outputs:
-        path.unlink(missing_ok=True)
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2, 3)
-    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    if code in (1, 2):
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert [p.name for p in outputs if p.exists()] == []
-    return code
-
-
-def _teleport(tmp_path, n_shots):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"mode = ideal\nideal_r = 1.0\nn_shots = {n_shots}\ninput = {tmp_path / 'in.csv'}\n"
-        f"output = {tmp_path / 'out.csv'}\nfidelity_map = {tmp_path / 'fmap.csv'}\n"
-        f"summary = {tmp_path / 'summary.txt'}\n"
-    )
-    _run(["teleport", "--config", str(cfg)])
-
-
 @SETTINGS
 @given(image=images())
+@example(image=(1, 1, "0.0"))  # a last row with no line end: the kernel must hand its block on
 def test_read_image_returns_finite_header_shape_or_format_error(tmp_path, image):
     width, height, payload = image
     path = tmp_path / "in.csv"
@@ -101,34 +69,18 @@ def test_read_image_returns_finite_header_shape_or_format_error(tmp_path, image)
 @SETTINGS
 @given(image=images(), n_shots=st.integers(0, 2))
 def test_teleport_any_payload_exits_cleanly(tmp_path, image, n_shots):
+    # runs.run checks the exit contract; an exception escaping main, a traceback, fails the test
     width, height, payload = image
-    (tmp_path / "in.csv").write_text(_header(width, height) + payload, encoding="utf-8")
-    _teleport(tmp_path, n_shots)
+    teleport(tmp_path, (_header(width, height) + payload).encode(), {**BASE["ideal"], "n_shots": n_shots})
 
 
 @SETTINGS
 @given(data=st.one_of(st.binary(max_size=120), st.binary(max_size=60).map(lambda b: _header(2, 1).encode() + b)))
 def test_teleport_any_bytes_exit_cleanly(tmp_path, data):
-    (tmp_path / "in.csv").write_bytes(data)
-    _teleport(tmp_path, 0)
+    teleport(tmp_path, data, {**BASE["ideal"], "n_shots": 0})
 
 
-BASE_CONFIGS = {
-    "ideal": {"mode": "ideal", "ideal_r": "1.0"},
-    "ring": {"mode": "spdc", "ring_r0": "1.0", "ring_width": "0.5", "ring_xi": "1.5"},
-    "spdc": {
-        "mode": "spdc",
-        "spdc_pump_waist": "200",
-        "spdc_mode_waist": "15",
-        "spdc_length": "5",
-        "spdc_pump_k": "10",
-        "spdc_signal_k": "5.05",
-        "spdc_angle": "0.1",
-        "spdc_focal": "100",
-        "spdc_xi": "1",
-    },
-}
-NUMERIC_KEYS = sorted({"seed", "n_shots", "pitch", "origin_x", "origin_y"}.union(*BASE_CONFIGS.values()) - {"mode"})
+NUMERIC_KEYS = sorted({"seed", "n_shots", "pitch", "origin_x", "origin_y"}.union(*BASE.values()) - {"mode"})
 # float64's edges and each cap, plus junk; shot counts stay small or go past the cap
 EXTREMES = [
     "0", "-0.0", "-1", "1e-320", "1e-300", "1e-170", "1e160", "1e200", "1e300", "1.7976931348623157e308",
@@ -141,16 +93,12 @@ FLAG_VALUES = st.one_of(st.integers(-1, 3), st.sampled_from([MAX_SHOTS + 1, 10**
 @st.composite
 def configs(draw):
     """Config settings: a valid base with up to four values replaced and maybe one key dropped."""
-    settings = dict(BASE_CONFIGS[draw(st.sampled_from(sorted(BASE_CONFIGS)))])
+    settings = dict(BASE[draw(st.sampled_from(sorted(BASE)))])
     for key in draw(st.lists(st.sampled_from(NUMERIC_KEYS), max_size=4, unique=True)):
         settings[key] = draw(VALUES)
     if draw(st.integers(0, 4)) == 0:
         del settings[draw(st.sampled_from(sorted(settings)))]
     return settings
-
-
-def _config(base, **changes):
-    return {**BASE_CONFIGS[base], **changes}
 
 
 def _complex_arrays(shape):
@@ -169,29 +117,29 @@ IMAGE = np.array([[1.0 + 0.5j, -0.25j], [2.0, 0.0]])
 
 @SETTINGS
 @given(settings=configs(), image=SMALL_IMAGES, flags=FLAGS)
-@example(settings=_config("ring", ring_r0="1e160"), image=IMAGE, flags=[])
-@example(settings=_config("ring", ring_width="1e-170"), image=IMAGE, flags=[])
-@example(settings=_config("ring", origin_x="1e200", origin_y="1e200"), image=IMAGE, flags=[])
-@example(settings=_config("ring", pitch="1e300"), image=IMAGE, flags=["--shots", "1"])
-@example(settings=_config("ring", **CENTERS_PAST_FLOAT64[0]), image=QUARTER_IMAGE, flags=[])
-@example(settings=_config("ring", **CENTERS_PAST_FLOAT64[1]), image=QUARTER_IMAGE, flags=[])
-@example(settings=_config("ring", **RADIUS_OVERFLOWS), image=IMAGE, flags=[])
-@example(settings=_config("spdc", spdc_focal="1e300", spdc_angle="1.5707963267948"), image=IMAGE, flags=[])
-@example(settings=_config("spdc", spdc_length="1e-300", spdc_pump_k="1e-300"), image=IMAGE, flags=[])
-@example(settings=_config("spdc", spdc_pump_waist="1e-320", pitch="0"), image=IMAGE, flags=[])
-@example(settings=_config("spdc", spdc_mode_waist="50"), image=IMAGE, flags=[])  # w_0/w_p = 0.25 warns
-@example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=[])
-@example(settings=_config("ideal", pitch="1e-320"), image=IMAGE, flags=["--shots", "1"])
-@example(settings=_config("ideal", n_shots=str(MAX_SHOTS + 1)), image=IMAGE, flags=[])
-@example(settings=_config("ideal"), image=IMAGE, flags=["--shots", str(MAX_SHOTS + 1)])
-@example(settings=_config("ideal", pitch=HUGE_PITCH), image=ROW_IMAGE, flags=[])
+@example(settings={**BASE["ring"], "ring_r0": "1e160"}, image=IMAGE, flags=[])
+@example(settings={**BASE["ring"], "ring_width": "1e-170"}, image=IMAGE, flags=[])
+@example(settings={**BASE["ring"], "origin_x": "1e200", "origin_y": "1e200"}, image=IMAGE, flags=[])
+@example(settings={**BASE["ring"], "pitch": "1e300"}, image=IMAGE, flags=["--shots", "1"])
+@example(settings={**BASE["ring"], **CENTERS_PAST_FLOAT64[0]}, image=QUARTER_IMAGE, flags=[])
+@example(settings={**BASE["ring"], **CENTERS_PAST_FLOAT64[1]}, image=QUARTER_IMAGE, flags=[])
+@example(settings={**BASE["ring"], **RADIUS_OVERFLOWS}, image=IMAGE, flags=[])
+@example(settings={**BASE["spdc"], "spdc_focal": "1e300", "spdc_angle": "1.5707963267948"}, image=IMAGE, flags=[])
+@example(settings={**BASE["spdc"], "spdc_length": "1e-300", "spdc_pump_k": "1e-300"}, image=IMAGE, flags=[])
+@example(settings={**BASE["spdc"], "spdc_pump_waist": "1e-320", "pitch": "0"}, image=IMAGE, flags=[])
+@example(settings={**BASE["spdc"], "spdc_mode_waist": "50"}, image=IMAGE, flags=[])  # w_0/w_p = 0.25 warns
+@example(settings={**BASE["ideal"], "pitch": "1e-320"}, image=IMAGE, flags=[])
+@example(settings={**BASE["ideal"], "pitch": "1e-320"}, image=IMAGE, flags=["--shots", "1"])
+@example(settings={**BASE["ideal"], "n_shots": str(MAX_SHOTS + 1)}, image=IMAGE, flags=[])
+@example(settings=BASE["ideal"], image=IMAGE, flags=["--shots", str(MAX_SHOTS + 1)])
+@example(settings={**BASE["ideal"], "pitch": HUGE_PITCH}, image=ROW_IMAGE, flags=[])
 def test_teleport_any_config_exits_cleanly(tmp_path, settings, image, flags):
-    write_image(tmp_path / "in.csv", image)
-    outputs = [tmp_path / name for name in ("out.csv", "fmap.csv", "summary.txt")]
-    paths = dict(zip(("output", "fidelity_map", "summary"), outputs), input=tmp_path / "in.csv")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**settings, **paths}.items()))
-    if _run(["teleport", "--config", str(cfg), *flags], outputs) == 0:
+    outputs = [tmp_path / name for name in OUTPUTS]
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    (code, _, _), written = teleport(tmp_path, image, settings, *flags)
+    assert code == 0 or written == (None, None, None)  # an error writes no output
+    if code == 0:
         # no run writes an image or map that its own reader refuses
         got, _, _ = read_image(outputs[0])
         assert got.shape == image.shape
@@ -251,11 +199,11 @@ def argvs(draw):
 @example(argv=["oracle-verify", "--tol", "average_fidelity=1e-2"])
 def test_any_argv_exits_cleanly(tmp_path, argv):
     out, out_dir = tmp_path / "curve.csv", tmp_path / "plots"
-    for path in out_dir.glob("*.csv"):
-        path.unlink()
+    for path in [out, *out_dir.glob("*.csv")]:
+        path.unlink(missing_ok=True)
     if argv[0] != "oracle-verify":
         argv = argv + ["--out", str(out), "--out-dir", str(out_dir)]
-    code = _run(argv, [out])
+    code, _, _ = run(argv)
     written = [path for path in [out, *out_dir.glob("*.csv")] if path.exists()]
     assert code == 0 or written == []
     for path in written:
